@@ -9,35 +9,6 @@ from typing import List, Optional, Tuple
 
 from .subflow import Mapping, Subflow
 
-# Order-independent positional stream checksum: byte position i contributes
-# (i+1) * G**i mod P. Ranges have a closed form, so a 2 MB transfer costs
-# O(log n) per delivered chunk instead of per-byte work.
-_P = (1 << 61) - 1
-_G = 1_000_003
-CHECKSUM_MODULUS = _P
-_INV_1MG_SQ = pow((1 - _G) % _P, _P - 3, _P)  # 1/(1-G)^2 mod P
-
-
-def _prefix_weight(n: int) -> int:
-    """sum_{i=0}^{n-1} (i+1) * G**i mod P."""
-    if n <= 0:
-        return 0
-    gn = pow(_G, n, _P)
-    num = (1 - (n + 1) * gn + n * gn * _G) % _P
-    return num * _INV_1MG_SQ % _P
-
-
-def range_weight(start: int, end: int) -> int:
-    """Checksum contribution of byte positions [start, end)."""
-    if end <= start:
-        return 0
-    return (_prefix_weight(end) - _prefix_weight(start)) % _P
-
-
-def stream_weight(size: int) -> int:
-    """Checksum of the complete stream [0, size)."""
-    return _prefix_weight(size)
-
 
 class ConnectionState:
     """Sender-side data sequence space and scheduler cursor."""
@@ -58,36 +29,28 @@ def schedule_next(conn: ConnectionState,
     Round-robin from the scheduler cursor; returns None (blocked) when no
     subflow has window space or nothing is left to send.
     """
-    remaining = conn.transfer_size - conn.data_snd_nxt
+    snd_nxt = conn.data_snd_nxt
+    remaining = conn.transfer_size - snd_nxt
     if remaining <= 0:
         return None
+    mss = conn.mss
     n = conn.n_subflows
-    for k in range(1, n + 1):
-        idx = (conn.scheduler_cursor + k) % n
+    idx = conn.scheduler_cursor
+    for _ in range(n):
+        idx += 1
+        if idx == n:
+            idx = 0
         sf = subflows[idx]
         if sf.can_send():
-            size = min(conn.mss, remaining)
-            m = Mapping(conn.data_snd_nxt, conn.data_snd_nxt + size,
-                        sf.snd_nxt, sf.snd_nxt + size)
+            size = mss if mss < remaining else remaining
+            sf_nxt = sf.snd_nxt
+            m = Mapping(snd_nxt, snd_nxt + size, sf_nxt, sf_nxt + size)
             sf.mappings.append(m)
-            sf.snd_nxt += size
-            conn.data_snd_nxt += size
+            sf.snd_nxt = sf_nxt + size
+            conn.data_snd_nxt = snd_nxt + size
             conn.scheduler_cursor = idx
             return sf, m
     return None
-
-
-def retransmit_policy(conn: ConnectionState, subflows: List[Subflow],
-                      data_start: int, data_end: int) -> int:
-    """Retransmissions stay on the subflow holding the original mapping."""
-    for sf in subflows:
-        for m in sf.mappings:
-            if m.data_start <= data_start and data_end <= m.data_end:
-                return sf.index
-    raise ValueError(
-        "protocol violation: range [%d, %d) is not mapped and unacknowledged"
-        % (data_start, data_end)
-    )
 
 
 def transfer_complete(conn: ConnectionState) -> bool:
@@ -129,6 +92,11 @@ class ReassemblyState:
         """
         if end <= start:
             raise ValueError("empty segment range")
+        starts = self._starts
+        if start == self.rcv_data_next and (not starts or end < starts[0]):
+            # in order and not touching a stored range: nothing to search
+            self.rcv_data_next = end
+            return end, (start, end), None
         dup = self.duplicate_overlap(start, end)
         s = max(start, self.rcv_data_next)
         if s < end:
@@ -140,9 +108,6 @@ class ReassemblyState:
             del self._ends[0]
         delivered = (old, self.rcv_data_next) if self.rcv_data_next > old else None
         return self.rcv_data_next, delivered, dup
-
-    def sack_blocks(self, limit: int = 3) -> List[Tuple[int, int]]:
-        return list(zip(self._starts[:limit], self._ends[:limit]))
 
     def _insert(self, start: int, end: int) -> None:
         starts, ends = self._starts, self._ends

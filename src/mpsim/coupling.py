@@ -9,9 +9,8 @@ and the loss response.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 
 class CouplingMode(Enum):
@@ -21,9 +20,11 @@ class CouplingMode(Enum):
     RTT_COMPENSATOR = "rtt_compensator"
 
 
-@dataclass(frozen=True)
-class CouplingView:
-    """Snapshot of every subflow's window (MSS) and smoothed RTT (s)."""
+class CouplingView(NamedTuple):
+    """Snapshot of every subflow's window (MSS) and smoothed RTT (s).
+
+    A named tuple: read-only, and cheap to build once per ACK.
+    """
 
     w: Tuple[float, ...]
     rtt: Tuple[float, ...]

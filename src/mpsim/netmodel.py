@@ -50,7 +50,7 @@ class Link:
     """
 
     __slots__ = (
-        "config", "busy_until", "_departures", "_delay_ns",
+        "config", "busy_until", "_departures", "_delay_ns", "_ser_ns",
         "accepted", "delivered_bytes", "dropped_overflow", "dropped_loss",
     )
 
@@ -60,6 +60,9 @@ class Link:
         self.busy_until = 0
         self._departures = deque()
         self._delay_ns = int(round(config.one_way_delay_s * NS_PER_S))
+        # packet size -> serialization_ns, filled on first use; only the
+        # MSS, the last segment's size and the ACK size occur
+        self._ser_ns = {}
         self.accepted = 0
         self.delivered_bytes = 0
         self.dropped_overflow = 0
@@ -70,12 +73,18 @@ class Link:
         return len(self._departures)
 
     def serialization_ns(self, size_bytes: int) -> int:
-        return int(round(size_bytes * 8 * NS_PER_S / self.config.capacity_bps))
+        """Transmitter busy time, at least 1 ns so that an RTT is never 0."""
+        return max(1, int(round(size_bytes * 8 * NS_PER_S
+                                / self.config.capacity_bps)))
 
     def transmit(self, size_bytes: int, now: int, rng: RandomStream):
         """Returns the delivery time in ns, or a DropReason."""
-        if size_bytes <= 0:
-            raise ValueError("segment size must be positive")
+        ser_ns = self._ser_ns.get(size_bytes)
+        if ser_ns is None:
+            if size_bytes <= 0:
+                raise ValueError("segment size must be positive")
+            ser_ns = self._ser_ns[size_bytes] = self.serialization_ns(
+                size_bytes)
         departures = self._departures
         while departures and departures[0] <= now:
             departures.popleft()
@@ -83,7 +92,7 @@ class Link:
             self.dropped_overflow += 1
             return DropReason.QUEUE_OVERFLOW
         start = now if now > self.busy_until else self.busy_until
-        finish = start + self.serialization_ns(size_bytes)
+        finish = start + ser_ns
         self.busy_until = finish
         departures.append(finish)
         self.accepted += 1

@@ -8,7 +8,6 @@ insertion order (monotone ordinal tie-break).
 from __future__ import annotations
 
 import heapq
-from enum import Enum
 
 NS_PER_S = 1_000_000_000
 
@@ -25,26 +24,6 @@ def seconds_to_ns(t: float) -> int:
 
 def ns_to_seconds(t: int) -> float:
     return t / NS_PER_S
-
-
-class EventKind(Enum):
-    SEGMENT_DELIVERY = "SegmentDelivery"
-    RTO_EXPIRY = "RtoExpiry"
-    TRACE_SAMPLE = "TraceSample"
-    TRANSFER_DEADLINE = "TransferDeadline"
-
-
-class EventHandle:
-    """Ticket for a scheduled event; lets the owner cancel it later."""
-
-    __slots__ = ("fire_time", "ordinal", "kind", "fn", "cancelled")
-
-    def __init__(self, fire_time, ordinal, kind, fn):
-        self.fire_time = fire_time
-        self.ordinal = ordinal
-        self.kind = kind
-        self.fn = fn
-        self.cancelled = False
 
 
 class RandomStream:
@@ -84,31 +63,32 @@ def mix_seed(seed: int, index: int) -> int:
 
 
 class SimKernel:
-    """Single-threaded event loop over (fire_time, ordinal)-ordered events."""
+    """Single-threaded event loop over (fire_time, ordinal)-ordered events.
+
+    A queue entry is the list [fire_time, ordinal, fn]; the unique ordinal
+    means fn is never compared. `schedule` returns the entry as the
+    event's handle, and `cancel` clears its fn so the loop skips it.
+    """
 
     def __init__(self):
         self._queue = []
         self._ordinal = 0
-        self._now = 0
+        self.now = 0
         self._stopped = False
 
-    @property
-    def now(self) -> int:
-        return self._now
-
-    def schedule(self, fire_time: int, kind: EventKind, fn) -> EventHandle:
-        if fire_time < self._now:
+    def schedule(self, fire_time: int, fn) -> list:
+        if fire_time < self.now:
             raise ValueError(
                 "cannot schedule event at t=%d ns before current time %d ns"
-                % (fire_time, self._now)
+                % (fire_time, self.now)
             )
         self._ordinal += 1
-        handle = EventHandle(fire_time, self._ordinal, kind, fn)
-        heapq.heappush(self._queue, (fire_time, self._ordinal, handle))
-        return handle
+        entry = [fire_time, self._ordinal, fn]
+        heapq.heappush(self._queue, entry)
+        return entry
 
-    def cancel(self, handle: EventHandle) -> None:
-        handle.cancelled = True
+    def cancel(self, entry: list) -> None:
+        entry[2] = None
 
     def stop(self) -> None:
         """Stop processing; run_until_idle returns after the current event."""
@@ -117,13 +97,12 @@ class SimKernel:
     def run_until_idle(self, stop_time: int) -> int:
         """Process every event with fire_time <= stop_time, in order."""
         queue = self._queue
+        pop = heapq.heappop
         while queue and not self._stopped:
-            fire_time, _, handle = queue[0]
-            if fire_time > stop_time:
+            if queue[0][0] > stop_time:
                 break
-            heapq.heappop(queue)
-            if handle.cancelled:
-                continue
-            self._now = fire_time
-            handle.fn()
-        return self._now
+            fire_time, _, fn = pop(queue)
+            if fn is not None:
+                self.now = fire_time
+                fn()
+        return self.now

@@ -12,17 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import List, Optional, Tuple
 
 from . import spurious as sp
 from .config import ScenarioConfig
-from .connection import (CHECKSUM_MODULUS, ConnectionState, ReassemblyState,
-                         range_weight, schedule_next, stream_weight,
+from .connection import (ConnectionState, ReassemblyState, schedule_next,
                          transfer_complete)
 from .coupling import CouplingView, on_ack_increase, on_loss_decrease
 from .netmodel import Link
-from .simkernel import (EventKind, NS_PER_S, RandomStream, SimKernel,
-                        seconds_to_ns)
+from .simkernel import NS_PER_S, RandomStream, SimKernel, seconds_to_ns
 from .spurious import DetectorChoice
 from .subflow import ACK_SIZE_BYTES, Phase, Segment, Subflow
 
@@ -75,6 +74,8 @@ class SummaryStats:
     fast_retx: int
     rtos: int
     spurious_detections: int
+    # stream integrity: the application got [0, transfer_size) once, in
+    # order, the sender's data_una agrees, and no mapping is left unacked
     checksum_ok: bool
     duplicate_bytes: int
     protocol_violations: int
@@ -114,7 +115,13 @@ class Simulation:
                                     len(cfg.links))
         self.recv = ReassemblyState()
         self._ts_recent = 0
-        self.rx_checksum = 0
+        self._dsack = cfg.detector is DetectorChoice.DSACK
+        # one RTO callback per subflow, shared by all its timer events
+        self._rto_fns = [partial(self._on_rto, sf) for sf in self.subflows]
+        # end of the bytes handed to the application, and the deliveries
+        # that did not start there (a byte repeated or skipped)
+        self.app_next = 0
+        self.delivery_faults = 0
         self.completed_ns: Optional[int] = None
         self.duplicate_bytes = 0
         self.protocol_violations = 0
@@ -129,8 +136,9 @@ class Simulation:
     # ------------------------------------------------------------ helpers
 
     def _view(self) -> CouplingView:
-        return CouplingView(tuple(sf.cwnd for sf in self.subflows),
-                            tuple(sf.rtt_for_coupling for sf in self.subflows))
+        subflows = self.subflows
+        return CouplingView(tuple([sf.cwnd for sf in subflows]),
+                            tuple([sf.rtt_for_coupling for sf in subflows]))
 
     def _trace(self, sf: Subflow, event: TraceEvent) -> None:
         self.traces.append(TraceRecord(
@@ -138,11 +146,11 @@ class Simulation:
             sf.phase.value, event.value))
 
     def _arm_rto(self, sf: Subflow) -> None:
+        kernel = self.kernel
         if sf.rto_handle is not None:
-            self.kernel.cancel(sf.rto_handle)
-        deadline = self.kernel.now + seconds_to_ns(sf.estimator.rto)
-        sf.rto_handle = self.kernel.schedule(
-            deadline, EventKind.RTO_EXPIRY, lambda sf=sf: self._on_rto(sf))
+            kernel.cancel(sf.rto_handle)
+        deadline = kernel.now + seconds_to_ns(sf.estimator.rto)
+        sf.rto_handle = kernel.schedule(deadline, self._rto_fns[sf.index])
 
     def _disarm_rto(self, sf: Subflow) -> None:
         if sf.rto_handle is not None:
@@ -155,8 +163,9 @@ class Simulation:
         """Send new data while any subflow has window space."""
         if self.completed_ns is not None:
             return
+        conn, subflows = self.conn, self.subflows
         while True:
-            pick = schedule_next(self.conn, self.subflows)
+            pick = schedule_next(conn, subflows)
             if pick is None:
                 return
             sf, m = pick
@@ -170,13 +179,11 @@ class Simulation:
             sf.retransmissions += 1
         sf.segments_sent += 1
         self.sends.append((now, sf.index + 1))
-        seg = Segment(sf.index, data_seq=m.data_start, subflow_seq=m.sf_start,
-                      size_bytes=m.data_end - m.data_start, ts_val=now,
-                      is_retransmission=retransmission)
-        out = self.links_fwd[sf.index].transmit(seg.size_bytes, now, self.rng)
+        size = m.data_end - m.data_start
+        out = self.links_fwd[sf.index].transmit(size, now, self.rng)
         if isinstance(out, int):
-            self.kernel.schedule(out, EventKind.SEGMENT_DELIVERY,
-                                 lambda seg=seg: self._on_data(seg))
+            seg = Segment(sf.index, m.data_start, size, now)
+            self.kernel.schedule(out, partial(self._on_data, seg))
         if sf.rto_handle is None:
             self._arm_rto(sf)
 
@@ -184,31 +191,30 @@ class Simulation:
 
     def _on_data(self, seg: Segment) -> None:
         now = self.kernel.now
+        data_seq, size, sf_id = seg.data_seq, seg.size_bytes, seg.subflow_id
         # Timestamp echo follows the left-edge rule: remember the timestamp
         # of the segment that covers the next expected byte, so ACKs sent
         # after a reordering hole fills echo the filler's send time rather
         # than whichever segment happened to elicit them.
-        if seg.data_seq <= self.recv.rcv_data_next:
+        if data_seq <= self.recv.rcv_data_next:
             self._ts_recent = seg.ts_val
-        data_ack, delivered, dup = self.recv.on_data(
-            seg.data_seq, seg.data_seq + seg.size_bytes)
-        new_bytes = delivered[1] - delivered[0] if delivered else 0
-        self.arrivals.append((now, seg.subflow_id + 1, seg.size_bytes,
-                              new_bytes))
+        data_ack, delivered, dup = self.recv.on_data(data_seq,
+                                                     data_seq + size)
+        if delivered:
+            if delivered[0] != self.app_next:
+                self.delivery_faults += 1
+            self.app_next = delivered[1]
+            new_bytes = delivered[1] - delivered[0]
+        else:
+            new_bytes = 0
+        self.arrivals.append((now, sf_id + 1, size, new_bytes))
         if dup:
             self.duplicate_bytes += dup[1] - dup[0]
-        if delivered:
-            self.rx_checksum = (self.rx_checksum
-                                + range_weight(*delivered)) % CHECKSUM_MODULUS
-        dsack = dup if (self.detector is DetectorChoice.DSACK and dup) else None
-        ack = Segment(seg.subflow_id, size_bytes=ACK_SIZE_BYTES, ts_val=now,
-                      ts_echo=self._ts_recent, data_ack=data_ack,
-                      sack_blocks=self.recv.sack_blocks(), dsack_block=dsack)
-        out = self.links_rev[seg.subflow_id].transmit(ACK_SIZE_BYTES, now,
-                                                      self.rng)
+        out = self.links_rev[sf_id].transmit(ACK_SIZE_BYTES, now, self.rng)
         if isinstance(out, int):
-            self.kernel.schedule(out, EventKind.SEGMENT_DELIVERY,
-                                 lambda ack=ack: self._on_ack(ack))
+            ack = Segment(sf_id, 0, ACK_SIZE_BYTES, now, self._ts_recent,
+                          data_ack, dup if self._dsack else None)
+            self.kernel.schedule(out, partial(self._on_ack, ack))
 
     # --------------------------------------------------------- ACK intake
 
@@ -226,35 +232,40 @@ class Simulation:
     def _on_advancing_ack(self, ack: Segment) -> None:
         now = self.kernel.now
         conn = self.conn
-        conn.data_una = ack.data_ack
+        data_una = conn.data_una = ack.data_ack
         for sf in self.subflows:
-            acked, samples = sf.ack_update(conn.data_una, now)
-            # Samples measure send-to-cumulative-ack latency per mapping, so
-            # the RTO tracks how long an ACK actually takes to come back when
-            # cumulative progress is gated by the other path, not the raw
-            # path round trip.
-            for sample in samples:
-                sf.estimator.update(sample)
+            mappings = sf.mappings
+            if mappings and mappings[0].data_end <= data_una:
+                acked, samples = sf.ack_update(data_una, now)
+                # Samples measure send-to-cumulative-ack latency per mapping,
+                # so the RTO tracks how long an ACK actually takes to come
+                # back when cumulative progress is gated by the other path,
+                # not the raw path round trip.
+                for sample in samples:
+                    sf.estimator.update(sample)
+            else:
+                acked = 0
             if sf.phase is Phase.FAST_RECOVERY:
-                if conn.data_una >= sf.recover_point:
+                if data_una >= sf.recover_point:
                     sf.cwnd = max(sf.ssthresh, 1.0)
                     sf.phase = Phase.CONGESTION_AVOIDANCE
             elif acked:
                 self._grow(sf, acked)
-            if (acked and self.cfg.partial_ack_retransmit and sf.mappings
-                    and conn.data_una < sf.recover_point
-                    and sf.mappings[0].data_start <= conn.data_una):
+            if not acked:
+                continue
+            if (self.cfg.partial_ack_retransmit and mappings
+                    and data_una < sf.recover_point
+                    and mappings[0].data_start <= data_una):
                 # NewReno partial ack: this subflow owns the next hole, so
                 # resend it now instead of waiting out another timeout
-                m = sf.mappings[0]
+                m = mappings[0]
                 sp.on_retransmit_record(sf, m.data_start, m.data_end, now)
                 self._send_mapping(sf, m, retransmission=True)
-            if acked:
-                if sf.flight > 0:
-                    self._arm_rto(sf)
-                else:
-                    self._disarm_rto(sf)
-        if self.detector is DetectorChoice.DSACK and ack.dsack_block:
+            if sf.snd_nxt > sf.snd_una:
+                self._arm_rto(sf)
+            else:
+                self._disarm_rto(sf)
+        if self._dsack and ack.dsack_block:
             self._dsack_check(self.subflows[ack.subflow_id], ack)
         if self.detector is DetectorChoice.EIFEL:
             for sf in self.subflows:
@@ -274,7 +285,7 @@ class Simulation:
     def _on_duplicate_ack(self, ack: Segment) -> None:
         sf = self.subflows[ack.subflow_id]
         sf.dup_ack_count += 1
-        if self.detector is DetectorChoice.DSACK and ack.dsack_block:
+        if self._dsack and ack.dsack_block:
             self._dsack_check(sf, ack)
         if sf.phase is Phase.FAST_RECOVERY:
             sf.cwnd += 1.0  # classic window inflation per extra duplicate
@@ -365,16 +376,14 @@ class Simulation:
             self.srtts.append((now_s, sf.index + 1, sf.rtt_for_coupling))
         nxt = self.kernel.now + self._trace_ns
         if nxt <= self._stop_ns:
-            self.kernel.schedule(nxt, EventKind.TRACE_SAMPLE,
-                                 self._on_trace_sample)
+            self.kernel.schedule(nxt, self._on_trace_sample)
 
     def run(self) -> RunResult:
         if self.cfg.transfer_size == 0:
             self.completed_ns = 0
             return self._result()
-        self.kernel.schedule(0, EventKind.TRACE_SAMPLE, self._on_trace_sample)
-        self.kernel.schedule(self._stop_ns, EventKind.TRANSFER_DEADLINE,
-                             self.kernel.stop)
+        self.kernel.schedule(0, self._on_trace_sample)
+        self.kernel.schedule(self._stop_ns, self.kernel.stop)
         self._pump()
         self.kernel.run_until_idle(self._stop_ns)
         return self._result()
@@ -393,11 +402,10 @@ class Simulation:
             t, goodput = 0.0, 0.0
         else:
             t, goodput = None, self.conn.data_una * 8.0 / cfg.stop_time
-        checksum_ok = (completed
-                       and self.recv.rcv_data_next == cfg.transfer_size
-                       and self.rx_checksum == stream_weight(cfg.transfer_size))
-        if cfg.transfer_size == 0:
-            checksum_ok = True
+        checksum_ok = cfg.transfer_size == 0 or (
+            completed and self.delivery_faults == 0
+            and self.app_next == self.conn.data_una == cfg.transfer_size
+            and not any(sf.mappings for sf in self.subflows))
         stats = SummaryStats(
             completed=completed, completion_time_s=t, goodput_bps=goodput,
             delivered_bytes=self.conn.data_una, bytes_sf=tuple(bytes_sf),

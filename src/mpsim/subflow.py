@@ -32,25 +32,18 @@ class Phase(Enum):
 class Segment:
     """Abstract simulated segment; doubles as data segment and ACK."""
 
-    __slots__ = (
-        "subflow_id", "data_seq", "subflow_seq", "size_bytes",
-        "ts_val", "ts_echo", "data_ack", "sack_blocks", "dsack_block",
-        "is_retransmission",
-    )
+    __slots__ = ("subflow_id", "data_seq", "size_bytes", "ts_val", "ts_echo",
+                 "data_ack", "dsack_block")
 
-    def __init__(self, subflow_id, data_seq=0, subflow_seq=0, size_bytes=0,
-                 ts_val=0, ts_echo=None, data_ack=None, sack_blocks=(),
-                 dsack_block=None, is_retransmission=False):
+    def __init__(self, subflow_id, data_seq=0, size_bytes=0, ts_val=0,
+                 ts_echo=None, data_ack=None, dsack_block=None):
         self.subflow_id = subflow_id
         self.data_seq = data_seq
-        self.subflow_seq = subflow_seq
         self.size_bytes = size_bytes
         self.ts_val = ts_val
         self.ts_echo = ts_echo
         self.data_ack = data_ack
-        self.sack_blocks = sack_blocks
         self.dsack_block = dsack_block
-        self.is_retransmission = is_retransmission
 
 
 class RttEstimator:
@@ -145,14 +138,16 @@ class Subflow:
         return srtt if srtt is not None else self.initial_rtt
 
     def can_send(self) -> bool:
-        return self.flight + self.mss <= self.cwnd * self.mss
+        mss = self.mss
+        return self.snd_nxt - self.snd_una + mss <= self.cwnd * mss
 
     def ack_update(self, data_una: int, now_ns: int):
         """Advance snd_una over mappings cumulatively acked at data level.
 
         Returns (acked_bytes, rtt_samples). One RTT sample per newly acked
         mapping, obeying Karn's rule: only never-retransmitted mappings
-        produce one.
+        produce one. An acked range is never sent again, so its retransmit
+        count is dropped.
         """
         acked = 0
         samples = []
@@ -160,7 +155,9 @@ class Subflow:
         while mappings and mappings[0].data_end <= data_una:
             m = mappings.popleft()
             acked += m.sf_end - m.sf_start
-            if not m.retransmitted and m.sent_ns >= 0:
+            if m.retransmitted:
+                self.retransmit_counts.pop((m.data_start, m.data_end), None)
+            elif m.sent_ns >= 0:
                 samples.append((now_ns - m.sent_ns) / NS_PER_S)
             self.snd_una = m.sf_end
         if acked:

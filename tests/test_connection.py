@@ -1,52 +1,10 @@
-"""Connection-level scheduling, reassembly and the stream checksum."""
+"""Connection-level scheduling and reassembly."""
 
-import pytest
 from hypothesis import given, strategies as st
 
-from mpsim.connection import (CHECKSUM_MODULUS, ConnectionState,
-                              ReassemblyState, range_weight, retransmit_policy,
-                              schedule_next, stream_weight, transfer_complete)
+from mpsim.connection import (ConnectionState, ReassemblyState, schedule_next,
+                              transfer_complete)
 from mpsim.subflow import Subflow
-
-
-# ---------------------------------------------------------------- checksum
-
-def brute_weight(start, end):
-    # independent oracle: per-byte evaluation of the positional hash
-    total = 0
-    for i in range(start, end):
-        total += (i + 1) * pow(1_000_003, i, CHECKSUM_MODULUS)
-    return total % CHECKSUM_MODULUS
-
-
-@pytest.mark.parametrize("start,end", [(0, 1), (0, 17), (5, 23), (100, 100),
-                                       (1000, 1003)])
-def test_range_weight_matches_brute_force(start, end):
-    assert range_weight(start, end) == brute_weight(start, end)
-
-
-def test_stream_weight_is_prefix_weight():
-    assert stream_weight(64) == brute_weight(0, 64)
-    assert stream_weight(0) == 0
-
-
-@given(st.integers(min_value=0, max_value=500),
-       st.integers(min_value=0, max_value=500))
-def test_range_weights_are_additive(a, b):
-    lo, hi = sorted((a, b))
-    mid = (lo + hi) // 2
-    assert (range_weight(lo, mid) + range_weight(mid, hi)) \
-        % CHECKSUM_MODULUS == range_weight(lo, hi)
-
-
-@given(st.lists(st.integers(min_value=1, max_value=40), min_size=1,
-                max_size=12))
-def test_chunked_sum_equals_stream_weight(chunks):
-    pos, total = 0, 0
-    for size in chunks:
-        total = (total + range_weight(pos, pos + size)) % CHECKSUM_MODULUS
-        pos += size
-    assert total == stream_weight(pos)
 
 
 # --------------------------------------------------------------- scheduler
@@ -97,20 +55,6 @@ def test_mapping_tracks_both_sequence_spaces():
     assert sf.snd_nxt == 1400
 
 
-def test_retransmit_policy_returns_owner_subflow():
-    conn, sfs = make_pair()
-    schedule_next(conn, sfs)   # [0, 1400) on subflow 0
-    schedule_next(conn, sfs)   # [1400, 2800) on subflow 1
-    assert retransmit_policy(conn, sfs, 1400, 2800) == 1
-    assert retransmit_policy(conn, sfs, 0, 1400) == 0
-
-
-def test_retransmit_policy_rejects_unmapped_range():
-    conn, sfs = make_pair()
-    with pytest.raises(ValueError, match="not mapped"):
-        retransmit_policy(conn, sfs, 0, 1400)
-
-
 def test_transfer_complete_at_cumulative_point():
     conn, _ = make_pair(transfer=2800)
     assert not transfer_complete(conn)
@@ -130,10 +74,10 @@ def test_gap_is_held_until_filled():
     recv = ReassemblyState()
     ack, delivered, dup = recv.on_data(1400, 2800)
     assert (ack, delivered, dup) == (0, None, None)
-    assert recv.sack_blocks() == [(1400, 2800)]
+    assert recv.stored_ranges == [(1400, 2800)]
     ack, delivered, dup = recv.on_data(0, 1400)
     assert (ack, delivered, dup) == (2800, (0, 2800), None)
-    assert recv.sack_blocks() == []
+    assert recv.stored_ranges == []
 
 
 def test_exact_duplicate_is_reported():
@@ -170,13 +114,6 @@ def test_coalescing_across_multiple_stored_ranges():
     assert recv.stored_ranges == [(1400, 5600)]
     ack, delivered, _ = recv.on_data(0, 1400)
     assert (ack, delivered) == (5600, (0, 5600))
-
-
-def test_sack_block_limit():
-    recv = ReassemblyState()
-    for start in (1400, 4200, 7000, 9800):
-        recv.on_data(start, start + 1400)
-    assert len(recv.sack_blocks(limit=3)) == 3
 
 
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=20),

@@ -2,8 +2,8 @@
 
 import pytest
 
-from mpsim.simkernel import (EventKind, NS_PER_S, RandomStream, SimKernel,
-                             mix_seed, ns_to_seconds, seconds_to_ns)
+from mpsim.simkernel import (NS_PER_S, RandomStream, SimKernel, mix_seed,
+                             ns_to_seconds, seconds_to_ns)
 
 
 def test_time_conversions_round_trip():
@@ -15,9 +15,9 @@ def test_time_conversions_round_trip():
 def test_events_fire_in_time_order():
     kernel = SimKernel()
     fired = []
-    kernel.schedule(300, EventKind.TRACE_SAMPLE, lambda: fired.append("c"))
-    kernel.schedule(100, EventKind.TRACE_SAMPLE, lambda: fired.append("a"))
-    kernel.schedule(200, EventKind.TRACE_SAMPLE, lambda: fired.append("b"))
+    kernel.schedule(300, lambda: fired.append("c"))
+    kernel.schedule(100, lambda: fired.append("a"))
+    kernel.schedule(200, lambda: fired.append("b"))
     end = kernel.run_until_idle(10 * NS_PER_S)
     assert fired == ["a", "b", "c"]
     assert end == 300
@@ -27,8 +27,7 @@ def test_simultaneous_events_fire_in_insertion_order():
     kernel = SimKernel()
     fired = []
     for tag in range(5):
-        kernel.schedule(42, EventKind.TRACE_SAMPLE,
-                        lambda tag=tag: fired.append(tag))
+        kernel.schedule(42, lambda tag=tag: fired.append(tag))
     kernel.run_until_idle(100)
     assert fired == [0, 1, 2, 3, 4]
 
@@ -36,9 +35,8 @@ def test_simultaneous_events_fire_in_insertion_order():
 def test_cancelled_event_does_not_fire():
     kernel = SimKernel()
     fired = []
-    handle = kernel.schedule(10, EventKind.RTO_EXPIRY,
-                             lambda: fired.append("rto"))
-    kernel.schedule(5, EventKind.TRACE_SAMPLE, lambda: fired.append("ok"))
+    handle = kernel.schedule(10, lambda: fired.append("rto"))
+    kernel.schedule(5, lambda: fired.append("ok"))
     kernel.cancel(handle)
     kernel.run_until_idle(100)
     assert fired == ["ok"]
@@ -46,18 +44,18 @@ def test_cancelled_event_does_not_fire():
 
 def test_schedule_in_the_past_raises():
     kernel = SimKernel()
-    kernel.schedule(50, EventKind.TRACE_SAMPLE, lambda: None)
+    kernel.schedule(50, lambda: None)
     kernel.run_until_idle(100)
     assert kernel.now == 50
     with pytest.raises(ValueError):
-        kernel.schedule(49, EventKind.TRACE_SAMPLE, lambda: None)
+        kernel.schedule(49, lambda: None)
 
 
 def test_events_beyond_stop_time_are_left_queued():
     kernel = SimKernel()
     fired = []
-    kernel.schedule(10, EventKind.TRACE_SAMPLE, lambda: fired.append(10))
-    kernel.schedule(200, EventKind.TRACE_SAMPLE, lambda: fired.append(200))
+    kernel.schedule(10, lambda: fired.append(10))
+    kernel.schedule(200, lambda: fired.append(200))
     kernel.run_until_idle(100)
     assert fired == [10]
 
@@ -65,9 +63,9 @@ def test_events_beyond_stop_time_are_left_queued():
 def test_stop_halts_processing():
     kernel = SimKernel()
     fired = []
-    kernel.schedule(1, EventKind.TRACE_SAMPLE, lambda: fired.append(1))
-    kernel.schedule(2, EventKind.TRANSFER_DEADLINE, kernel.stop)
-    kernel.schedule(3, EventKind.TRACE_SAMPLE, lambda: fired.append(3))
+    kernel.schedule(1, lambda: fired.append(1))
+    kernel.schedule(2, kernel.stop)
+    kernel.schedule(3, lambda: fired.append(3))
     kernel.run_until_idle(100)
     assert fired == [1]
 

@@ -3,10 +3,12 @@
 import pytest
 
 from mpsim.config import ScenarioConfig
+from mpsim.connection import ReassemblyState
 from mpsim.coupling import CouplingMode
 from mpsim.netmodel import LinkConfig
 from mpsim.simulation import Simulation
 from mpsim.spurious import DetectorChoice
+from mpsim.subflow import Mapping
 
 
 def two_path_cfg(delay2_ms=10.0, loss2=0.0, transfer=200_000, **kw):
@@ -129,3 +131,56 @@ def test_send_log_is_deterministic():
 def test_every_coupling_mode_completes_cleanly(mode):
     result = run(two_path_cfg(coupling=mode))
     assert result.stats.completed and result.stats.checksum_ok
+
+
+def test_retransmit_counts_are_dropped_once_acked():
+    sim = Simulation(two_path_cfg(loss2=0.05, seed=3))
+    result = sim.run()
+    assert result.stats.completed and sum(result.stats.retx_sf) > 0
+    assert all(sf.retransmit_counts == {} for sf in sim.subflows)
+
+
+def test_sub_nanosecond_serialization_completes():
+    # 1 byte at 16 Tbps over 0 ms serializes in 0.0005 ns; unfloored, the
+    # RTT sample came out as 0 and the estimator raised
+    cfg = ScenarioConfig(links=[LinkConfig(16e12, 0.0)], transfer_size=1)
+    result = run(cfg)
+    assert result.stats.completed and result.stats.checksum_ok
+
+
+def _fault_on_fifth_delivery(fault):
+    """ReassemblyState.on_data that repeats or withholds one delivery."""
+    original = ReassemblyState.on_data
+    state = {"deliveries": 0, "previous": None}
+
+    def on_data(self, start, end):
+        ack, delivered, dup = original(self, start, end)
+        if delivered:
+            state["deliveries"] += 1
+            if state["deliveries"] == 5:
+                delivered = state["previous"] if fault == "repeat" else None
+            state["previous"] = delivered
+        return ack, delivered, dup
+
+    return on_data
+
+
+@pytest.mark.parametrize("fault", ["repeat", "skip", "stray_mapping"])
+def test_integrity_check_fails_on_injected_fault(fault, monkeypatch):
+    sim = Simulation(two_path_cfg(loss2=0.01, seed=3))
+    if fault == "stray_mapping":
+        loop = sim.kernel.run_until_idle
+
+        def loop_then_leave_a_mapping(stop_time):
+            end = loop(stop_time)
+            sim.subflows[0].mappings.append(Mapping(0, 1400, 0, 1400))
+            return end
+
+        monkeypatch.setattr(sim.kernel, "run_until_idle",
+                            loop_then_leave_a_mapping)
+    else:
+        monkeypatch.setattr(ReassemblyState, "on_data",
+                            _fault_on_fifth_delivery(fault))
+    stats = sim.run().stats
+    assert stats.completed
+    assert not stats.checksum_ok
