@@ -2,8 +2,11 @@
 
 from hypothesis import given, strategies as st
 
+from mpsim.config import ScenarioConfig
 from mpsim.connection import (ConnectionState, ReassemblyState, schedule_next,
                               transfer_complete)
+from mpsim.netmodel import LinkConfig
+from mpsim.simulation import Simulation
 from mpsim.subflow import Subflow
 
 
@@ -53,6 +56,56 @@ def test_mapping_tracks_both_sequence_spaces():
     assert (m.data_start, m.data_end) == (0, 1400)
     assert (m.sf_start, m.sf_end) == (0, 1400)
     assert sf.snd_nxt == 1400
+
+
+class SendRecorder(Simulation):
+    """Records, for every send, the range, the subflow and whether the range
+    was still mapped and unacknowledged on that subflow at the time."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.log = []
+
+    def _send_mapping(self, sf, m, retransmission):
+        mapped = any(q.data_start == m.data_start and q.data_end == m.data_end
+                     for q in sf.mappings)
+        unacked = m.data_end > self.conn.data_una
+        self.log.append((m.data_start, m.data_end, sf.index, retransmission,
+                         mapped and unacked))
+        super()._send_mapping(sf, m, retransmission)
+
+
+def lossy_sends():
+    cfg = ScenarioConfig(
+        links=[LinkConfig(0.5e6, 0.010, loss_rate=0.02),
+               LinkConfig(0.5e6, 0.040, loss_rate=0.05)],
+        transfer_size=200_000, seed=3)
+    sim = SendRecorder(cfg)
+    result = sim.run()
+    assert result.stats.completed and sum(result.stats.retx_sf) > 0
+    return sim.log
+
+
+def test_retransmit_policy_returns_owner_subflow():
+    # retransmissions stay on the subflow that first carried the range
+    owner = {}
+    retransmitted = 0
+    for start, end, sf, retx, _ in lossy_sends():
+        if retx:
+            assert owner[(start, end)] == sf
+            retransmitted += 1
+        else:
+            assert (start, end) not in owner
+            owner[(start, end)] = sf
+    assert retransmitted > 0
+
+
+def test_retransmit_policy_rejects_unmapped_range():
+    # a retransmission only ever re-sends a range that is still mapped on
+    # its subflow and not yet cumulatively acknowledged
+    retransmissions = [entry for entry in lossy_sends() if entry[3]]
+    assert retransmissions
+    assert all(mapped for *_, mapped in retransmissions)
 
 
 def test_transfer_complete_at_cumulative_point():
