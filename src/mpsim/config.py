@@ -15,6 +15,12 @@ from .spurious import DetectorChoice
 from . import subflow as _sf
 
 
+# Trace samples a run may take (stop_time / trace_interval): each one holds
+# a row per subflow for the whole run, so an interval far below the run
+# length would exhaust memory before the transfer ends.
+MAX_TRACE_SAMPLES = 1_000_000
+
+
 class ScenarioError(ValueError):
     """Malformed or invalid scenario input; message names the field."""
 
@@ -37,6 +43,9 @@ class ScenarioConfig:
     initial_ssthresh: float = _sf.DEFAULT_INITIAL_SSTHRESH_MSS
     initial_rtt: float = _sf.DEFAULT_INITIAL_RTT_S
     partial_ack_retransmit: bool = True
+    # keep the per-segment logs RunResult.sends/arrivals/srtts; they grow
+    # with the segments sent, so they are off unless a caller reads them
+    record_segments: bool = False
 
     def validate(self) -> None:
         if not self.links:
@@ -54,6 +63,11 @@ class ScenarioConfig:
             raise ScenarioError("trace_interval: must be > 0")
         if self.stop_time <= 0:
             raise ScenarioError("stop_time: must be > 0")
+        if self.stop_time / self.trace_interval > MAX_TRACE_SAMPLES:
+            raise ScenarioError(
+                "stop_time/trace_interval: at most %d trace samples per "
+                "run, got stop_time=%g with trace_interval=%g"
+                % (MAX_TRACE_SAMPLES, self.stop_time, self.trace_interval))
         if self.rto_floor <= 0 or self.rto_ceiling < self.rto_floor:
             raise ScenarioError("rto_floor/rto_ceiling: need 0 < floor <= ceiling")
 

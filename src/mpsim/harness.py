@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .config import ScenarioConfig, ScenarioError, load_scenario  # noqa: F401
 from .simkernel import mix_seed
@@ -13,9 +13,6 @@ from .simulation import RunResult, Simulation, SummaryStats, TraceRecord
 
 TRACE_CSV_COLUMNS = ("time_s", "subflow", "cwnd_mss", "ssthresh_mss",
                      "phase", "event")
-SWEEP_CSV_COLUMNS = ("param_value", "completion_time_s", "goodput_bps",
-                     "bytes_sf1", "bytes_sf2", "retx_sf1", "retx_sf2",
-                     "fast_retx", "rtos", "spurious_detections")
 
 
 class SweepParameter(Enum):
@@ -43,6 +40,7 @@ class SweepSpec:
 class SweepRow:
     param_value: float
     stats: SummaryStats
+    error: Optional[str] = None  # why the point did not run, if it did not
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
@@ -75,20 +73,21 @@ def run_sweep(base: ScenarioConfig, sweep: SweepSpec) -> List[SweepRow]:
             result = run_scenario(point)
         except ScenarioError as exc:
             rows.append(SweepRow(param_value=value,
-                                 stats=_error_stats(str(exc))))
+                                 stats=_empty_stats(len(point.links)),
+                                 error=str(exc)))
             continue
         rows.append(SweepRow(param_value=value, stats=result.stats))
     return rows
 
 
-def _error_stats(message: str) -> SummaryStats:
-    stats = SummaryStats(completed=False, completion_time_s=None,
-                         goodput_bps=0.0, delivered_bytes=0, bytes_sf=(),
-                         retx_sf=(), fast_retx=0, rtos=0,
-                         spurious_detections=0, checksum_ok=False,
-                         duplicate_bytes=0, protocol_violations=0)
-    stats.error = message
-    return stats
+def _empty_stats(n_subflows: int) -> SummaryStats:
+    """Stats of a sweep point that did not run: nothing sent or arrived."""
+    zeros = (0,) * n_subflows
+    return SummaryStats(completed=False, completion_time_s=None,
+                        goodput_bps=0.0, delivered_bytes=0, bytes_sf=zeros,
+                        retx_sf=zeros, fast_retx=0, rtos=0,
+                        spurious_detections=0, checksum_ok=False,
+                        duplicate_bytes=0, protocol_violations=0)
 
 
 def fmt(value) -> str:
@@ -109,17 +108,34 @@ def trace_csv_lines(records: Sequence[TraceRecord]) -> List[str]:
 
 
 def sweep_csv_lines(rows: Sequence[SweepRow]) -> List[str]:
-    lines = [",".join(SWEEP_CSV_COLUMNS)]
+    # one bytes_sfN and one retx_sfN column per subflow
+    n = max((len(row.stats.bytes_sf) for row in rows), default=0)
+    sfs = range(1, n + 1)
+    lines = [",".join(["param_value", "completion_time_s", "goodput_bps"]
+                      + ["bytes_sf%d" % i for i in sfs]
+                      + ["retx_sf%d" % i for i in sfs]
+                      + ["fast_retx", "rtos", "spurious_detections",
+                         "error"])]
     for row in rows:
         s = row.stats
-        bytes_sf = tuple(s.bytes_sf) + (0,) * (2 - len(s.bytes_sf))
-        retx_sf = tuple(s.retx_sf) + (0,) * (2 - len(s.retx_sf))
-        lines.append(",".join((
-            fmt(row.param_value), fmt(s.completion_time_s),
-            fmt(s.goodput_bps), str(bytes_sf[0]), str(bytes_sf[1]),
-            str(retx_sf[0]), str(retx_sf[1]), str(s.fast_retx), str(s.rtos),
-            str(s.spurious_detections))))
+        pad = (0,) * (n - len(s.bytes_sf))
+        lines.append(",".join(
+            [fmt(row.param_value), fmt(s.completion_time_s),
+             fmt(s.goodput_bps)]
+            + [str(b) for b in s.bytes_sf + pad]
+            + [str(r) for r in s.retx_sf + pad]
+            + [str(s.fast_retx), str(s.rtos), str(s.spurious_detections),
+               _csv_text(row.error)]))
     return lines
+
+
+def _csv_text(text: Optional[str]) -> str:
+    """A free-text CSV cell: quoted when it holds a comma, quote or newline."""
+    if text is None:
+        return ""
+    if any(c in text for c in ',"\n\r'):
+        return '"%s"' % text.replace('"', '""')
+    return text
 
 
 def emit_csv(data, path) -> None:

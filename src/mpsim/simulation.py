@@ -69,7 +69,8 @@ class SummaryStats:
     completion_time_s: Optional[float]
     goodput_bps: float
     delivered_bytes: int
-    bytes_sf: Tuple[int, ...]        # payload bytes arrived per subflow
+    bytes_sf: Tuple[int, ...]        # payload bytes arrived per subflow,
+                                     # duplicates included
     retx_sf: Tuple[int, ...]
     fast_retx: int
     rtos: int
@@ -83,6 +84,9 @@ class SummaryStats:
 
 @dataclass
 class RunResult:
+    """One run's output. The per-segment logs `sends`, `arrivals` and
+    `srtts` are filled only when `cfg.record_segments` is set; otherwise
+    they are empty, so a run's memory does not grow with its segments."""
     cfg: ScenarioConfig
     stats: SummaryStats
     traces: List[TraceRecord]
@@ -125,6 +129,8 @@ class Simulation:
         self.completed_ns: Optional[int] = None
         self.duplicate_bytes = 0
         self.protocol_violations = 0
+        self.bytes_sf = [0] * len(cfg.links)
+        self._record = cfg.record_segments
         self.traces: List[TraceRecord] = []
         self.sends: List[Tuple[int, int]] = []
         self.arrivals: List[Tuple[int, int, int, int]] = []
@@ -178,7 +184,8 @@ class Simulation:
             m.retransmitted = True
             sf.retransmissions += 1
         sf.segments_sent += 1
-        self.sends.append((now, sf.index + 1))
+        if self._record:
+            self.sends.append((now, sf.index + 1))
         size = m.data_end - m.data_start
         out = self.links_fwd[sf.index].transmit(size, now, self.rng)
         if isinstance(out, int):
@@ -204,10 +211,10 @@ class Simulation:
             if delivered[0] != self.app_next:
                 self.delivery_faults += 1
             self.app_next = delivered[1]
-            new_bytes = delivered[1] - delivered[0]
-        else:
-            new_bytes = 0
-        self.arrivals.append((now, sf_id + 1, size, new_bytes))
+        self.bytes_sf[sf_id] += size
+        if self._record:
+            new_bytes = delivered[1] - delivered[0] if delivered else 0
+            self.arrivals.append((now, sf_id + 1, size, new_bytes))
         if dup:
             self.duplicate_bytes += dup[1] - dup[0]
         out = self.links_rev[sf_id].transmit(ACK_SIZE_BYTES, now, self.rng)
@@ -373,7 +380,8 @@ class Simulation:
         now_s = self.kernel.now / NS_PER_S
         for sf in self.subflows:
             self._trace(sf, TraceEvent.SAMPLE)
-            self.srtts.append((now_s, sf.index + 1, sf.rtt_for_coupling))
+            if self._record:
+                self.srtts.append((now_s, sf.index + 1, sf.rtt_for_coupling))
         nxt = self.kernel.now + self._trace_ns
         if nxt <= self._stop_ns:
             self.kernel.schedule(nxt, self._on_trace_sample)
@@ -390,10 +398,6 @@ class Simulation:
 
     def _result(self) -> RunResult:
         cfg = self.cfg
-        n = len(self.subflows)
-        bytes_sf = [0] * n
-        for _, sf1, size, _ in self.arrivals:
-            bytes_sf[sf1 - 1] += size
         completed = self.completed_ns is not None
         if completed and cfg.transfer_size > 0:
             t = self.completed_ns / NS_PER_S
@@ -408,7 +412,8 @@ class Simulation:
             and not any(sf.mappings for sf in self.subflows))
         stats = SummaryStats(
             completed=completed, completion_time_s=t, goodput_bps=goodput,
-            delivered_bytes=self.conn.data_una, bytes_sf=tuple(bytes_sf),
+            delivered_bytes=self.conn.data_una,
+            bytes_sf=tuple(self.bytes_sf),
             retx_sf=tuple(sf.retransmissions for sf in self.subflows),
             fast_retx=sum(sf.fast_retransmits for sf in self.subflows),
             rtos=sum(sf.rtos for sf in self.subflows),

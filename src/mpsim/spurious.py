@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Optional
 
-from .connection import ReassemblyState
 from .subflow import Phase, Segment, Subflow
 
 
@@ -85,16 +84,6 @@ def eifel_respond(sf: Subflow, snap: SpuriousSnapshot) -> None:
     sf.dup_ack_count = 0
     sf.spurious_detections += 1
     snap.consumed = True
-
-
-def dsack_receiver_report(recv: ReassemblyState,
-                          seg: Segment) -> Optional[Tuple[int, int]]:
-    """Duplicate range to report in the next outgoing ACK, if any.
-
-    Covers exactly the duplicated sub-range when the arrival only partially
-    overlaps already-received data.
-    """
-    return recv.duplicate_overlap(seg.data_seq, seg.data_seq + seg.size_bytes)
 
 
 def dsack_sender_check(snap: Optional[SpuriousSnapshot], ack: Segment) -> bool:

@@ -49,6 +49,7 @@ def reorder_cfg(detector):
     cfg.transfer_size = 2 * MB
     cfg.detector = detector
     cfg.trace_interval = 0.01
+    cfg.record_segments = True  # criteria 4, 6 and 7 read the logs
     return cfg
 
 
@@ -123,9 +124,13 @@ def test_criterion_4_reorder_dominance(reorder_runs):
     s = result.stats
     half_ns = int(s.completion_time_s / 2 * NS_PER_S)
     new_bytes = {}
-    for ns, sf, _, fresh in result.arrivals:
+    arrived = [0] * len(s.bytes_sf)
+    for ns, sf, size, fresh in result.arrivals:
+        arrived[sf - 1] += size
         if ns >= half_ns:
             new_bytes[sf] = new_bytes.get(sf, 0) + fresh
+    # the arrival log is complete: it accounts for every payload byte
+    assert tuple(arrived) == s.bytes_sf
     total = sum(new_bytes.values())
     share = max(new_bytes.values()) / total if total else 0.0
     ok = s.completed and s.checksum_ok and s.fast_retx > 0 and share >= 0.80
@@ -178,6 +183,9 @@ def _srtt_at(srtts, t):
 
 def test_criterion_6_dsack_regrows_exponentially(reorder_runs):
     result = reorder_runs[DetectorChoice.DSACK]
+    # one smoothed-RTT entry per subflow per trace sample
+    assert len(result.srtts) == sum(1 for r in result.traces
+                                    if r.event == "Sample") > 0
     detections = result.detections
     problems = []
     full_episodes = 0
@@ -228,6 +236,10 @@ def test_criterion_6_dsack_regrows_exponentially(reorder_runs):
 def _max_burst(result):
     """Largest send count in any 100 ms bin within 1 s after a detection."""
     best = 0
+    # the send log is complete: each MSS chunk once, plus the resends
+    cfg = result.cfg
+    assert len(result.sends) == (-(-cfg.transfer_size // cfg.mss)
+                                 + sum(result.stats.retx_sf))
     sends = [ns for ns, _ in result.sends]
     for det in result.detections:
         t0 = int(det.time_s * NS_PER_S)

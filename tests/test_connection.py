@@ -79,10 +79,12 @@ def lossy_sends():
     cfg = ScenarioConfig(
         links=[LinkConfig(0.5e6, 0.010, loss_rate=0.02),
                LinkConfig(0.5e6, 0.040, loss_rate=0.05)],
-        transfer_size=200_000, seed=3)
+        transfer_size=200_000, seed=3, record_segments=True)
     sim = SendRecorder(cfg)
     result = sim.run()
     assert result.stats.completed and sum(result.stats.retx_sf) > 0
+    # the recorder saw every send the simulation logged, on its subflow
+    assert [e[2] + 1 for e in sim.log] == [sf for _, sf in result.sends]
     return sim.log
 
 

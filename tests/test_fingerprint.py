@@ -57,7 +57,12 @@ PRESET_DIGESTS = {
 
 
 def fingerprint(cfg) -> str:
+    cfg.record_segments = True  # the digest covers the send log
     result = run_scenario(cfg)
+    # every data segment is in the log: each MSS chunk once, plus resends
+    assert result.stats.completed
+    assert len(result.sends) == (-(-cfg.transfer_size // cfg.mss)
+                                 + sum(result.stats.retx_sf))
     h = hashlib.sha256()
     h.update("\n".join(trace_csv_lines(result.traces)).encode())
     h.update(b"\n")

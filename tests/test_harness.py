@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from mpsim import harness
 from mpsim.cli import main
 from mpsim.config import (PRESET_NAMES, ScenarioError, load_scenario,
                           parse_scenario)
@@ -11,6 +12,7 @@ from mpsim.coupling import CouplingMode
 from mpsim.harness import (SweepParameter, SweepSpec, emit_csv, emit_plot,
                            parse_trace_csv, run_scenario, run_sweep,
                            sweep_csv_lines, trace_csv_lines)
+from mpsim.netmodel import LinkConfig
 from mpsim.simkernel import mix_seed
 from mpsim.spurious import DetectorChoice
 
@@ -94,6 +96,16 @@ def test_unknown_scenario_name_is_an_error():
         load_scenario("paper-nonexistent")
 
 
+def test_trace_sample_count_is_bounded():
+    # 1e9 trace samples would exhaust memory long before the run ends
+    cfg = small_cfg(stop_time=1.0, trace_interval=1e-9)
+    with pytest.raises(ScenarioError) as info:
+        cfg.validate()
+    assert "stop_time" in str(info.value)
+    assert "trace_interval" in str(info.value)
+    small_cfg(stop_time=1.0, trace_interval=1e-6).validate()  # at the limit
+
+
 # -------------------------------------------------------------- simulation
 
 def small_cfg(**kw):
@@ -168,9 +180,9 @@ def test_sweep_validates_link_index():
 def test_sweep_invalid_value_yields_error_row_not_abort():
     rows = run_sweep(small_cfg(),
                      SweepSpec(SweepParameter.LOSS_RATE, 1, (0.0, 2.0)))
-    assert rows[0].stats.completed
+    assert rows[0].stats.completed and rows[0].error is None
     assert not rows[1].stats.completed
-    assert "loss_rate" in rows[1].stats.error
+    assert "loss_rate" in rows[1].error
 
 
 # --------------------------------------------------------------- CSV / SVG
@@ -191,6 +203,24 @@ def test_sweep_csv_has_expected_header_and_rows():
     assert len(lines) == 3
 
 
+def test_sweep_csv_keeps_every_subflow_and_error_messages():
+    cfg = small_cfg()
+    cfg.links.append(LinkConfig(4e6, 0.010))
+    rows = run_sweep(cfg, SweepSpec(SweepParameter.LOSS_RATE, 2, (0.0, 2.0)))
+    lines = sweep_csv_lines(rows)
+    header = lines[0].split(",")
+    assert header[3:9] == ["bytes_sf1", "bytes_sf2", "bytes_sf3",
+                           "retx_sf1", "retx_sf2", "retx_sf3"]
+    assert header[-1] == "error"
+    ok = dict(zip(header, lines[1].split(",")))
+    bytes_sf = [int(ok["bytes_sf%d" % i]) for i in (1, 2, 3)]
+    assert bytes_sf == list(rows[0].stats.bytes_sf) and bytes_sf[2] > 0
+    assert sum(bytes_sf) >= cfg.transfer_size and ok["error"] == ""
+    # the error row keeps its message: quoted, since it holds a comma
+    assert "loss_rate" in rows[1].error and "," in rows[1].error
+    assert lines[2].endswith(',"%s"' % rows[1].error)
+
+
 def test_plot_is_valid_svg_with_markers(tmp_path):
     cfg = load_scenario("paper-reorder")
     cfg.transfer_size = 400_000
@@ -207,6 +237,23 @@ def test_plot_is_valid_svg_with_markers(tmp_path):
 def test_plot_rejects_empty_trace(tmp_path):
     with pytest.raises(ValueError):
         emit_plot([], tmp_path / "x.svg")
+
+
+def test_run_scenario_calls_simulation_with_the_config_alone(monkeypatch):
+    # perfbench/workloads.py swaps harness.Simulation for a stand-in that
+    # takes only the config, and takes len() of every list a run returns
+    real, made = harness.Simulation, []
+
+    def one_argument(cfg):
+        made.append(real(cfg))
+        return made[-1]
+
+    monkeypatch.setattr(harness, "Simulation", one_argument)
+    result = run_scenario(small_cfg())
+    assert len(made) == 1
+    assert result.stats.completed and result.stats.checksum_ok
+    for name in ("sends", "arrivals", "srtts", "traces", "detections"):
+        assert isinstance(len(getattr(result, name)), int)
 
 
 # --------------------------------------------------------------------- CLI

@@ -1,10 +1,13 @@
 """End-to-end protocol behavior on small transfers."""
 
+import tracemalloc
+
 import pytest
 
-from mpsim.config import ScenarioConfig
+from mpsim.config import ScenarioConfig, load_scenario
 from mpsim.connection import ReassemblyState
 from mpsim.coupling import CouplingMode
+from mpsim.harness import trace_csv_lines
 from mpsim.netmodel import LinkConfig
 from mpsim.simulation import Simulation
 from mpsim.spurious import DetectorChoice
@@ -121,8 +124,12 @@ def test_lost_ack_makes_the_retransmission_spurious():
 
 
 def test_send_log_is_deterministic():
-    a = run(two_path_cfg(delay2_ms=320.0, loss2=0.01, seed=11))
-    b = run(two_path_cfg(delay2_ms=320.0, loss2=0.01, seed=11))
+    cfg = two_path_cfg(delay2_ms=320.0, loss2=0.01, seed=11,
+                       record_segments=True)
+    a = run(cfg)
+    b = run(cfg)
+    assert len(a.sends) == 143 + sum(a.stats.retx_sf)  # 200 kB in 1400 B
+    assert sum(size for _, _, size, _ in a.arrivals) == sum(a.stats.bytes_sf)
     assert a.sends == b.sends
     assert a.arrivals == b.arrivals
 
@@ -184,3 +191,87 @@ def test_integrity_check_fails_on_injected_fault(fault, monkeypatch):
     stats = sim.run().stats
     assert stats.completed
     assert not stats.checksum_ok
+
+
+# --------------------------------------------------------- per-segment logs
+
+# (link-2 Mbps, link-2 ms, link-2 loss, coupling, detector, third link?)
+RECORD_POINTS = [
+    (0.5, 10.0, 0.0, CouplingMode.UNCOUPLED, DetectorChoice.NONE, False),
+    (4.0, 160.0, 0.01, CouplingMode.LINKED_INCREASES, DetectorChoice.EIFEL,
+     False),
+    (16.0, 320.0, 0.05, CouplingMode.FULLY_COUPLED, DetectorChoice.DSACK,
+     False),
+    (4.0, 320.0, 0.05, CouplingMode.RTT_COMPENSATOR, DetectorChoice.EIFEL,
+     False),
+    (16.0, 160.0, 0.01, CouplingMode.LINKED_INCREASES, DetectorChoice.DSACK,
+     True),
+    (0.5, 320.0, 0.0, CouplingMode.RTT_COMPENSATOR, DetectorChoice.NONE,
+     True),
+]
+
+
+def record_point_cfg(capacity_mbps, delay_ms, loss, coupling, detector,
+                     third_link):
+    cfg = load_scenario("paper-base")
+    link = cfg.links[1]
+    link.capacity_bps = capacity_mbps * 1e6
+    link.one_way_delay_s = delay_ms / 1e3
+    link.loss_rate = loss
+    if third_link:
+        cfg.links.append(LinkConfig(4e6, 0.080, loss_rate=0.01))
+    cfg.transfer_size = 1_000_000
+    cfg.coupling = coupling
+    cfg.detector = detector
+    cfg.trace_interval = 1.0
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "point", RECORD_POINTS,
+    ids=lambda p: "%s-%s-%gMbps-%gms-%gloss-%dlinks"
+    % (p[3].value, p[4].value, p[0], p[1], p[2], 3 if p[5] else 2))
+def test_recording_segments_changes_no_output(point):
+    cfg = record_point_cfg(*point)
+    off = run(cfg)
+    cfg.record_segments = True
+    on = run(cfg)
+    assert off.stats.completed
+    assert trace_csv_lines(on.traces) == trace_csv_lines(off.traces)
+    assert repr(on.stats) == repr(off.stats)
+    assert on.detections == off.detections
+    # off: nothing per segment is kept
+    assert off.sends == off.arrivals == off.srtts == []
+    # on: the logs are complete and agree with the counters
+    n = len(cfg.links)
+    assert len(on.sends) == (-(-cfg.transfer_size // cfg.mss)
+                             + sum(on.stats.retx_sf))
+    arrived = [0] * n
+    for _, sf, size, _ in on.arrivals:
+        arrived[sf - 1] += size
+    assert tuple(arrived) == on.stats.bytes_sf
+    samples = sum(1 for r in on.traces if r.event == "Sample")
+    assert len(on.srtts) == samples == n * len({r.time_s for r in on.traces
+                                                if r.event == "Sample"})
+
+
+def test_default_run_memory_does_not_grow_with_transfer():
+    # symmetric paths with a short drop-tail queue keep the window, and so
+    # the in-flight state, in a steady sawtooth; one trace sample per run.
+    # What could still grow with the transfer is per-segment state.
+    def peak_bytes(transfer):
+        cfg = ScenarioConfig(
+            links=[LinkConfig(0.5e6, 0.010, queue_limit=10),
+                   LinkConfig(0.5e6, 0.010, queue_limit=10)],
+            transfer_size=transfer, trace_interval=1000.0, stop_time=1000.0)
+        tracemalloc.start()
+        try:
+            result = run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.stats.completed
+        return peak
+
+    small, large = peak_bytes(1_000_000), peak_bytes(10_000_000)
+    assert large < 1.5 * small, (small, large)

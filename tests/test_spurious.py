@@ -1,9 +1,8 @@
 """Spurious-retransmission detection: snapshots, Eifel and DSACK verdicts."""
 
 from mpsim.connection import ReassemblyState
-from mpsim.spurious import (dsack_receiver_report, dsack_respond,
-                            dsack_sender_check, eifel_check, eifel_respond,
-                            on_retransmit_record)
+from mpsim.spurious import (dsack_respond, dsack_sender_check, eifel_check,
+                            eifel_respond, on_retransmit_record)
 from mpsim.subflow import Phase, Segment, Subflow
 
 
@@ -94,12 +93,14 @@ def test_consumed_snapshot_never_fires_again():
 # ------------------------------------------------------------------- DSACK
 
 def test_receiver_reports_duplicate_overlap():
+    # the duplicate range the receiver puts in its next ACK is the one
+    # on_data returns: the whole arrival when all of it was held already,
+    # only the overlapping part when it reaches into new data, else none
     recv = ReassemblyState()
     recv.on_data(0, 1400)
-    seg = Segment(0, data_seq=0, size_bytes=1400)
-    assert dsack_receiver_report(recv, seg) == (0, 1400)
-    fresh = Segment(0, data_seq=1400, size_bytes=1400)
-    assert dsack_receiver_report(recv, fresh) is None
+    assert recv.on_data(0, 1400)[2] == (0, 1400)
+    assert recv.on_data(700, 2100)[2] == (700, 1400)
+    assert recv.on_data(2100, 3500)[2] is None
 
 
 def test_dsack_verdict_needs_exact_range_and_single_retransmit():
