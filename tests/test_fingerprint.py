@@ -7,6 +7,10 @@ behaviour and must say why.
 
 The points cover every coupling mode x detector pair once, each loss rate
 on link 2 four times, and both presets at 2 MB.
+
+Each point also pins the events the kernel scheduled and the data segments
+sent. A change can keep the trace and stats byte-identical while it adds or
+removes `schedule()` calls; the counts catch that.
 """
 
 import hashlib
@@ -15,7 +19,8 @@ import pytest
 
 from mpsim.config import load_scenario
 from mpsim.coupling import CouplingMode as C
-from mpsim.harness import run_scenario, trace_csv_lines
+from mpsim.harness import trace_csv_lines
+from mpsim.simulation import Simulation
 from mpsim.spurious import DetectorChoice as D
 
 MB = 1_000_000
@@ -48,6 +53,22 @@ GRID_DIGESTS = {
         "f44a4a63d8c25cff77daf5adeda1d47709bb68c8affed899abaea5ffb8ec09e0",
 }
 
+# same keys -> (events scheduled, data segments sent)
+GRID_COUNTS = {
+    (0.5, 10.0, 0.0, C.UNCOUPLED, D.NONE): (4306, 1429),
+    (4.0, 160.0, 0.01, C.UNCOUPLED, D.EIFEL): (3780, 1468),
+    (16.0, 320.0, 0.05, C.UNCOUPLED, D.DSACK): (4175, 1691),
+    (4.0, 320.0, 0.0, C.FULLY_COUPLED, D.NONE): (4198, 1432),
+    (16.0, 10.0, 0.01, C.FULLY_COUPLED, D.EIFEL): (4015, 1459),
+    (0.5, 160.0, 0.05, C.FULLY_COUPLED, D.DSACK): (4557, 1599),
+    (16.0, 160.0, 0.0, C.LINKED_INCREASES, D.NONE): (4299, 1432),
+    (0.5, 320.0, 0.01, C.LINKED_INCREASES, D.EIFEL): (3980, 1471),
+    (4.0, 10.0, 0.05, C.LINKED_INCREASES, D.DSACK): (4324, 1501),
+    (0.5, 320.0, 0.05, C.RTT_COMPENSATOR, D.NONE): (4439, 1553),
+    (4.0, 160.0, 0.0, C.RTT_COMPENSATOR, D.EIFEL): (3458, 1432),
+    (16.0, 320.0, 0.01, C.RTT_COMPENSATOR, D.DSACK): (4009, 1518),
+}
+
 PRESET_DIGESTS = {
     "paper-base":
         "f6c11dcedb2839a1d210fd5323bf8c1f294e7ad2c624f4e40df725e2e9b3eca7",
@@ -55,10 +76,17 @@ PRESET_DIGESTS = {
         "6bc564188a1dc6b29a2f939e799e06c960cdc5d9168787cb40f6cf99cf95ee0d",
 }
 
+PRESET_COUNTS = {
+    "paper-base": (4450, 1429),
+    "paper-reorder": (4357, 1431),
+}
 
-def fingerprint(cfg) -> str:
+
+def fingerprint(cfg):
+    """(digest, events scheduled, data segments sent) of one run."""
     cfg.record_segments = True  # the digest covers the send log
-    result = run_scenario(cfg)
+    sim = Simulation(cfg.copy())  # as run_scenario does
+    result = sim.run()
     # every data segment is in the log: each MSS chunk once, plus resends
     assert result.stats.completed
     assert len(result.sends) == (-(-cfg.transfer_size // cfg.mss)
@@ -69,7 +97,8 @@ def fingerprint(cfg) -> str:
     h.update(repr(result.stats).encode())
     h.update(b"\n")
     h.update("".join("%d,%d\n" % send for send in result.sends).encode())
-    return h.hexdigest()
+    return (h.hexdigest(), sim.kernel._ordinal,
+            sum(sf.segments_sent for sf in sim.subflows))
 
 
 def grid_cfg(capacity_mbps, latency_ms, loss, coupling, detector):
@@ -93,11 +122,12 @@ def point_id(point):
 
 @pytest.mark.parametrize("point", list(GRID_DIGESTS), ids=point_id)
 def test_grid_point_fingerprint(point):
-    assert fingerprint(grid_cfg(*point)) == GRID_DIGESTS[point]
+    assert fingerprint(grid_cfg(*point)) == (GRID_DIGESTS[point],
+                                             *GRID_COUNTS[point])
 
 
 @pytest.mark.parametrize("name", sorted(PRESET_DIGESTS))
 def test_preset_fingerprint(name):
     cfg = load_scenario(name)
     cfg.transfer_size = 2 * MB
-    assert fingerprint(cfg) == PRESET_DIGESTS[name]
+    assert fingerprint(cfg) == (PRESET_DIGESTS[name], *PRESET_COUNTS[name])
