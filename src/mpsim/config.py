@@ -96,11 +96,20 @@ def _parse_bool(key: str, raw: str, where: str) -> bool:
 
 
 def _parse_num(key: str, raw, where: str, want_int: bool):
+    """A number from flat-file text or a JSON value. JSON true/false are not
+    numbers, and an integer key takes no fraction: int() would truncate."""
     try:
-        return int(raw) if want_int else float(raw)
+        if isinstance(raw, bool):
+            raise TypeError(raw)
+        if not want_int:
+            return float(raw)
+        if isinstance(raw, float) and not raw.is_integer():
+            raise ValueError(raw)
+        return int(raw)
     except (TypeError, ValueError):
-        raise ScenarioError("%s: %s: expected a %s, got %r"
-                            % (where, key, "integer" if want_int else "number",
+        raise ScenarioError("%s: %s: expected %s, got %r"
+                            % (where, key,
+                               "an integer" if want_int else "a number",
                                raw)) from None
 
 
@@ -190,8 +199,12 @@ def _parse_json(data: dict, where: str) -> ScenarioConfig:
         if key == "links":
             if not isinstance(raw, list):
                 raise ScenarioError("%s: links: expected a list" % where)
-            cfg.links = [_link_from_parts(dict(entry), "link%d" % (i + 1))
-                         for i, entry in enumerate(raw)]
+            cfg.links = []
+            for i, entry in enumerate(raw, start=1):
+                if not isinstance(entry, dict):
+                    raise ScenarioError("%s: link%d: expected an object, got "
+                                        "%r" % (where, i, entry))
+                cfg.links.append(_link_from_parts(entry, "link%d" % i))
         else:
             _apply_scalar(cfg, key, raw, where)
     return cfg

@@ -23,34 +23,45 @@ class ConnectionState:
 
 
 def schedule_next(conn: ConnectionState,
-                  subflows: List[Subflow]) -> Optional[Tuple[Subflow, Mapping]]:
-    """Map the next unsent data chunk onto the next window-eligible subflow.
+                  subflows: List[Subflow]) -> List[Tuple[Subflow, Mapping]]:
+    """Map unsent data chunks onto window-eligible subflows.
 
-    Round-robin from the scheduler cursor; returns None (blocked) when no
-    subflow has window space or nothing is left to send.
+    Round-robin from the scheduler cursor, one chunk per pick, until every
+    subflow is window-blocked or nothing is left to send; returns the picks
+    in order (empty when blocked). A subflow is blocked when one more MSS
+    would take its flight past cwnd * mss.
     """
+    picks = []
     snd_nxt = conn.data_snd_nxt
-    remaining = conn.transfer_size - snd_nxt
-    if remaining <= 0:
-        return None
+    end = conn.transfer_size
+    if snd_nxt >= end:
+        return picks
     mss = conn.mss
     n = conn.n_subflows
     idx = conn.scheduler_cursor
-    for _ in range(n):
+    blocked = 0
+    while blocked < n:
         idx += 1
         if idx == n:
             idx = 0
         sf = subflows[idx]
-        if sf.can_send():
-            size = mss if mss < remaining else remaining
-            sf_nxt = sf.snd_nxt
-            m = Mapping(snd_nxt, snd_nxt + size, sf_nxt, sf_nxt + size)
-            sf.mappings.append(m)
-            sf.snd_nxt = sf_nxt + size
-            conn.data_snd_nxt = snd_nxt + size
-            conn.scheduler_cursor = idx
-            return sf, m
-    return None
+        sf_nxt = sf.snd_nxt
+        if sf_nxt - sf.snd_una + mss > sf.cwnd * mss:
+            blocked += 1
+            continue
+        blocked = 0
+        remaining = end - snd_nxt
+        size = mss if mss < remaining else remaining
+        m = Mapping(snd_nxt, snd_nxt + size, sf_nxt, sf_nxt + size)
+        sf.mappings.append(m)
+        sf.snd_nxt = sf_nxt + size
+        snd_nxt += size
+        conn.scheduler_cursor = idx
+        picks.append((sf, m))
+        if snd_nxt >= end:
+            break
+    conn.data_snd_nxt = snd_nxt
+    return picks
 
 
 def transfer_complete(conn: ConnectionState) -> bool:

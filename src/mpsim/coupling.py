@@ -37,7 +37,12 @@ class CouplingView(NamedTuple):
 
     @property
     def w_total(self) -> float:
-        return sum(self.w)
+        # added left to right: from Python 3.12, sum() of floats compensates
+        # rounding, so it would make the output depend on the version
+        total = 0.0
+        for wi in self.w:
+            total += wi
+        return total
 
 
 def compute_alpha(view: CouplingView) -> float:

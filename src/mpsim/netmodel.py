@@ -51,7 +51,7 @@ class Link:
 
     __slots__ = (
         "config", "busy_until", "_departures", "_delay_ns", "_ser_ns",
-        "accepted", "delivered_bytes", "dropped_overflow", "dropped_loss",
+        "accepted", "dropped_overflow", "dropped_loss",
     )
 
     def __init__(self, config: LinkConfig):
@@ -64,7 +64,6 @@ class Link:
         # MSS, the last segment's size and the ACK size occur
         self._ser_ns = {}
         self.accepted = 0
-        self.delivered_bytes = 0
         self.dropped_overflow = 0
         self.dropped_loss = 0
 
@@ -100,5 +99,4 @@ class Link:
         if loss > 0.0 and rng.next_uniform() < loss:
             self.dropped_loss += 1
             return DropReason.RANDOM_LOSS
-        self.delivered_bytes += size_bytes
         return finish + self._delay_ns

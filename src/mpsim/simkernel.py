@@ -22,10 +22,6 @@ def seconds_to_ns(t: float) -> int:
     return int(round(t * NS_PER_S))
 
 
-def ns_to_seconds(t: int) -> float:
-    return t / NS_PER_S
-
-
 class RandomStream:
     """splitmix64 pseudo-random stream.
 

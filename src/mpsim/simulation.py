@@ -23,7 +23,7 @@ from .coupling import CouplingView, on_ack_increase, on_loss_decrease
 from .netmodel import Link
 from .simkernel import NS_PER_S, RandomStream, SimKernel, seconds_to_ns
 from .spurious import DetectorChoice
-from .subflow import ACK_SIZE_BYTES, Phase, Segment, Subflow
+from .subflow import ACK_SIZE_BYTES, Phase, Subflow
 
 
 class TraceEvent(Enum):
@@ -45,10 +45,6 @@ class TraceRecord:
         self.phase = phase      # Phase value string
         self.event = event      # TraceEvent value string
 
-    def astuple(self):
-        return (self.time_s, self.subflow, self.cwnd, self.ssthresh,
-                self.phase, self.event)
-
 
 @dataclass
 class Detection:
@@ -59,7 +55,6 @@ class Detection:
     cwnd_before: float        # snapshot (pre-retransmit) window
     ssthresh_before: float
     cwnd_at_detection: float  # window the subflow had when the verdict came
-    restored_ssthresh: float
     srtt: float
 
 
@@ -109,7 +104,7 @@ class Simulation:
         rev_cfgs = [lc if cfg.ack_loss else _lossless(lc) for lc in cfg.links]
         self.links_rev = [Link(lc) for lc in rev_cfgs]
         self.subflows = [
-            Subflow(i, mss=cfg.mss, initial_cwnd=cfg.initial_cwnd,
+            Subflow(i, initial_cwnd=cfg.initial_cwnd,
                     initial_ssthresh=cfg.initial_ssthresh,
                     rto_floor=cfg.rto_floor, rto_ceiling=cfg.rto_ceiling,
                     initial_rto=cfg.initial_rto, initial_rtt=cfg.initial_rtt)
@@ -142,9 +137,13 @@ class Simulation:
     # ------------------------------------------------------------ helpers
 
     def _view(self) -> CouplingView:
-        subflows = self.subflows
-        return CouplingView(tuple([sf.cwnd for sf in subflows]),
-                            tuple([sf.rtt_for_coupling for sf in subflows]))
+        # the windows and Subflow.rtt_for_coupling, read without the property
+        w, rtt = [], []
+        for sf in self.subflows:
+            w.append(sf.cwnd)
+            srtt = sf.estimator.srtt
+            rtt.append(srtt if srtt is not None else sf.initial_rtt)
+        return CouplingView(tuple(w), tuple(rtt))
 
     def _trace(self, sf: Subflow, event: TraceEvent) -> None:
         self.traces.append(TraceRecord(
@@ -169,12 +168,9 @@ class Simulation:
         """Send new data while any subflow has window space."""
         if self.completed_ns is not None:
             return
-        conn, subflows = self.conn, self.subflows
-        while True:
-            pick = schedule_next(conn, subflows)
-            if pick is None:
-                return
-            sf, m = pick
+        # sending changes no window, so mapping the whole batch first sends
+        # the same chunks in the same order as mapping one at a time
+        for sf, m in schedule_next(self.conn, self.subflows):
             self._send_mapping(sf, m, retransmission=False)
 
     def _send_mapping(self, sf: Subflow, m, retransmission: bool) -> None:
@@ -189,22 +185,24 @@ class Simulation:
         size = m.data_end - m.data_start
         out = self.links_fwd[sf.index].transmit(size, now, self.rng)
         if isinstance(out, int):
-            seg = Segment(sf.index, m.data_start, size, now)
-            self.kernel.schedule(out, partial(self._on_data, seg))
+            self.kernel.schedule(out, partial(self._on_data, sf.index,
+                                              m.data_start, size, now))
         if sf.rto_handle is None:
             self._arm_rto(sf)
 
     # ------------------------------------------------------ receiver side
 
-    def _on_data(self, seg: Segment) -> None:
+    def _on_data(self, sf_id: int, data_seq: int, size: int,
+                 ts_val: int) -> None:
+        """A data segment of `size` bytes at `data_seq` arrives over subflow
+        `sf_id`; `ts_val` is its send time, the timestamp it carries."""
         now = self.kernel.now
-        data_seq, size, sf_id = seg.data_seq, seg.size_bytes, seg.subflow_id
         # Timestamp echo follows the left-edge rule: remember the timestamp
         # of the segment that covers the next expected byte, so ACKs sent
         # after a reordering hole fills echo the filler's send time rather
         # than whichever segment happened to elicit them.
         if data_seq <= self.recv.rcv_data_next:
-            self._ts_recent = seg.ts_val
+            self._ts_recent = ts_val
         data_ack, delivered, dup = self.recv.on_data(data_seq,
                                                      data_seq + size)
         if delivered:
@@ -219,27 +217,31 @@ class Simulation:
             self.duplicate_bytes += dup[1] - dup[0]
         out = self.links_rev[sf_id].transmit(ACK_SIZE_BYTES, now, self.rng)
         if isinstance(out, int):
-            ack = Segment(sf_id, 0, ACK_SIZE_BYTES, now, self._ts_recent,
-                          data_ack, dup if self._dsack else None)
-            self.kernel.schedule(out, partial(self._on_ack, ack))
+            self.kernel.schedule(out, partial(
+                self._on_ack, sf_id, self._ts_recent, data_ack,
+                dup if self._dsack else None))
 
     # --------------------------------------------------------- ACK intake
 
-    def _on_ack(self, ack: Segment) -> None:
+    def _on_ack(self, sf_id: int, ts_echo: int, data_ack: int,
+                dsack_block: Optional[Tuple[int, int]]) -> None:
+        """An ACK arrives over subflow `sf_id`: the data-level cumulative
+        `data_ack`, the echoed timestamp and, with DSACK, the duplicate
+        range the receiver reports."""
         conn = self.conn
-        if ack.data_ack > conn.data_snd_nxt:
+        if data_ack > conn.data_snd_nxt:
             self.protocol_violations += 1
             return
-        if ack.data_ack > conn.data_una:
-            self._on_advancing_ack(ack)
-        elif ack.data_ack == conn.data_una and conn.data_snd_nxt > conn.data_una:
-            self._on_duplicate_ack(ack)
+        if data_ack > conn.data_una:
+            self._on_advancing_ack(sf_id, ts_echo, data_ack, dsack_block)
+        elif data_ack == conn.data_una and conn.data_snd_nxt > conn.data_una:
+            self._on_duplicate_ack(sf_id, dsack_block)
         # acks below the cumulative point are stale reordered acks: ignored
 
-    def _on_advancing_ack(self, ack: Segment) -> None:
+    def _on_advancing_ack(self, sf_id, ts_echo, data_ack, dsack_block) -> None:
         now = self.kernel.now
         conn = self.conn
-        data_una = conn.data_una = ack.data_ack
+        data_una = conn.data_una = data_ack
         for sf in self.subflows:
             mappings = sf.mappings
             if mappings and mappings[0].data_end <= data_una:
@@ -272,14 +274,14 @@ class Simulation:
                 self._arm_rto(sf)
             else:
                 self._disarm_rto(sf)
-        if self._dsack and ack.dsack_block:
-            self._dsack_check(self.subflows[ack.subflow_id], ack)
+        if self._dsack and dsack_block:
+            self._dsack_check(self.subflows[sf_id], dsack_block)
         if self.detector is DetectorChoice.EIFEL:
             for sf in self.subflows:
                 snap = sf.saved
                 if snap is not None and not snap.consumed \
                         and conn.data_una >= snap.range_end:
-                    if sp.eifel_check(snap, ack):
+                    if sp.eifel_check(snap, ts_echo, data_ack):
                         self._detected(sf, snap)
                         sp.eifel_respond(sf, snap)
                         self._trace(sf, TraceEvent.RESTORE)
@@ -289,16 +291,20 @@ class Simulation:
             return
         self._pump()
 
-    def _on_duplicate_ack(self, ack: Segment) -> None:
-        sf = self.subflows[ack.subflow_id]
+    def _on_duplicate_ack(self, sf_id, dsack_block) -> None:
+        sf = self.subflows[sf_id]
         sf.dup_ack_count += 1
-        if self._dsack and ack.dsack_block:
-            self._dsack_check(sf, ack)
+        if self._dsack and dsack_block:
+            self._dsack_check(sf, dsack_block)
         if sf.phase is Phase.FAST_RECOVERY:
             sf.cwnd += 1.0  # classic window inflation per extra duplicate
         elif (sf.dup_ack_count >= 3 and sf.mappings
                 and self.conn.data_una >= sf.recover_point):
             self._fast_retransmit(sf)
+        else:
+            # no window grew: every event ends with a pump, and a DSACK
+            # verdict leaves cwnd alone, so a pump here would send nothing
+            return
         self._pump()
 
     # ------------------------------------------------------ loss recovery
@@ -338,9 +344,9 @@ class Simulation:
 
     # ---------------------------------------------------------- detectors
 
-    def _dsack_check(self, sf: Subflow, ack: Segment) -> None:
+    def _dsack_check(self, sf: Subflow, dsack_block) -> None:
         snap = sf.saved
-        if sp.dsack_sender_check(snap, ack):
+        if sp.dsack_sender_check(snap, dsack_block):
             self._detected(sf, snap)
             sp.dsack_respond(sf, snap)
             self._trace(sf, TraceEvent.RESTORE)
@@ -357,9 +363,7 @@ class Simulation:
             time_s=self.kernel.now / NS_PER_S, subflow=sf.index + 1,
             detector=self.detector, cwnd_before=snap.cwnd_before,
             ssthresh_before=snap.ssthresh_before, cwnd_at_detection=sf.cwnd,
-            restored_ssthresh=snap.ssthresh_before,
-            srtt=sf.estimator.srtt if sf.estimator.initialized
-            else sf.initial_rtt))
+            srtt=sf.rtt_for_coupling))
 
     # ------------------------------------------------------ window growth
 

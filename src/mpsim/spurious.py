@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Tuple
 
-from .subflow import Phase, Segment, Subflow
+from .subflow import Phase, Subflow
 
 
 class DetectorChoice(Enum):
@@ -64,14 +64,14 @@ def on_retransmit_record(sf: Subflow, data_start: int, data_end: int,
     return snap
 
 
-def eifel_check(snap: SpuriousSnapshot, ack: Segment) -> bool:
-    """True iff the ACK covering the retransmitted range was elicited by the
+def eifel_check(snap: SpuriousSnapshot, ts_echo: Optional[int],
+                data_ack: int) -> bool:
+    """True iff the ACK (echoed timestamp `ts_echo`, None without one; data
+    ACK `data_ack`) covering the retransmitted range was elicited by the
     original transmission (echoed timestamp predates the retransmission)."""
-    if snap.consumed or ack.ts_echo is None:
+    if snap.consumed or ts_echo is None or data_ack < snap.range_end:
         return False
-    if ack.data_ack is None or ack.data_ack < snap.range_end:
-        return False
-    return ack.ts_echo < snap.retransmit_ts
+    return ts_echo < snap.retransmit_ts
 
 
 def eifel_respond(sf: Subflow, snap: SpuriousSnapshot) -> None:
@@ -86,12 +86,14 @@ def eifel_respond(sf: Subflow, snap: SpuriousSnapshot) -> None:
     snap.consumed = True
 
 
-def dsack_sender_check(snap: Optional[SpuriousSnapshot], ack: Segment) -> bool:
-    """True iff the DSACK block names the snapshot's range and that range was
-    retransmitted exactly once (more than once is ambiguous: no verdict)."""
-    if snap is None or snap.consumed or ack.dsack_block is None:
+def dsack_sender_check(snap: Optional[SpuriousSnapshot],
+                       dsack_block: Optional[Tuple[int, int]]) -> bool:
+    """True iff the DSACK block, a (start, end) tuple, names the snapshot's
+    range and that range was retransmitted exactly once (more than once is
+    ambiguous: no verdict)."""
+    if snap is None or snap.consumed or dsack_block is None:
         return False
-    if tuple(ack.dsack_block) != (snap.range_start, snap.range_end):
+    if dsack_block != (snap.range_start, snap.range_end):
         return False
     return snap.retransmit_count == 1
 

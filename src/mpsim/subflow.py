@@ -29,23 +29,6 @@ class Phase(Enum):
     FAST_RECOVERY = "fast_recovery"
 
 
-class Segment:
-    """Abstract simulated segment; doubles as data segment and ACK."""
-
-    __slots__ = ("subflow_id", "data_seq", "size_bytes", "ts_val", "ts_echo",
-                 "data_ack", "dsack_block")
-
-    def __init__(self, subflow_id, data_seq=0, size_bytes=0, ts_val=0,
-                 ts_echo=None, data_ack=None, dsack_block=None):
-        self.subflow_id = subflow_id
-        self.data_seq = data_seq
-        self.size_bytes = size_bytes
-        self.ts_val = ts_val
-        self.ts_echo = ts_echo
-        self.data_ack = data_ack
-        self.dsack_block = dsack_block
-
-
 class RttEstimator:
     """Jacobson/Karels smoothed RTT with RFC 6298 RTO clamping."""
 
@@ -97,15 +80,13 @@ class Mapping:
 class Subflow:
     """Sender-side state for one path of the connection."""
 
-    def __init__(self, index, mss=DEFAULT_MSS,
-                 initial_cwnd=DEFAULT_INITIAL_CWND_MSS,
+    def __init__(self, index, initial_cwnd=DEFAULT_INITIAL_CWND_MSS,
                  initial_ssthresh=DEFAULT_INITIAL_SSTHRESH_MSS,
                  rto_floor=DEFAULT_RTO_FLOOR_S,
                  rto_ceiling=DEFAULT_RTO_CEILING_S,
                  initial_rto=DEFAULT_INITIAL_RTO_S,
                  initial_rtt=DEFAULT_INITIAL_RTT_S):
         self.index = index
-        self.mss = mss
         self.cwnd = initial_cwnd
         self.ssthresh = initial_ssthresh
         self.phase = Phase.SLOW_START
@@ -136,10 +117,6 @@ class Subflow:
     def rtt_for_coupling(self) -> float:
         srtt = self.estimator.srtt
         return srtt if srtt is not None else self.initial_rtt
-
-    def can_send(self) -> bool:
-        mss = self.mss
-        return self.snd_nxt - self.snd_una + mss <= self.cwnd * mss
 
     def ack_update(self, data_una: int, now_ns: int):
         """Advance snd_una over mappings cumulatively acked at data level.

@@ -194,7 +194,7 @@ def test_criterion_6_dsack_regrows_exponentially(reorder_runs):
         samples = [(r.time_s, r.cwnd) for r in result.traces
                    if r.subflow == sf and r.event == "Sample"]
         srtts = [(t, v) for t, s, v in result.srtts if s == sf]
-        target = det.restored_ssthresh
+        target = det.ssthresh_before  # the threshold DSACK restores
         end = next((r.time_s for r in result.traces
                     if r.subflow == sf and r.time_s > det.time_s
                     and r.event in ("FastRetransmit", "Rto")),

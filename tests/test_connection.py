@@ -18,19 +18,22 @@ def make_pair(transfer=100_000, n=2):
 
 
 def test_round_robin_alternates_between_open_subflows():
-    conn, sfs = make_pair()
-    order = []
-    for _ in range(4):
-        sf, m = schedule_next(conn, sfs)
-        order.append(sf.index)
-    assert order == [0, 1, 0, 1]
+    conn, sfs = make_pair()  # initial cwnd 2 MSS on each
+    picks = schedule_next(conn, sfs)
+    assert [sf.index for sf, _ in picks] == [0, 1, 0, 1]
+    assert [m.data_start for _, m in picks] == [0, 1400, 2800, 4200]
     assert conn.data_snd_nxt == 4 * 1400
+    assert conn.scheduler_cursor == 1
+    # the next batch resumes after the cursor once a window opens
+    sfs[1].cwnd = 3.0
+    sfs[0].cwnd = 3.0
+    assert [sf.index for sf, _ in schedule_next(conn, sfs)] == [0, 1]
 
 
 def test_scheduler_skips_window_blocked_subflow():
     conn, sfs = make_pair()
     sfs[0].cwnd = 0.0
-    picks = [schedule_next(conn, sfs)[0].index for _ in range(2)]
+    picks = [sf.index for sf, _ in schedule_next(conn, sfs)]
     assert picks == [1, 1]
 
 
@@ -38,24 +41,33 @@ def test_scheduler_blocked_when_no_window_anywhere():
     conn, sfs = make_pair()
     for sf in sfs:
         sf.cwnd = 0.0
-    assert schedule_next(conn, sfs) is None
+    assert schedule_next(conn, sfs) == []
+    assert conn.data_snd_nxt == 0
+    assert conn.scheduler_cursor == 1
 
 
 def test_last_chunk_is_truncated_to_transfer_size():
     conn, sfs = make_pair(transfer=2000)
-    _, m1 = schedule_next(conn, sfs)
-    _, m2 = schedule_next(conn, sfs)
+    (_, m1), (_, m2) = schedule_next(conn, sfs)
     assert (m1.data_end - m1.data_start, m2.data_end - m2.data_start) \
         == (1400, 600)
-    assert schedule_next(conn, sfs) is None
+    assert conn.data_snd_nxt == 2000
+    assert schedule_next(conn, sfs) == []
 
 
 def test_mapping_tracks_both_sequence_spaces():
     conn, sfs = make_pair()
-    sf, m = schedule_next(conn, sfs)
+    picks = schedule_next(conn, sfs)
+    sf, m = picks[0]
     assert (m.data_start, m.data_end) == (0, 1400)
     assert (m.sf_start, m.sf_end) == (0, 1400)
-    assert sf.snd_nxt == 1400
+    # the subflow's second chunk is the connection's third
+    sf2, m2 = picks[2]
+    assert sf2 is sf
+    assert (m2.data_start, m2.data_end) == (2800, 4200)
+    assert (m2.sf_start, m2.sf_end) == (1400, 2800)
+    assert list(sf.mappings) == [m, m2]
+    assert sf.snd_nxt == 2800
 
 
 class SendRecorder(Simulation):

@@ -136,3 +136,9 @@ def test_decrease_returns_window_equal_to_ssthresh(wr, data):
         new_w, ssthresh = on_loss_decrease(mode, i, view)
         assert new_w == ssthresh
         assert new_w >= 1.0
+
+
+def test_w_total_adds_left_to_right():
+    # the same float on every Python version: from 3.12, sum() of floats
+    # compensates rounding and would return 1.0 here
+    assert view_of([1e16, 1.0, -1e16], [0.1] * 3).w_total == 0.0

@@ -1,13 +1,14 @@
 """Scenario files, presets, CSV/SVG emission, sweeps and the CLI."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from mpsim import harness
 from mpsim.cli import main
-from mpsim.config import (PRESET_NAMES, ScenarioError, load_scenario,
-                          parse_scenario)
+from mpsim.config import (PRESET_NAMES, ScenarioConfig, ScenarioError,
+                          load_scenario, parse_scenario)
 from mpsim.coupling import CouplingMode
 from mpsim.harness import (SweepParameter, SweepSpec, emit_csv, emit_plot,
                            parse_trace_csv, run_scenario, run_sweep,
@@ -57,9 +58,47 @@ def test_json_scenario_equivalent():
     assert cfg == ref
 
 
+JSON_LINK = {"capacity_mbps": 1, "delay_ms": 10}
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"transfer_size": 1.5}, "transfer_size: expected an integer, got 1.5"),
+    ({"seed": True}, "seed: expected an integer, got True"),
+    ({"mss": float("inf")}, "mss: expected an integer"),
+    ({"stop_time": False}, "stop_time: expected a number, got False"),
+    ({"links": [dict(JSON_LINK, queue_limit=2.7)]},
+     "link1: queue_limit: expected an integer, got 2.7"),
+], ids=["fraction", "boolean", "infinity", "boolean-number", "link-fraction"])
+def test_json_number_keys_reject_fractions_and_booleans(extra, message):
+    # int() would truncate 1.5 and 2.7 and read true as 1
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario(json.dumps({"links": [JSON_LINK], **extra}))
+
+
+def test_json_integral_float_is_an_integer():
+    cfg = parse_scenario(json.dumps({"links": [JSON_LINK],
+                                     "transfer_size": 2e6}))
+    assert cfg.transfer_size == 2_000_000
+    assert isinstance(cfg.transfer_size, int)
+
+
+def test_json_link_entry_must_be_an_object(tmp_path, capsys):
+    with pytest.raises(ScenarioError, match="link2: expected an object"):
+        parse_scenario(json.dumps({"links": [JSON_LINK, 5]}))
+    path = tmp_path / "bad.json"
+    path.write_text('{"links": [5]}')
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert "error: %s: link1: expected an object" % path \
+        in capsys.readouterr().err
+
+
 def test_parse_errors_name_field_and_line():
     with pytest.raises(ScenarioError, match="inline:2"):
         parse_scenario("link1.capacity_mbps = 0.5\nbogus line\n", "inline")
+    with pytest.raises(ScenarioError,
+                       match="transfer_size: expected an integer, got '1.5'"):
+        parse_scenario("link1.capacity_mbps=1\nlink1.delay_ms=1\n"
+                       "transfer_size = 1.5\n")
     with pytest.raises(ScenarioError, match="coupling"):
         parse_scenario("coupling = warp_speed\nlink1.capacity_mbps=1\n"
                        "link1.delay_ms=1\n")
@@ -254,6 +293,34 @@ def test_run_scenario_calls_simulation_with_the_config_alone(monkeypatch):
     assert result.stats.completed and result.stats.checksum_ok
     for name in ("sends", "arrivals", "srtts", "traces", "detections"):
         assert isinstance(len(getattr(result, name)), int)
+
+
+@pytest.mark.parametrize("detector", list(DetectorChoice),
+                         ids=lambda d: d.value)
+def test_benchmark_tracer_finds_and_reads_every_layer(detector, monkeypatch):
+    # perfbench/tracer.py patches named functions of mpsim and reads their
+    # results (ack_update's tuple, on_data's triple, transmit's arguments);
+    # a refactor that renames one or changes a result's shape fails here
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import tracer
+    cfg = ScenarioConfig(
+        links=[LinkConfig(1e6, 0.010, loss_rate=0.02),
+               LinkConfig(1e6, 0.150, loss_rate=0.02)],
+        transfer_size=300_000, detector=detector, trace_interval=0.5)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        result = harness.run_scenario(cfg)
+        harness.trace_csv_lines(result.traces)
+    finally:
+        t.uninstall()
+    assert t.absent == []
+    assert result.stats.completed and result.stats.checksum_ok
+    assert result.stats.fast_retx > 0
+    for span in ("netmodel.transmit", "connection.on_data",
+                 "subflow.ack_update", "spurious", tracer.HANDLER):
+        assert t.calls(span) > 0, span
+    assert harness.run_scenario is run_scenario  # the originals are back
 
 
 # --------------------------------------------------------------------- CLI

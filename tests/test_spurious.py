@@ -3,7 +3,7 @@
 from mpsim.connection import ReassemblyState
 from mpsim.spurious import (dsack_respond, dsack_sender_check, eifel_check,
                             eifel_respond, on_retransmit_record)
-from mpsim.subflow import Phase, Segment, Subflow
+from mpsim.subflow import Phase, Subflow
 
 
 def make_subflow(cwnd=10.0, ssthresh=64.0, phase=Phase.SLOW_START):
@@ -12,10 +12,6 @@ def make_subflow(cwnd=10.0, ssthresh=64.0, phase=Phase.SLOW_START):
     sf.ssthresh = ssthresh
     sf.phase = phase
     return sf
-
-
-def ack(data_ack=None, ts_echo=None, dsack=None):
-    return Segment(0, data_ack=data_ack, ts_echo=ts_echo, dsack_block=dsack)
 
 
 # ---------------------------------------------------------------- snapshot
@@ -56,16 +52,16 @@ def test_new_range_replaces_snapshot_and_counts_per_range():
 def test_eifel_detects_echo_older_than_retransmission():
     sf = make_subflow()
     snap = on_retransmit_record(sf, 0, 1400, now=1_000)
-    assert eifel_check(snap, ack(data_ack=1400, ts_echo=500))
-    assert not eifel_check(snap, ack(data_ack=1400, ts_echo=1_000))
-    assert not eifel_check(snap, ack(data_ack=1400, ts_echo=1_500))
+    assert eifel_check(snap, ts_echo=500, data_ack=1400)
+    assert not eifel_check(snap, ts_echo=1_000, data_ack=1400)
+    assert not eifel_check(snap, ts_echo=1_500, data_ack=1400)
 
 
 def test_eifel_requires_covering_ack_and_timestamp():
     sf = make_subflow()
     snap = on_retransmit_record(sf, 2800, 4200, now=1_000)
-    assert not eifel_check(snap, ack(data_ack=2800, ts_echo=1))  # not covering
-    assert not eifel_check(snap, ack(data_ack=4200, ts_echo=None))
+    assert not eifel_check(snap, ts_echo=1, data_ack=2800)  # not covering
+    assert not eifel_check(snap, ts_echo=None, data_ack=4200)
 
 
 def test_eifel_respond_restores_exact_state():
@@ -85,7 +81,7 @@ def test_consumed_snapshot_never_fires_again():
     sf = make_subflow()
     snap = on_retransmit_record(sf, 0, 1400, now=1_000)
     eifel_respond(sf, snap)
-    assert not eifel_check(snap, ack(data_ack=1400, ts_echo=1))
+    assert not eifel_check(snap, ts_echo=1, data_ack=1400)
     eifel_respond(sf, snap)  # idempotent
     assert sf.spurious_detections == 1
 
@@ -106,10 +102,10 @@ def test_receiver_reports_duplicate_overlap():
 def test_dsack_verdict_needs_exact_range_and_single_retransmit():
     sf = make_subflow()
     snap = on_retransmit_record(sf, 1400, 2800, now=1_000)
-    assert dsack_sender_check(snap, ack(dsack=(1400, 2800)))
-    assert not dsack_sender_check(snap, ack(dsack=(1400, 2100)))
-    assert not dsack_sender_check(snap, ack(dsack=None))
-    assert not dsack_sender_check(None, ack(dsack=(1400, 2800)))
+    assert dsack_sender_check(snap, (1400, 2800))
+    assert not dsack_sender_check(snap, (1400, 2100))
+    assert not dsack_sender_check(snap, None)
+    assert not dsack_sender_check(None, (1400, 2800))
 
 
 def test_dsack_ambiguous_after_second_retransmission():
@@ -117,7 +113,7 @@ def test_dsack_ambiguous_after_second_retransmission():
     on_retransmit_record(sf, 1400, 2800, now=1_000)
     snap = on_retransmit_record(sf, 1400, 2800, now=2_000)
     assert snap.retransmit_count == 2
-    assert not dsack_sender_check(snap, ack(dsack=(1400, 2800)))
+    assert not dsack_sender_check(snap, (1400, 2800))
 
 
 def test_dsack_respond_restores_threshold_only():

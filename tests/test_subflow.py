@@ -2,6 +2,7 @@
 
 import pytest
 
+from mpsim.connection import ConnectionState, schedule_next
 from mpsim.simkernel import NS_PER_S
 from mpsim.subflow import Mapping, Phase, RttEstimator, Subflow
 
@@ -65,12 +66,15 @@ def make_subflow(**kw):
 
 
 def test_can_send_respects_window():
-    sf = make_subflow(initial_cwnd=2.0)
-    assert sf.can_send()
-    sf.snd_nxt = 1400
-    assert sf.can_send()
-    sf.snd_nxt = 2800
-    assert not sf.can_send()  # flight == cwnd * mss
+    # the scheduler maps a chunk onto a subflow only while one more MSS
+    # keeps its flight within cwnd * mss
+    def sendable(snd_nxt):
+        sf = make_subflow(initial_cwnd=2.0)
+        sf.snd_nxt = snd_nxt
+        return len(schedule_next(ConnectionState(100_000, 1400, 1), [sf]))
+    assert sendable(0) == 2
+    assert sendable(1400) == 1
+    assert sendable(2800) == 0  # flight == cwnd * mss
 
 
 def test_flight_is_unacked_bytes():
@@ -141,4 +145,3 @@ def test_initial_phase_and_defaults():
     assert sf.phase is Phase.SLOW_START
     assert sf.cwnd == 2.0
     assert sf.ssthresh == 64.0
-    assert sf.mss == 1400
