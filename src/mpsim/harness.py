@@ -99,11 +99,22 @@ def fmt(value) -> str:
     return str(value)
 
 
+# one trace row as `fmt` renders it, when its numbers are float, int,
+# float, float; "%.6g" would write an int window such as 1000000 as 1e+06
+_TRACE_ROW = "%.6g,%d,%.6g,%.6g,%s,%s"
+
+
 def trace_csv_lines(records: Sequence[TraceRecord]) -> List[str]:
     lines = [",".join(TRACE_CSV_COLUMNS)]
+    append = lines.append
     for r in records:
-        lines.append(",".join((fmt(r.time_s), str(r.subflow), fmt(r.cwnd),
-                               fmt(r.ssthresh), r.phase, r.event)))
+        t, sf, cwnd, ssthresh = r.time_s, r.subflow, r.cwnd, r.ssthresh
+        if float is type(t) is type(cwnd) is type(ssthresh) \
+                and type(sf) is int:
+            append(_TRACE_ROW % (t, sf, cwnd, ssthresh, r.phase, r.event))
+        else:
+            append(",".join((fmt(t), str(sf), fmt(cwnd), fmt(ssthresh),
+                             r.phase, r.event)))
     return lines
 
 
@@ -159,13 +170,22 @@ def parse_trace_csv(path) -> List[TraceRecord]:
         if header != ",".join(TRACE_CSV_COLUMNS):
             raise ScenarioError("%s: not a trace CSV (header %r)"
                                 % (path, header))
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             line = line.strip()
             if not line:
                 continue
-            t, sf, cwnd, ssthresh, phase, event = line.split(",")
-            records.append(TraceRecord(float(t), int(sf), float(cwnd),
-                                       float(ssthresh), phase, event))
+            fields = line.split(",")
+            if len(fields) != len(TRACE_CSV_COLUMNS):
+                raise ScenarioError("%s:%d: expected %d fields, got %d"
+                                    % (path, lineno, len(TRACE_CSV_COLUMNS),
+                                       len(fields)))
+            t, sf, cwnd, ssthresh, phase, event = fields
+            try:
+                records.append(TraceRecord(float(t), int(sf), float(cwnd),
+                                           float(ssthresh), phase, event))
+            except ValueError as exc:
+                raise ScenarioError("%s:%d: %s" % (path, lineno, exc)) \
+                    from None
     return records
 
 

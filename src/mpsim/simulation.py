@@ -46,6 +46,12 @@ class TraceRecord:
         self.event = event      # TraceEvent value string
 
 
+# each Phase and TraceEvent member's text, read per trace row without going
+# through the Enum `.value` property
+_TEXT = {m: m.value for m in (*Phase, *TraceEvent)}
+_SAMPLE = TraceEvent.SAMPLE.value
+
+
 @dataclass
 class Detection:
     """One spurious-retransmission verdict, with what was restored."""
@@ -148,7 +154,7 @@ class Simulation:
     def _trace(self, sf: Subflow, event: TraceEvent) -> None:
         self.traces.append(TraceRecord(
             self.kernel.now / NS_PER_S, sf.index + 1, sf.cwnd, sf.ssthresh,
-            sf.phase.value, event.value))
+            _TEXT[sf.phase], _TEXT[event]))
 
     def _arm_rto(self, sf: Subflow) -> None:
         kernel = self.kernel
@@ -381,12 +387,15 @@ class Simulation:
     # -------------------------------------------------------------- driver
 
     def _on_trace_sample(self) -> None:
-        now_s = self.kernel.now / NS_PER_S
+        now = self.kernel.now
+        now_s = now / NS_PER_S  # one float shared by all of the sample's rows
+        append = self.traces.append
         for sf in self.subflows:
-            self._trace(sf, TraceEvent.SAMPLE)
+            append(TraceRecord(now_s, sf.index + 1, sf.cwnd, sf.ssthresh,
+                               _TEXT[sf.phase], _SAMPLE))
             if self._record:
                 self.srtts.append((now_s, sf.index + 1, sf.rtt_for_coupling))
-        nxt = self.kernel.now + self._trace_ns
+        nxt = now + self._trace_ns
         if nxt <= self._stop_ns:
             self.kernel.schedule(nxt, self._on_trace_sample)
 

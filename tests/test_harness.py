@@ -1,9 +1,12 @@
 """Scenario files, presets, CSV/SVG emission, sweeps and the CLI."""
 
 import json
+import math
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpsim import harness
 from mpsim.cli import main
@@ -11,11 +14,13 @@ from mpsim.config import (PRESET_NAMES, ScenarioConfig, ScenarioError,
                           load_scenario, parse_scenario)
 from mpsim.coupling import CouplingMode
 from mpsim.harness import (SweepParameter, SweepSpec, emit_csv, emit_plot,
-                           parse_trace_csv, run_scenario, run_sweep,
+                           fmt, parse_trace_csv, run_scenario, run_sweep,
                            sweep_csv_lines, trace_csv_lines)
 from mpsim.netmodel import LinkConfig
 from mpsim.simkernel import mix_seed
+from mpsim.simulation import TraceEvent, TraceRecord
 from mpsim.spurious import DetectorChoice
+from mpsim.subflow import Phase
 
 FLAT = """
 # two asymmetric paths
@@ -232,6 +237,61 @@ def test_trace_csv_round_trip(tmp_path):
     emit_csv(result.traces, path)
     back = parse_trace_csv(path)
     assert trace_csv_lines(back) == trace_csv_lines(result.traces)
+
+
+def test_integer_window_is_written_as_an_integer():
+    # "%.6g" alone would write this programmatic int ssthresh as 1e+06
+    lines = trace_csv_lines(
+        run_scenario(small_cfg(initial_ssthresh=1_000_000)).traces)
+    assert lines[1] == "0,1,2,1000000,slow_start,Sample"
+
+
+def fmt_row(r):
+    """A trace row rendered field by field with `fmt`: the reference the
+    one-format row renderer must match byte for byte."""
+    return ",".join((fmt(r.time_s), str(r.subflow), fmt(r.cwnd),
+                     fmt(r.ssthresh), r.phase, r.event))
+
+
+_numbers = st.one_of(
+    st.floats(),  # nan, +-inf, -0.0 and subnormals included
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.floats(min_value=9e-6, max_value=1.1e-5),
+    st.floats(min_value=9.9e5, max_value=1.01e6),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-5, 9.999995e-6, 999999.4,
+                     999999.5, 1e6, math.inf, -math.inf, math.nan]),
+    st.integers(min_value=-10**7, max_value=10**7),
+    st.integers())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.builds(
+    TraceRecord, time_s=_numbers,
+    subflow=st.one_of(st.integers(1, 16), _numbers), cwnd=_numbers,
+    ssthresh=_numbers, phase=st.sampled_from([p.value for p in Phase]),
+    event=st.sampled_from([e.value for e in TraceEvent])), max_size=8))
+def test_trace_rows_match_the_fmt_renderer(records):
+    lines = trace_csv_lines(records)
+    assert lines[0] == ",".join(harness.TRACE_CSV_COLUMNS)
+    assert lines[1:] == [fmt_row(r) for r in records]
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0,1,2", "expected 6 fields, got 3"),
+    ("0,1,2,64,slow_start,Sample,extra", "expected 6 fields, got 7"),
+    ("0,one,2,64,slow_start,Sample", "invalid literal for int()"),
+    ("0,1,2,many,slow_start,Sample", "could not convert string to float"),
+], ids=["short", "long", "subflow", "ssthresh"])
+def test_parse_trace_csv_names_the_bad_line(tmp_path, capsys, row, message):
+    path = tmp_path / "trace.csv"
+    path.write_text(",".join(harness.TRACE_CSV_COLUMNS) + "\n" + row + "\n")
+    with pytest.raises(ScenarioError,
+                       match="^%s:2: " % re.escape(str(path))) as info:
+        parse_trace_csv(path)
+    assert message in str(info.value)
+    assert main(["plot", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s:2: " % path) and message in err
 
 
 def test_sweep_csv_has_expected_header_and_rows():
