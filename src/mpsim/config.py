@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import List
@@ -229,13 +230,20 @@ def preset_text(name: str) -> str:
     return ref.read_text(encoding="utf-8")
 
 
+@cache
+def _preset(name: str) -> ScenarioConfig:
+    # parsed once per process; callers get a copy, never this object
+    return parse_scenario(preset_text(name), "preset:" + name)
+
+
 def load_scenario(path) -> ScenarioConfig:
-    """Load a scenario from a file path or a bundled preset name."""
+    """Load a scenario from a file path or a bundled preset name. A file
+    wins over a preset of the same name."""
     name = str(path)
     p = Path(name)
     if p.is_file():
         return parse_scenario(p.read_text(encoding="utf-8"), name)
     if name in PRESET_NAMES:
-        return parse_scenario(preset_text(name), "preset:" + name)
+        return _preset(name).copy()
     raise ScenarioError("scenario %r: no such file or preset (presets: %s)"
                         % (name, ", ".join(PRESET_NAMES)))

@@ -20,6 +20,13 @@ class CouplingMode(Enum):
     RTT_COMPENSATOR = "rtt_compensator"
 
 
+# bound once: the rules below compare the mode on every ACK, and a module
+# alias is one global lookup where `CouplingMode.UNCOUPLED` is two
+_UNCOUPLED = CouplingMode.UNCOUPLED
+_FULLY_COUPLED = CouplingMode.FULLY_COUPLED
+_LINKED_INCREASES = CouplingMode.LINKED_INCREASES
+
+
 class CouplingView(NamedTuple):
     """Snapshot of every subflow's window (MSS) and smoothed RTT (s).
 
@@ -75,13 +82,13 @@ def compute_alpha(view: CouplingView) -> float:
 def on_ack_increase(mode: CouplingMode, i: int, view: CouplingView) -> float:
     """Congestion-avoidance window increment (MSS) for one ACK on subflow i."""
     w_i = view.w[i]
-    if mode is CouplingMode.UNCOUPLED:
+    if mode is _UNCOUPLED:
         return 1.0 / w_i
     w_total = view.w_total
-    if mode is CouplingMode.FULLY_COUPLED:
+    if mode is _FULLY_COUPLED:
         return 1.0 / w_total
     alpha = compute_alpha(view)
-    if mode is CouplingMode.LINKED_INCREASES:
+    if mode is _LINKED_INCREASES:
         return alpha / w_total
     # RTT Compensator: never more aggressive than single-path TCP on path i
     return min(alpha / w_total, 1.0 / w_i)
@@ -95,7 +102,7 @@ def on_loss_decrease(mode: CouplingMode, i: int,
     floored at 1 MSS; the other modes halve the subflow window.
     """
     w_i = view.w[i]
-    if mode is CouplingMode.FULLY_COUPLED:
+    if mode is _FULLY_COUPLED:
         ssthresh = max(w_i - view.w_total / 2.0, 1.0)
     else:
         ssthresh = max(w_i / 2.0, 2.0)

@@ -163,6 +163,12 @@ def emit_csv(data, path) -> None:
         raise OSError("cannot write CSV %s: %s" % (path, exc)) from exc
 
 
+def _window(text: str):
+    """A window field read back as written: `fmt` writes an int window in
+    plain digits, which a float would render again as `1e+06`."""
+    return int(text) if text.lstrip("-").isdecimal() else float(text)
+
+
 def parse_trace_csv(path) -> List[TraceRecord]:
     records = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -181,8 +187,8 @@ def parse_trace_csv(path) -> List[TraceRecord]:
                                        len(fields)))
             t, sf, cwnd, ssthresh, phase, event = fields
             try:
-                records.append(TraceRecord(float(t), int(sf), float(cwnd),
-                                           float(ssthresh), phase, event))
+                records.append(TraceRecord(float(t), int(sf), _window(cwnd),
+                                           _window(ssthresh), phase, event))
             except ValueError as exc:
                 raise ScenarioError("%s:%d: %s" % (path, lineno, exc)) \
                     from None

@@ -46,12 +46,14 @@ class Link:
     Random loss is applied at the head of the link after serialization:
     a lost packet occupies the transmitter but is never delivered. A packet
     arriving while queue_limit packets are still in the system is dropped
-    immediately (drop-tail).
+    immediately (drop-tail). The link reads its config once, at
+    construction: a later change to the config does not reach it.
     """
 
     __slots__ = (
         "config", "busy_until", "_departures", "_delay_ns", "_ser_ns",
-        "accepted", "dropped_overflow", "dropped_loss",
+        "_queue_limit", "_loss_cut", "accepted", "dropped_overflow",
+        "dropped_loss",
     )
 
     def __init__(self, config: LinkConfig):
@@ -63,6 +65,12 @@ class Link:
         # packet size -> serialization_ns, filled on first use; only the
         # MSS, the last segment's size and the ACK size occur
         self._ser_ns = {}
+        self._queue_limit = config.queue_limit
+        # a packet is lost when the draw's top 53 bits, k, fall below
+        # loss_rate * 2**53: exactly `k * 2**-53 < loss_rate`, i.e.
+        # `rng.next_uniform() < loss_rate`, since scaling by a power of two
+        # is exact and Python compares an int with a float exactly
+        self._loss_cut = config.loss_rate * 2.0 ** 53
         self.accepted = 0
         self.dropped_overflow = 0
         self.dropped_loss = 0
@@ -87,7 +95,7 @@ class Link:
         departures = self._departures
         while departures and departures[0] <= now:
             departures.popleft()
-        if len(departures) >= self.config.queue_limit:
+        if len(departures) >= self._queue_limit:
             self.dropped_overflow += 1
             return DropReason.QUEUE_OVERFLOW
         start = now if now > self.busy_until else self.busy_until
@@ -95,8 +103,8 @@ class Link:
         self.busy_until = finish
         departures.append(finish)
         self.accepted += 1
-        loss = self.config.loss_rate
-        if loss > 0.0 and rng.next_uniform() < loss:
+        loss_cut = self._loss_cut
+        if loss_cut and rng.next_u64() >> 11 < loss_cut:
             self.dropped_loss += 1
             return DropReason.RANDOM_LOSS
         return finish + self._delay_ns

@@ -46,10 +46,16 @@ class TraceRecord:
         self.event = event      # TraceEvent value string
 
 
-# each Phase and TraceEvent member's text, read per trace row without going
-# through the Enum `.value` property
-_TEXT = {m: m.value for m in (*Phase, *TraceEvent)}
-_SAMPLE = TraceEvent.SAMPLE.value
+# Enum members bound once: `Phase.FAST_RECOVERY` costs a global and a
+# class-attribute lookup on every packet, a module alias one global lookup.
+# Trace rows read a member's text as `._value_`, a plain instance attribute,
+# not through the `.value` property or a dict keyed by members (every
+# lookup in one runs the Python-level `Enum.__hash__`).
+_SLOW_START = Phase.SLOW_START
+_CONGESTION_AVOIDANCE = Phase.CONGESTION_AVOIDANCE
+_FAST_RECOVERY = Phase.FAST_RECOVERY
+_RESTORE = TraceEvent.RESTORE
+_SAMPLE = TraceEvent.SAMPLE._value_
 
 
 @dataclass
@@ -120,7 +126,14 @@ class Simulation:
                                     len(cfg.links))
         self.recv = ReassemblyState()
         self._ts_recent = 0
+        # per-run switches, read once here instead of per ACK
         self._dsack = cfg.detector is DetectorChoice.DSACK
+        self._eifel = cfg.detector is DetectorChoice.EIFEL
+        self._partial_ack = cfg.partial_ack_retransmit
+        # the data and ACK callbacks of every packet event, bound once: each
+        # read of `self._on_data` would build a new bound method
+        self._data_fn = self._on_data
+        self._ack_fn = self._on_ack
         # one RTO callback per subflow, shared by all its timer events
         self._rto_fns = [partial(self._on_rto, sf) for sf in self.subflows]
         # end of the bytes handed to the application, and the deliveries
@@ -149,12 +162,14 @@ class Simulation:
             w.append(sf.cwnd)
             srtt = sf.estimator.srtt
             rtt.append(srtt if srtt is not None else sf.initial_rtt)
-        return CouplingView(tuple(w), tuple(rtt))
+        # the same object the NamedTuple's generated __new__ builds, without
+        # that Python-level call
+        return tuple.__new__(CouplingView, (tuple(w), tuple(rtt)))
 
     def _trace(self, sf: Subflow, event: TraceEvent) -> None:
         self.traces.append(TraceRecord(
             self.kernel.now / NS_PER_S, sf.index + 1, sf.cwnd, sf.ssthresh,
-            _TEXT[sf.phase], _TEXT[event]))
+            sf.phase._value_, event._value_))
 
     def _arm_rto(self, sf: Subflow) -> None:
         kernel = self.kernel
@@ -177,7 +192,7 @@ class Simulation:
         # sending changes no window, so mapping the whole batch first sends
         # the same chunks in the same order as mapping one at a time
         for sf, m in schedule_next(self.conn, self.subflows):
-            self._send_mapping(sf, m, retransmission=False)
+            self._send_mapping(sf, m, False)
 
     def _send_mapping(self, sf: Subflow, m, retransmission: bool) -> None:
         now = self.kernel.now
@@ -191,7 +206,7 @@ class Simulation:
         size = m.data_end - m.data_start
         out = self.links_fwd[sf.index].transmit(size, now, self.rng)
         if isinstance(out, int):
-            self.kernel.schedule(out, partial(self._on_data, sf.index,
+            self.kernel.schedule(out, partial(self._data_fn, sf.index,
                                               m.data_start, size, now))
         if sf.rto_handle is None:
             self._arm_rto(sf)
@@ -224,7 +239,7 @@ class Simulation:
         out = self.links_rev[sf_id].transmit(ACK_SIZE_BYTES, now, self.rng)
         if isinstance(out, int):
             self.kernel.schedule(out, partial(
-                self._on_ack, sf_id, self._ts_recent, data_ack,
+                self._ack_fn, sf_id, self._ts_recent, data_ack,
                 dup if self._dsack else None))
 
     # --------------------------------------------------------- ACK intake
@@ -260,29 +275,29 @@ class Simulation:
                     sf.estimator.update(sample)
             else:
                 acked = 0
-            if sf.phase is Phase.FAST_RECOVERY:
+            if sf.phase is _FAST_RECOVERY:
                 if data_una >= sf.recover_point:
                     sf.cwnd = max(sf.ssthresh, 1.0)
-                    sf.phase = Phase.CONGESTION_AVOIDANCE
+                    sf.phase = _CONGESTION_AVOIDANCE
             elif acked:
                 self._grow(sf, acked)
             if not acked:
                 continue
-            if (self.cfg.partial_ack_retransmit and mappings
+            if (self._partial_ack and mappings
                     and data_una < sf.recover_point
                     and mappings[0].data_start <= data_una):
                 # NewReno partial ack: this subflow owns the next hole, so
                 # resend it now instead of waiting out another timeout
                 m = mappings[0]
                 sp.on_retransmit_record(sf, m.data_start, m.data_end, now)
-                self._send_mapping(sf, m, retransmission=True)
+                self._send_mapping(sf, m, True)
             if sf.snd_nxt > sf.snd_una:
                 self._arm_rto(sf)
             else:
                 self._disarm_rto(sf)
         if self._dsack and dsack_block:
             self._dsack_check(self.subflows[sf_id], dsack_block)
-        if self.detector is DetectorChoice.EIFEL:
+        if self._eifel:
             for sf in self.subflows:
                 snap = sf.saved
                 if snap is not None and not snap.consumed \
@@ -290,7 +305,7 @@ class Simulation:
                     if sp.eifel_check(snap, ts_echo, data_ack):
                         self._detected(sf, snap)
                         sp.eifel_respond(sf, snap)
-                        self._trace(sf, TraceEvent.RESTORE)
+                        self._trace(sf, _RESTORE)
         if transfer_complete(conn):
             self.completed_ns = now
             self.kernel.stop()
@@ -302,7 +317,7 @@ class Simulation:
         sf.dup_ack_count += 1
         if self._dsack and dsack_block:
             self._dsack_check(sf, dsack_block)
-        if sf.phase is Phase.FAST_RECOVERY:
+        if sf.phase is _FAST_RECOVERY:
             sf.cwnd += 1.0  # classic window inflation per extra duplicate
         elif (sf.dup_ack_count >= 3 and sf.mappings
                 and self.conn.data_una >= sf.recover_point):
@@ -324,9 +339,9 @@ class Simulation:
         w, ss = on_loss_decrease(self.coupling_mode, sf.index, self._view())
         sf.ssthresh = ss
         sf.cwnd = w
-        sf.phase = Phase.FAST_RECOVERY
+        sf.phase = _FAST_RECOVERY
         sf.recover_point = self.conn.data_snd_nxt
-        self._send_mapping(sf, m, retransmission=True)
+        self._send_mapping(sf, m, True)
         self._arm_rto(sf)
 
     def _on_rto(self, sf: Subflow) -> None:
@@ -340,11 +355,11 @@ class Simulation:
         self._trace(sf, TraceEvent.RTO)
         sf.ssthresh = max(sf.flight / self.mss / 2.0, 2.0)
         sf.cwnd = 1.0
-        sf.phase = Phase.SLOW_START
+        sf.phase = _SLOW_START
         sf.dup_ack_count = 0
         sf.recover_point = self.conn.data_snd_nxt
         sf.estimator.backoff()
-        self._send_mapping(sf, m, retransmission=True)
+        self._send_mapping(sf, m, True)
         self._arm_rto(sf)
         self._pump()
 
@@ -355,7 +370,7 @@ class Simulation:
         if sp.dsack_sender_check(snap, dsack_block):
             self._detected(sf, snap)
             sp.dsack_respond(sf, snap)
-            self._trace(sf, TraceEvent.RESTORE)
+            self._trace(sf, _RESTORE)
 
     def _detected(self, sf: Subflow, snap) -> None:
         # the timer that caused (or would repeat) the spurious retransmission
@@ -375,11 +390,11 @@ class Simulation:
 
     def _grow(self, sf: Subflow, acked_bytes: int) -> None:
         acked_mss = acked_bytes / self.mss
-        if sf.phase is Phase.SLOW_START:
+        if sf.phase is _SLOW_START:
             if sf.cwnd < sf.ssthresh:
                 sf.cwnd = min(sf.cwnd + acked_mss, sf.ssthresh)
             if sf.cwnd >= sf.ssthresh:
-                sf.phase = Phase.CONGESTION_AVOIDANCE
+                sf.phase = _CONGESTION_AVOIDANCE
             return
         inc = on_ack_increase(self.coupling_mode, sf.index, self._view())
         sf.cwnd += inc * acked_mss
@@ -392,7 +407,7 @@ class Simulation:
         append = self.traces.append
         for sf in self.subflows:
             append(TraceRecord(now_s, sf.index + 1, sf.cwnd, sf.ssthresh,
-                               _TEXT[sf.phase], _SAMPLE))
+                               sf.phase._value_, _SAMPLE))
             if self._record:
                 self.srtts.append((now_s, sf.index + 1, sf.rtt_for_coupling))
         nxt = now + self._trace_ns

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from mpsim import harness
 from mpsim.cli import main
 from mpsim.config import (PRESET_NAMES, ScenarioConfig, ScenarioError,
-                          load_scenario, parse_scenario)
+                          load_scenario, parse_scenario, preset_text)
 from mpsim.coupling import CouplingMode
 from mpsim.harness import (SweepParameter, SweepSpec, emit_csv, emit_plot,
                            fmt, parse_trace_csv, run_scenario, run_sweep,
@@ -135,6 +135,22 @@ def test_presets_load_and_differ_in_latency():
     assert base.links[1].one_way_delay_s == pytest.approx(0.010)
 
 
+def test_preset_loads_are_independent():
+    first = load_scenario("paper-base")
+    first.links[1].loss_rate = 0.5
+    first.links.append(LinkConfig(1e6, 0.0))
+    first.transfer_size = 1
+    again = load_scenario("paper-base")
+    assert again == parse_scenario(preset_text("paper-base"))
+
+
+def test_file_named_like_a_preset_shadows_it(tmp_path, monkeypatch):
+    load_scenario("paper-base")  # the bundled preset, parsed and kept
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "paper-base").write_text(FLAT)
+    assert load_scenario("paper-base") == parse_scenario(FLAT)
+
+
 def test_unknown_scenario_name_is_an_error():
     with pytest.raises(ScenarioError, match="no such file or preset"):
         load_scenario("paper-nonexistent")
@@ -232,11 +248,14 @@ def test_sweep_invalid_value_yields_error_row_not_abort():
 # --------------------------------------------------------------- CSV / SVG
 
 def test_trace_csv_round_trip(tmp_path):
-    result = run_scenario(small_cfg())
-    path = tmp_path / "trace.csv"
-    emit_csv(result.traces, path)
-    back = parse_trace_csv(path)
-    assert trace_csv_lines(back) == trace_csv_lines(result.traces)
+    # the int window 1000000 must read back as an int: as a float it would
+    # render again as 1e+06
+    for cfg in (small_cfg(), small_cfg(initial_ssthresh=1_000_000)):
+        result = run_scenario(cfg)
+        path = tmp_path / "trace.csv"
+        emit_csv(result.traces, path)
+        back = parse_trace_csv(path)
+        assert trace_csv_lines(back) == trace_csv_lines(result.traces)
 
 
 def test_integer_window_is_written_as_an_integer():

@@ -1,0 +1,29 @@
+"""The per-packet handlers read per-run constants bound once, not Enums.
+
+`Phase.FAST_RECOVERY` is a global lookup plus a class-attribute lookup on
+every call; the handlers compare against module-level aliases and
+constructor-bound flags instead. This guards that choice against a
+well-meant edit that brings the Enum lookups back.
+"""
+
+import dis
+
+import pytest
+
+from mpsim import coupling
+from mpsim.netmodel import Link
+from mpsim.simulation import Simulation
+
+ENUMS = {"Phase", "CouplingMode", "DetectorChoice", "TraceEvent"}
+
+HOT = [getattr(Simulation, name) for name in (
+    "_on_data", "_on_ack", "_on_advancing_ack", "_on_duplicate_ack",
+    "_send_mapping", "_grow", "_view", "_on_trace_sample")]
+HOT += [coupling.on_ack_increase, Link.transmit]
+
+
+@pytest.mark.parametrize("fn", HOT, ids=lambda fn: fn.__qualname__)
+def test_hot_path_loads_no_enum_class(fn):
+    loaded = {instr.argval for instr in dis.get_instructions(fn)
+              if instr.opname in ("LOAD_GLOBAL", "LOAD_NAME")}
+    assert not loaded & ENUMS

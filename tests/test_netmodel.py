@@ -1,11 +1,13 @@
 """Link model: serialization timing, FIFO queue, drop-tail, random loss."""
 
 import math
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpsim.netmodel import DropReason, Link, LinkConfig
-from mpsim.simkernel import RandomStream
+from mpsim.simkernel import NS_PER_S, RandomStream
 
 MBPS = 1e6
 
@@ -116,3 +118,76 @@ def test_segment_size_must_be_positive():
     link = paper_base_link()
     with pytest.raises(ValueError):
         link.transmit(0, 0, RandomStream(1))
+
+
+class ReferenceLink:
+    """`Link` restated plainly: the queue is the departure times not yet
+    passed, pruned on every call, and a serialized packet is lost when
+    `rng.next_uniform() < loss_rate`."""
+
+    def __init__(self, config):
+        self.config = config
+        self.busy_until = 0
+        self.departures = deque()
+        self.accepted = self.dropped_overflow = self.dropped_loss = 0
+
+    def transmit(self, size, now, rng):
+        cfg = self.config
+        while self.departures and self.departures[0] <= now:
+            self.departures.popleft()
+        if len(self.departures) >= cfg.queue_limit:
+            self.dropped_overflow += 1
+            return DropReason.QUEUE_OVERFLOW
+        ser_ns = max(1, round(size * 8 * NS_PER_S / cfg.capacity_bps))
+        self.busy_until = max(now, self.busy_until) + ser_ns
+        self.departures.append(self.busy_until)
+        self.accepted += 1
+        if cfg.loss_rate > 0.0 and rng.next_uniform() < cfg.loss_rate:
+            self.dropped_loss += 1
+            return DropReason.RANDOM_LOSS
+        return self.busy_until + round(cfg.one_way_delay_s * NS_PER_S)
+
+
+class ScriptedStream(RandomStream):
+    """Draws k * 2**-53 for each k of `ks` in turn (the low 11 bits of the
+    u64 are noise that next_uniform drops); `state` counts the draws."""
+
+    def __init__(self, ks):
+        super().__init__(0)
+        self.ks = ks
+
+    def next_u64(self):
+        k = self.ks[self.state % len(self.ks)]
+        self.state += 1
+        return k << 11 | 0x7FF
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(sends=st.lists(st.tuples(st.integers(0, 25_000_000),
+                                st.sampled_from([40, 1000, 1400])),
+                      max_size=40),
+       queue_limit=st.integers(1, 5),
+       loss_rate=st.one_of(
+           st.sampled_from([0.0, 1.0, 5e-324, 1 - 2**-53, 0.5]),
+           st.floats(0.0, 1.0)),
+       draws=st.one_of(st.integers(0, 2**64 - 1),
+                       st.lists(st.integers(-1, 1), min_size=1)))
+def test_link_matches_reference_model(sends, queue_limit, loss_rate, draws):
+    cfg = LinkConfig(capacity_bps=1e6, one_way_delay_s=0.01,
+                     loss_rate=loss_rate, queue_limit=queue_limit)
+    if isinstance(draws, int):
+        streams = RandomStream(draws), RandomStream(draws)
+    else:
+        # draws one below, at and one above the loss boundary
+        edge = int(loss_rate * 2**53)
+        ks = [min(max(edge + d, 0), 2**53 - 1) for d in draws]
+        streams = ScriptedStream(ks), ScriptedStream(ks)
+    link, ref = Link(cfg), ReferenceLink(cfg)
+    now = 0
+    for gap, size in sends:
+        now += gap
+        assert link.transmit(size, now, streams[0]) == ref.transmit(
+            size, now, streams[1])
+    assert (link.accepted, link.dropped_overflow, link.dropped_loss) == (
+        ref.accepted, ref.dropped_overflow, ref.dropped_loss)
+    assert streams[0].state == streams[1].state
