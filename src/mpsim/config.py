@@ -4,6 +4,7 @@ and bundled presets."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import cache
 from importlib import resources
@@ -56,12 +57,17 @@ class ScenarioConfig:
                 link.validate("link%d" % i)
             except ValueError as exc:
                 raise ScenarioError(str(exc)) from None
+        for key in _FLOAT_KEYS:
+            if math.isnan(getattr(self, key)):
+                raise ScenarioError("%s: must be a number, got nan" % key)
         if self.transfer_size < 0:
             raise ScenarioError("transfer_size: must be >= 0")
         if self.mss <= 0:
             raise ScenarioError("mss: must be > 0")
         if self.trace_interval <= 0:
             raise ScenarioError("trace_interval: must be > 0")
+        if self.trace_interval == math.inf:
+            raise ScenarioError("trace_interval: must be finite")
         if self.stop_time <= 0:
             raise ScenarioError("stop_time: must be > 0")
         if self.stop_time / self.trace_interval > MAX_TRACE_SAMPLES:
@@ -71,6 +77,10 @@ class ScenarioConfig:
                 % (MAX_TRACE_SAMPLES, self.stop_time, self.trace_interval))
         if self.rto_floor <= 0 or self.rto_ceiling < self.rto_floor:
             raise ScenarioError("rto_floor/rto_ceiling: need 0 < floor <= ceiling")
+        if self.rto_ceiling == math.inf:
+            raise ScenarioError("rto_ceiling: must be finite")
+        if self.initial_cwnd < 1:
+            raise ScenarioError("initial_cwnd: must be >= 1 (one MSS)")
 
     def copy(self) -> "ScenarioConfig":
         return replace(self, links=[replace(l) for l in self.links])
@@ -80,8 +90,9 @@ _BOOL_WORDS = {"true": True, "on": True, "yes": True, "1": True,
                "false": False, "off": False, "no": False, "0": False}
 
 _INT_KEYS = {"transfer_size", "mss", "seed"}
-_FLOAT_KEYS = {"trace_interval", "stop_time", "rto_floor", "rto_ceiling",
-               "initial_rto", "initial_cwnd", "initial_ssthresh", "initial_rtt"}
+# in field order, so validate() names the first NaN field
+_FLOAT_KEYS = ("trace_interval", "stop_time", "rto_floor", "rto_ceiling",
+               "initial_rto", "initial_cwnd", "initial_ssthresh", "initial_rtt")
 _BOOL_KEYS = {"ack_loss", "partial_ack_retransmit"}
 _LINK_KEYS = {"capacity_mbps", "delay_ms", "loss_rate", "queue_limit"}
 

@@ -5,7 +5,7 @@ scheduling, receiver reassembly and data-level cumulative ACK generation.
 from __future__ import annotations
 
 import bisect
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .subflow import Mapping, Subflow
 
@@ -81,56 +81,79 @@ class ReassemblyState:
     def stored_ranges(self) -> List[Tuple[int, int]]:
         return list(zip(self._starts, self._ends))
 
-    def duplicate_overlap(self, start: int, end: int) -> Optional[Tuple[int, int]]:
-        """First contiguous sub-range of [start, end) already received."""
-        if start < self.rcv_data_next:
-            return (start, min(end, self.rcv_data_next))
-        idx = bisect.bisect_right(self._starts, start) - 1
-        if idx >= 0 and start < self._ends[idx]:
-            return (start, min(end, self._ends[idx]))
-        idx += 1
-        if idx < len(self._starts) and self._starts[idx] < end:
-            return (self._starts[idx], min(end, self._ends[idx]))
-        return None
-
     def on_data(self, start: int, end: int):
         """Absorb [start, end); returns (data_ack, delivered_range_or_None,
         duplicate_subrange_or_None).
 
         delivered_range is the stretch of newly in-order bytes handed to the
         application (rcv_data_next advance), after coalescing across any
-        stored ranges the arrival connects to.
+        stored ranges the arrival connects to. duplicate_subrange is the
+        first contiguous stretch of the arrival that was already received.
         """
         if end <= start:
             raise ValueError("empty segment range")
         starts = self._starts
-        if start == self.rcv_data_next and (not starts or end < starts[0]):
+        nxt = self.rcv_data_next
+        if start == nxt:
+            dup = None
+        elif start > nxt:
+            # out of order: one search finds starts[i-1] <= start < starts[i]
+            ends = self._ends
+            i = bisect.bisect_right(starts, start)
+            if i and start < ends[i - 1]:
+                dup = (start, min(end, ends[i - 1]))
+            elif i < len(starts) and starts[i] < end:
+                dup = (starts[i], min(end, ends[i]))
+            else:
+                # no held byte inside: merge with the neighbours it touches
+                if i and ends[i - 1] == start:
+                    if i < len(starts) and starts[i] == end:
+                        ends[i - 1] = ends[i]
+                        del starts[i]
+                        del ends[i]
+                    else:
+                        ends[i - 1] = end
+                elif i < len(starts) and starts[i] == end:
+                    starts[i] = start
+                else:
+                    starts.insert(i, start)
+                    ends.insert(i, end)
+                return nxt, None, None
+            # overlaps held bytes: one range replaces every range it
+            # overlaps or touches
+            lo = i - 1 if i and ends[i - 1] >= start else i
+            hi = bisect.bisect_right(starts, end, i)
+            if lo < i:
+                start = starts[lo]
+            if ends[hi - 1] > end:
+                end = ends[hi - 1]
+            starts[lo:hi] = [start]
+            ends[lo:hi] = [end]
+            return nxt, None, dup
+        else:
+            # starts below rcv_data_next: that part was delivered already
+            dup = (start, min(end, nxt))
+            if end <= nxt:
+                return nxt, None, dup
+        if not starts or end < starts[0]:
             # in order and not touching a stored range: nothing to search
             self.rcv_data_next = end
-            return end, (start, end), None
-        dup = self.duplicate_overlap(start, end)
-        s = max(start, self.rcv_data_next)
-        if s < end:
-            self._insert(s, end)
-        old = self.rcv_data_next
-        if self._starts and self._starts[0] <= self.rcv_data_next:
-            self.rcv_data_next = max(self.rcv_data_next, self._ends[0])
-            del self._starts[0]
-            del self._ends[0]
-        delivered = (old, self.rcv_data_next) if self.rcv_data_next > old else None
-        return self.rcv_data_next, delivered, dup
-
-    def _insert(self, start: int, end: int) -> None:
-        starts, ends = self._starts, self._ends
-        lo = bisect.bisect_left(starts, start)
-        # merge with a predecessor that overlaps or touches [start, end)
-        if lo > 0 and ends[lo - 1] >= start:
-            lo -= 1
-            start = starts[lo]
-            end = max(end, ends[lo])
-        hi = lo
-        while hi < len(starts) and starts[hi] <= end:
-            end = max(end, ends[hi])
-            hi += 1
-        starts[lo:hi] = [start]
-        ends[lo:hi] = [end]
+            return end, (nxt, end), dup
+        ends = self._ends
+        if end == starts[0]:
+            # fills the hole below the first stored range exactly
+            end = ends[0]
+            del starts[0]
+            del ends[0]
+        else:
+            # reaches into the stored ranges: deliver every range it
+            # overlaps or touches
+            if dup is None:
+                dup = (starts[0], min(end, ends[0]))
+            hi = bisect.bisect_right(starts, end)
+            if ends[hi - 1] > end:
+                end = ends[hi - 1]
+            del starts[:hi]
+            del ends[:hi]
+        self.rcv_data_next = end
+        return end, (nxt, end), dup

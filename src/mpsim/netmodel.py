@@ -8,6 +8,7 @@ the system only arises across links.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -30,10 +31,16 @@ class LinkConfig:
     queue_limit: int = DEFAULT_QUEUE_LIMIT
 
     def validate(self, name: str = "link") -> None:
+        for key in ("capacity_bps", "one_way_delay_s", "loss_rate"):
+            if math.isnan(getattr(self, key)):
+                raise ValueError("%s.%s must be a number, got nan"
+                                 % (name, key))
         if self.capacity_bps <= 0:
             raise ValueError("%s.capacity_bps must be > 0" % name)
         if self.one_way_delay_s < 0:
             raise ValueError("%s.one_way_delay_s must be >= 0" % name)
+        if self.one_way_delay_s == math.inf:
+            raise ValueError("%s.one_way_delay_s must be finite" % name)
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ValueError("%s.loss_rate must be in [0, 1]" % name)
         if self.queue_limit < 1:

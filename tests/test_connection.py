@@ -1,6 +1,9 @@
 """Connection-level scheduling and reassembly."""
 
-from hypothesis import given, strategies as st
+import bisect
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpsim.config import ScenarioConfig
 from mpsim.connection import (ConnectionState, ReassemblyState, schedule_next,
@@ -204,3 +207,101 @@ def test_reassembly_equivalent_to_byte_set(segments):
             assert delivered[1] == ack
     for s, e in recv.stored_ranges:
         assert all(b in seen for b in range(s, e))
+
+
+class ReferenceReassembly:
+    """The general merge `ReassemblyState.on_data` replaced, kept as the
+    reference: find the first duplicate stretch, insert the new bytes with
+    their overlapping or touching neighbours, then deliver the first range
+    if it reaches `rcv_data_next`."""
+
+    def __init__(self):
+        self.rcv_data_next = 0
+        self._starts = []
+        self._ends = []
+
+    @property
+    def stored_ranges(self):
+        return list(zip(self._starts, self._ends))
+
+    def duplicate_overlap(self, start, end):
+        if start < self.rcv_data_next:
+            return (start, min(end, self.rcv_data_next))
+        idx = bisect.bisect_right(self._starts, start) - 1
+        if idx >= 0 and start < self._ends[idx]:
+            return (start, min(end, self._ends[idx]))
+        idx += 1
+        if idx < len(self._starts) and self._starts[idx] < end:
+            return (self._starts[idx], min(end, self._ends[idx]))
+        return None
+
+    def on_data(self, start, end):
+        dup = self.duplicate_overlap(start, end)
+        s = max(start, self.rcv_data_next)
+        if s < end:
+            self._insert(s, end)
+        old = self.rcv_data_next
+        if self._starts and self._starts[0] <= self.rcv_data_next:
+            self.rcv_data_next = max(self.rcv_data_next, self._ends[0])
+            del self._starts[0]
+            del self._ends[0]
+        new = self.rcv_data_next
+        delivered = (old, new) if new > old else None
+        return self.rcv_data_next, delivered, dup
+
+    def _insert(self, start, end):
+        starts, ends = self._starts, self._ends
+        lo = bisect.bisect_left(starts, start)
+        if lo > 0 and ends[lo - 1] >= start:
+            lo -= 1
+            start = starts[lo]
+            end = max(end, ends[lo])
+        hi = lo
+        while hi < len(starts) and starts[hi] <= end:
+            end = max(end, ends[hi])
+            hi += 1
+        starts[lo:hi] = [start]
+        ends[lo:hi] = [end]
+
+
+MSS = 100
+# an MSS chunk by index (drawn from few indices, so in-order, out-of-order
+# and exact repeats all occur), or any byte range: partial overlaps, ranges
+# spanning several stored ranges, ranges below rcv_data_next
+ARRIVAL = st.one_of(
+    st.integers(0, 15).map(lambda k: (k * MSS, (k + 1) * MSS)),
+    st.tuples(st.integers(0, 16 * MSS), st.integers(1, 4 * MSS)).map(
+        lambda r: (r[0], r[0] + r[1])))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.lists(ARRIVAL, max_size=40))
+def test_reassembly_matches_reference(arrivals):
+    recv, ref = ReassemblyState(), ReferenceReassembly()
+    for start, end in arrivals:
+        assert recv.on_data(start, end) == ref.on_data(start, end)
+        assert recv.stored_ranges == ref.stored_ranges
+        assert recv.rcv_data_next == ref.rcv_data_next
+
+
+def test_out_of_order_arrivals_merge_with_both_neighbours():
+    recv = ReassemblyState()
+    assert recv.on_data(200, 300) == (0, None, None)
+    assert recv.on_data(400, 500) == (0, None, None)
+    assert recv.on_data(300, 400) == (0, None, None)  # joins both
+    assert recv.stored_ranges == [(200, 500)]
+    assert recv.on_data(600, 700) == (0, None, None)
+    assert recv.on_data(500, 550) == (0, None, None)  # extends the left
+    assert recv.on_data(580, 600) == (0, None, None)  # extends the right
+    assert recv.stored_ranges == [(200, 550), (580, 700)]
+    assert recv.on_data(0, 200) == (550, (0, 550), None)  # fills the hole
+    assert recv.stored_ranges == [(580, 700)]
+
+
+@pytest.mark.parametrize("start, end", [(100, 100), (100, 50)])
+def test_empty_or_reversed_range_is_refused(start, end):
+    recv = ReassemblyState()
+    recv.on_data(200, 300)
+    with pytest.raises(ValueError, match="empty segment range"):
+        recv.on_data(start, end)
+    assert (recv.rcv_data_next, recv.stored_ranges) == (0, [(200, 300)])

@@ -166,6 +166,75 @@ def test_trace_sample_count_is_bounded():
     small_cfg(stop_time=1.0, trace_interval=1e-6).validate()  # at the limit
 
 
+def with_values(cfg, values):
+    """Set `field` or `linkN.field` entries of `values` on cfg."""
+    for key, value in values.items():
+        if key.startswith("link"):
+            name, field = key.split(".")
+            setattr(cfg.links[int(name[4:]) - 1], field, value)
+        else:
+            setattr(cfg, key, value)
+    return cfg
+
+
+def values_id(values):
+    return ",".join("%s=%s" % kv for kv in values.items())
+
+
+@pytest.mark.parametrize("values", [
+    # each of these passed validate() and then raised inside Simulation
+    {"trace_interval": math.nan},
+    {"stop_time": math.nan},
+    {"initial_rto": math.nan},
+    {"link2.one_way_delay_s": math.nan},
+    {"link2.capacity_bps": math.nan},
+    {"link2.one_way_delay_s": math.inf},
+    {"trace_interval": math.inf},
+    {"rto_ceiling": math.inf, "initial_rto": math.inf},
+    # these ran, but a NaN fails every comparison the simulator makes, and
+    # an infinite ceiling lets a backed-off RTO reach infinity
+    {"rto_ceiling": math.inf},
+    {"rto_floor": math.nan},
+    {"rto_ceiling": math.nan},
+    {"initial_cwnd": math.nan},
+    {"initial_ssthresh": math.nan},
+    {"initial_rtt": math.nan},
+    {"link1.loss_rate": math.nan},
+], ids=values_id)
+def test_non_finite_numbers_are_rejected(values):
+    # the message names the first field set
+    with pytest.raises(ScenarioError, match=re.escape(next(iter(values)))):
+        with_values(small_cfg(), values).validate()
+
+
+def test_non_finite_numbers_are_rejected_when_parsed():
+    with pytest.raises(ScenarioError, match="link2.one_way_delay_s"):
+        parse_scenario(FLAT.replace("delay_ms = 320", "delay_ms = inf"))
+    with pytest.raises(ScenarioError, match="trace_interval"):
+        parse_scenario(FLAT + "trace_interval = nan\n")
+
+
+@pytest.mark.parametrize("values", [
+    {"initial_ssthresh": math.inf}, {"link2.capacity_bps": math.inf}],
+    ids=values_id)
+def test_infinite_window_or_capacity_still_runs(values):
+    cfg = with_values(small_cfg(), values)
+    cfg.validate()
+    stats = run_scenario(cfg).stats
+    assert stats.completed and stats.checksum_ok
+
+
+@pytest.mark.parametrize("cwnd", [0, 0.5, -math.inf])
+def test_initial_cwnd_below_one_mss_is_rejected(cwnd):
+    # a subflow sends only while one MSS fits in cwnd * mss: with less than
+    # one MSS it would never send
+    with pytest.raises(ScenarioError, match=r"initial_cwnd: must be >= 1 "):
+        small_cfg(initial_cwnd=cwnd).validate()
+    cfg = small_cfg(initial_cwnd=1)
+    cfg.validate()
+    assert run_scenario(cfg).stats.completed
+
+
 # -------------------------------------------------------------- simulation
 
 def small_cfg(**kw):
@@ -437,6 +506,17 @@ def test_cli_sweep_and_plot(tmp_path, capsys):
     code = main(["plot", str(tmp_path / "trace.csv")])
     assert code == 0
     assert (tmp_path / "trace.svg").exists()
+
+
+def test_cli_sweep_with_an_infinite_value_writes_an_error_row(tmp_path):
+    code = main(["sweep", "paper-base", "--param", "latency", "--link", "2",
+                 "--values", "10,inf", "--out", str(tmp_path)])
+    assert code == 0
+    lines = (tmp_path / "sweep_latency_link2.csv").read_text().splitlines()
+    assert len(lines) == 3
+    assert lines[1].startswith("10,") and lines[1].endswith(",")
+    assert lines[2].startswith("inf,")
+    assert lines[2].endswith("link2.one_way_delay_s must be finite")
 
 
 def test_cli_errors_exit_2(tmp_path, capsys):
