@@ -44,7 +44,6 @@ class ScenarioConfig:
     initial_cwnd: float = _sf.DEFAULT_INITIAL_CWND_MSS
     initial_ssthresh: float = _sf.DEFAULT_INITIAL_SSTHRESH_MSS
     initial_rtt: float = _sf.DEFAULT_INITIAL_RTT_S
-    partial_ack_retransmit: bool = True
     # keep the per-segment logs RunResult.sends/arrivals/srtts; they grow
     # with the segments sent, so they are off unless a caller reads them
     record_segments: bool = False
@@ -93,7 +92,7 @@ _INT_KEYS = {"transfer_size", "mss", "seed"}
 # in field order, so validate() names the first NaN field
 _FLOAT_KEYS = ("trace_interval", "stop_time", "rto_floor", "rto_ceiling",
                "initial_rto", "initial_cwnd", "initial_ssthresh", "initial_rtt")
-_BOOL_KEYS = {"ack_loss", "partial_ack_retransmit"}
+_BOOL_KEYS = {"ack_loss"}
 _LINK_KEYS = {"capacity_mbps", "delay_ms", "loss_rate", "queue_limit"}
 
 PRESET_NAMES = ("paper-base", "paper-reorder")

@@ -129,7 +129,6 @@ class Simulation:
         # per-run switches, read once here instead of per ACK
         self._dsack = cfg.detector is DetectorChoice.DSACK
         self._eifel = cfg.detector is DetectorChoice.EIFEL
-        self._partial_ack = cfg.partial_ack_retransmit
         # the data and ACK callbacks of every packet event, bound once: each
         # read of `self._on_data` would build a new bound method
         self._data_fn = self._on_data
@@ -192,14 +191,11 @@ class Simulation:
         # sending changes no window, so mapping the whole batch first sends
         # the same chunks in the same order as mapping one at a time
         for sf, m in schedule_next(self.conn, self.subflows):
-            self._send_mapping(sf, m, False)
+            self._send_mapping(sf, m)
 
-    def _send_mapping(self, sf: Subflow, m, retransmission: bool) -> None:
+    def _send_mapping(self, sf: Subflow, m) -> None:
         now = self.kernel.now
         m.sent_ns = now
-        if retransmission:
-            m.retransmitted = True
-            sf.retransmissions += 1
         sf.segments_sent += 1
         if self._record:
             self.sends.append((now, sf.index + 1))
@@ -283,14 +279,13 @@ class Simulation:
                 self._grow(sf, acked)
             if not acked:
                 continue
-            if (self._partial_ack and mappings
-                    and data_una < sf.recover_point
+            if (mappings and data_una < sf.recover_point
                     and mappings[0].data_start <= data_una):
                 # NewReno partial ack: this subflow owns the next hole, so
                 # resend it now instead of waiting out another timeout
                 m = mappings[0]
-                sp.on_retransmit_record(sf, m.data_start, m.data_end, now)
-                self._send_mapping(sf, m, True)
+                sp.on_retransmit_record(sf, m, now)
+                self._send_mapping(sf, m)
             if sf.snd_nxt > sf.snd_una:
                 self._arm_rto(sf)
             else:
@@ -301,7 +296,7 @@ class Simulation:
             for sf in self.subflows:
                 snap = sf.saved
                 if snap is not None and not snap.consumed \
-                        and conn.data_una >= snap.range_end:
+                        and conn.data_una >= snap.mapping.data_end:
                     if sp.eifel_check(snap, ts_echo, data_ack):
                         self._detected(sf, snap)
                         sp.eifel_respond(sf, snap)
@@ -333,7 +328,7 @@ class Simulation:
     def _fast_retransmit(self, sf: Subflow) -> None:
         now = self.kernel.now
         m = sf.mappings[0]
-        sp.on_retransmit_record(sf, m.data_start, m.data_end, now)
+        sp.on_retransmit_record(sf, m, now)
         sf.fast_retransmits += 1
         self._trace(sf, TraceEvent.FAST_RETRANSMIT)
         w, ss = on_loss_decrease(self.coupling_mode, sf.index, self._view())
@@ -341,16 +336,16 @@ class Simulation:
         sf.cwnd = w
         sf.phase = _FAST_RECOVERY
         sf.recover_point = self.conn.data_snd_nxt
-        self._send_mapping(sf, m, True)
+        self._send_mapping(sf, m)
         self._arm_rto(sf)
 
     def _on_rto(self, sf: Subflow) -> None:
         sf.rto_handle = None
-        if sf.flight == 0 or not sf.mappings:
+        if not sf.mappings:
             return
         now = self.kernel.now
         m = sf.mappings[0]
-        sp.on_retransmit_record(sf, m.data_start, m.data_end, now)
+        sp.on_retransmit_record(sf, m, now)
         sf.rtos += 1
         self._trace(sf, TraceEvent.RTO)
         sf.ssthresh = max(sf.flight / self.mss / 2.0, 2.0)
@@ -359,7 +354,7 @@ class Simulation:
         sf.dup_ack_count = 0
         sf.recover_point = self.conn.data_snd_nxt
         sf.estimator.backoff()
-        self._send_mapping(sf, m, True)
+        self._send_mapping(sf, m)
         self._arm_rto(sf)
         self._pump()
 

@@ -1,11 +1,11 @@
 """Spurious-retransmission detection and state reconciliation.
 
-Eifel compares the echoed timestamp of the ACK covering a retransmitted
+Eifel compares the echoed timestamp of the ACK covering a resent
 range against the retransmission time: an older echo means the original
 segment was acknowledged, so the window reduction is undone in one jump.
 
 DSACK relies on the receiver reporting duplicate data; on a duplicate
-report for a range retransmitted exactly once the sender restores the
+report for a range resent exactly once the sender restores the
 slow-start threshold only and regrows the window from its current value
 through slow start.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
-from .subflow import Phase, Subflow
+from .subflow import Mapping, Phase, Subflow
 
 
 class DetectorChoice(Enum):
@@ -34,32 +34,28 @@ class SpuriousSnapshot:
     ssthresh_before: float
     phase_before: Phase
     retransmit_ts: int  # virtual ns
-    range_start: int    # data-seq span of the retransmitted segment
-    range_end: int
-    retransmit_count: int
+    mapping: Mapping    # the resent segment
     consumed: bool = False
 
 
-def on_retransmit_record(sf: Subflow, data_start: int, data_end: int,
+def on_retransmit_record(sf: Subflow, m: Mapping,
                          now: int) -> SpuriousSnapshot:
-    """Record a retransmission decision; call before reducing the window.
+    """Record a retransmission decision for mapping `m` of `sf`; call before
+    reducing the window and resending `m`.
 
-    Keeps one snapshot per subflow (the most recent recovery episode) and
-    a per-range retransmit count used by the DSACK ambiguity rule.
+    Counts the resend on the mapping, which the DSACK ambiguity rule reads,
+    and on the subflow. Keeps one snapshot per subflow (the most recent
+    recovery episode).
     """
-    key = (data_start, data_end)
-    count = sf.retransmit_counts.get(key, 0) + 1
-    sf.retransmit_counts[key] = count
+    m.retransmits += 1
+    sf.retransmissions += 1
     snap = sf.saved
-    if (snap is not None and not snap.consumed
-            and (snap.range_start, snap.range_end) == key):
+    if snap is not None and not snap.consumed and snap.mapping is m:
         # same recovery episode (e.g. an RTO re-sending the fast-retransmit
         # range): keep the pre-episode window values, refresh the stamp
         snap.retransmit_ts = now
-        snap.retransmit_count = count
         return snap
-    snap = SpuriousSnapshot(sf.cwnd, sf.ssthresh, sf.phase, now,
-                            data_start, data_end, count)
+    snap = SpuriousSnapshot(sf.cwnd, sf.ssthresh, sf.phase, now, m)
     sf.saved = snap
     return snap
 
@@ -67,9 +63,9 @@ def on_retransmit_record(sf: Subflow, data_start: int, data_end: int,
 def eifel_check(snap: SpuriousSnapshot, ts_echo: Optional[int],
                 data_ack: int) -> bool:
     """True iff the ACK (echoed timestamp `ts_echo`, None without one; data
-    ACK `data_ack`) covering the retransmitted range was elicited by the
+    ACK `data_ack`) covering the resent range was elicited by the
     original transmission (echoed timestamp predates the retransmission)."""
-    if snap.consumed or ts_echo is None or data_ack < snap.range_end:
+    if snap.consumed or ts_echo is None or data_ack < snap.mapping.data_end:
         return False
     return ts_echo < snap.retransmit_ts
 
@@ -89,13 +85,14 @@ def eifel_respond(sf: Subflow, snap: SpuriousSnapshot) -> None:
 def dsack_sender_check(snap: Optional[SpuriousSnapshot],
                        dsack_block: Optional[Tuple[int, int]]) -> bool:
     """True iff the DSACK block, a (start, end) tuple, names the snapshot's
-    range and that range was retransmitted exactly once (more than once is
+    mapping and that mapping was resent exactly once (more than once is
     ambiguous: no verdict)."""
     if snap is None or snap.consumed or dsack_block is None:
         return False
-    if dsack_block != (snap.range_start, snap.range_end):
+    m = snap.mapping
+    if dsack_block != (m.data_start, m.data_end):
         return False
-    return snap.retransmit_count == 1
+    return m.retransmits == 1
 
 
 def dsack_respond(sf: Subflow, snap: SpuriousSnapshot) -> None:

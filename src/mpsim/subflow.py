@@ -42,10 +42,6 @@ class RttEstimator:
         self.ceiling = ceiling
         self.rto = min(max(initial_rto, floor), ceiling)
 
-    @property
-    def initialized(self) -> bool:
-        return self.srtt is not None
-
     def update(self, sample: float) -> None:
         if sample <= 0.0:
             raise ValueError("RTT sample must be positive")
@@ -66,7 +62,7 @@ class Mapping:
     """One transmitted data-to-subflow sequence mapping, until acked."""
 
     __slots__ = ("data_start", "data_end", "sf_start", "sf_end",
-                 "sent_ns", "retransmitted")
+                 "sent_ns", "retransmits")
 
     def __init__(self, data_start, data_end, sf_start, sf_end):
         self.data_start = data_start
@@ -74,7 +70,7 @@ class Mapping:
         self.sf_start = sf_start
         self.sf_end = sf_end
         self.sent_ns = -1
-        self.retransmitted = False
+        self.retransmits = 0  # times resent; read by Karn's rule and DSACK
 
 
 class Subflow:
@@ -99,7 +95,6 @@ class Subflow:
         # (NewReno-style protection against back-to-back recoveries).
         self.recover_point = 0
         self.mappings = deque()
-        self.retransmit_counts = {}
         self.saved = None  # SpuriousSnapshot of the latest recovery episode
         self.rto_handle = None
         # counters
@@ -122,9 +117,8 @@ class Subflow:
         """Advance snd_una over mappings cumulatively acked at data level.
 
         Returns (acked_bytes, rtt_samples). One RTT sample per newly acked
-        mapping, obeying Karn's rule: only never-retransmitted mappings
-        produce one. An acked range is never sent again, so its retransmit
-        count is dropped.
+        mapping, obeying Karn's rule: only mappings never resent produce
+        one.
         """
         acked = 0
         samples = []
@@ -132,9 +126,7 @@ class Subflow:
         while mappings and mappings[0].data_end <= data_una:
             m = mappings.popleft()
             acked += m.sf_end - m.sf_start
-            if m.retransmitted:
-                self.retransmit_counts.pop((m.data_start, m.data_end), None)
-            elif m.sent_ns >= 0:
+            if not m.retransmits and m.sent_ns >= 0:
                 samples.append((now_ns - m.sent_ns) / NS_PER_S)
             self.snd_una = m.sf_end
         if acked:

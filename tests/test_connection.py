@@ -81,13 +81,14 @@ class SendRecorder(Simulation):
         super().__init__(cfg)
         self.log = []
 
-    def _send_mapping(self, sf, m, retransmission):
+    def _send_mapping(self, sf, m):
         mapped = any(q.data_start == m.data_start and q.data_end == m.data_end
                      for q in sf.mappings)
         unacked = m.data_end > self.conn.data_una
-        self.log.append((m.data_start, m.data_end, sf.index, retransmission,
+        # a resend is counted on its mapping before it is sent
+        self.log.append((m.data_start, m.data_end, sf.index, m.retransmits > 0,
                          mapped and unacked))
-        super()._send_mapping(sf, m, retransmission)
+        super()._send_mapping(sf, m)
 
 
 def lossy_sends():

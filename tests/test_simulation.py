@@ -140,13 +140,6 @@ def test_every_coupling_mode_completes_cleanly(mode):
     assert result.stats.completed and result.stats.checksum_ok
 
 
-def test_retransmit_counts_are_dropped_once_acked():
-    sim = Simulation(two_path_cfg(loss2=0.05, seed=3))
-    result = sim.run()
-    assert result.stats.completed and sum(result.stats.retx_sf) > 0
-    assert all(sf.retransmit_counts == {} for sf in sim.subflows)
-
-
 def test_sub_nanosecond_serialization_completes():
     # 1 byte at 16 Tbps over 0 ms serializes in 0.0005 ns; unfloored, the
     # RTT sample came out as 0 and the estimator raised

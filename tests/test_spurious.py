@@ -3,7 +3,7 @@
 from mpsim.connection import ReassemblyState
 from mpsim.spurious import (dsack_respond, dsack_sender_check, eifel_check,
                             eifel_respond, on_retransmit_record)
-from mpsim.subflow import Phase, Subflow
+from mpsim.subflow import Mapping, Phase, Subflow
 
 
 def make_subflow(cwnd=10.0, ssthresh=64.0, phase=Phase.SLOW_START):
@@ -14,15 +14,21 @@ def make_subflow(cwnd=10.0, ssthresh=64.0, phase=Phase.SLOW_START):
     return sf
 
 
+def mapping(data_start, data_end):
+    return Mapping(data_start, data_end, data_start, data_end)
+
+
 # ---------------------------------------------------------------- snapshot
 
 def test_snapshot_captures_pre_reduction_state():
     sf = make_subflow(cwnd=12.0, ssthresh=30.0, phase=Phase.CONGESTION_AVOIDANCE)
-    snap = on_retransmit_record(sf, 1400, 2800, now=5_000)
+    m = mapping(1400, 2800)
+    snap = on_retransmit_record(sf, m, now=5_000)
     assert (snap.cwnd_before, snap.ssthresh_before) == (12.0, 30.0)
     assert snap.phase_before is Phase.CONGESTION_AVOIDANCE
-    assert (snap.range_start, snap.range_end) == (1400, 2800)
-    assert snap.retransmit_count == 1
+    assert snap.mapping is m
+    assert m.retransmits == 1
+    assert sf.retransmissions == 1
     assert sf.saved is snap
 
 
@@ -30,28 +36,32 @@ def test_rerecording_same_range_keeps_pre_episode_values():
     # an RTO re-sending the fast-retransmit range must not overwrite the
     # snapshot with the already-reduced window
     sf = make_subflow(cwnd=12.0)
-    snap = on_retransmit_record(sf, 0, 1400, now=100)
+    m = mapping(0, 1400)
+    snap = on_retransmit_record(sf, m, now=100)
     sf.cwnd, sf.ssthresh = 1.0, 2.0
-    again = on_retransmit_record(sf, 0, 1400, now=200)
+    again = on_retransmit_record(sf, m, now=200)
     assert again is snap
     assert snap.cwnd_before == 12.0
     assert snap.retransmit_ts == 200
-    assert snap.retransmit_count == 2
+    assert m.retransmits == 2
 
 
 def test_new_range_replaces_snapshot_and_counts_per_range():
     sf = make_subflow()
-    on_retransmit_record(sf, 0, 1400, now=100)
-    snap2 = on_retransmit_record(sf, 1400, 2800, now=200)
+    m1, m2 = mapping(0, 1400), mapping(1400, 2800)
+    on_retransmit_record(sf, m1, now=100)
+    snap2 = on_retransmit_record(sf, m2, now=200)
     assert sf.saved is snap2
-    assert sf.retransmit_counts == {(0, 1400): 1, (1400, 2800): 1}
+    assert snap2.mapping is m2
+    assert (m1.retransmits, m2.retransmits) == (1, 1)
+    assert sf.retransmissions == 2
 
 
 # ------------------------------------------------------------------- Eifel
 
 def test_eifel_detects_echo_older_than_retransmission():
     sf = make_subflow()
-    snap = on_retransmit_record(sf, 0, 1400, now=1_000)
+    snap = on_retransmit_record(sf, mapping(0, 1400), now=1_000)
     assert eifel_check(snap, ts_echo=500, data_ack=1400)
     assert not eifel_check(snap, ts_echo=1_000, data_ack=1400)
     assert not eifel_check(snap, ts_echo=1_500, data_ack=1400)
@@ -59,14 +69,14 @@ def test_eifel_detects_echo_older_than_retransmission():
 
 def test_eifel_requires_covering_ack_and_timestamp():
     sf = make_subflow()
-    snap = on_retransmit_record(sf, 2800, 4200, now=1_000)
+    snap = on_retransmit_record(sf, mapping(2800, 4200), now=1_000)
     assert not eifel_check(snap, ts_echo=1, data_ack=2800)  # not covering
     assert not eifel_check(snap, ts_echo=None, data_ack=4200)
 
 
 def test_eifel_respond_restores_exact_state():
     sf = make_subflow(cwnd=24.0, ssthresh=48.0, phase=Phase.CONGESTION_AVOIDANCE)
-    snap = on_retransmit_record(sf, 0, 1400, now=1_000)
+    snap = on_retransmit_record(sf, mapping(0, 1400), now=1_000)
     sf.cwnd, sf.ssthresh, sf.phase = 2.0, 12.0, Phase.FAST_RECOVERY
     sf.dup_ack_count = 5
     eifel_respond(sf, snap)
@@ -79,7 +89,7 @@ def test_eifel_respond_restores_exact_state():
 
 def test_consumed_snapshot_never_fires_again():
     sf = make_subflow()
-    snap = on_retransmit_record(sf, 0, 1400, now=1_000)
+    snap = on_retransmit_record(sf, mapping(0, 1400), now=1_000)
     eifel_respond(sf, snap)
     assert not eifel_check(snap, ts_echo=1, data_ack=1400)
     eifel_respond(sf, snap)  # idempotent
@@ -101,7 +111,7 @@ def test_receiver_reports_duplicate_overlap():
 
 def test_dsack_verdict_needs_exact_range_and_single_retransmit():
     sf = make_subflow()
-    snap = on_retransmit_record(sf, 1400, 2800, now=1_000)
+    snap = on_retransmit_record(sf, mapping(1400, 2800), now=1_000)
     assert dsack_sender_check(snap, (1400, 2800))
     assert not dsack_sender_check(snap, (1400, 2100))
     assert not dsack_sender_check(snap, None)
@@ -110,15 +120,16 @@ def test_dsack_verdict_needs_exact_range_and_single_retransmit():
 
 def test_dsack_ambiguous_after_second_retransmission():
     sf = make_subflow()
-    on_retransmit_record(sf, 1400, 2800, now=1_000)
-    snap = on_retransmit_record(sf, 1400, 2800, now=2_000)
-    assert snap.retransmit_count == 2
+    m = mapping(1400, 2800)
+    on_retransmit_record(sf, m, now=1_000)
+    snap = on_retransmit_record(sf, m, now=2_000)
+    assert m.retransmits == 2
     assert not dsack_sender_check(snap, (1400, 2800))
 
 
 def test_dsack_respond_restores_threshold_only():
     sf = make_subflow(cwnd=14.0, ssthresh=28.0)
-    snap = on_retransmit_record(sf, 0, 1400, now=1_000)
+    snap = on_retransmit_record(sf, mapping(0, 1400), now=1_000)
     sf.cwnd, sf.ssthresh, sf.phase = 7.0, 7.0, Phase.FAST_RECOVERY
     dsack_respond(sf, snap)
     assert sf.cwnd == 7.0                 # window is not jumped back
@@ -129,7 +140,7 @@ def test_dsack_respond_restores_threshold_only():
 
 def test_dsack_respond_keeps_avoidance_above_threshold():
     sf = make_subflow(cwnd=30.0, ssthresh=20.0)
-    snap = on_retransmit_record(sf, 0, 1400, now=1_000)
+    snap = on_retransmit_record(sf, mapping(0, 1400), now=1_000)
     sf.cwnd, sf.phase = 25.0, Phase.FAST_RECOVERY
     dsack_respond(sf, snap)
     assert sf.phase is Phase.CONGESTION_AVOIDANCE

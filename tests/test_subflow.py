@@ -11,10 +11,10 @@ from mpsim.subflow import Mapping, Phase, RttEstimator, Subflow
 
 def test_first_sample_initializes_estimator():
     est = RttEstimator()
-    assert not est.initialized
+    assert est.srtt is None
     assert est.rto == 1.0  # initial RTO before any sample
     est.update(0.100)
-    assert est.initialized
+    assert est.srtt is not None
     assert est.srtt == pytest.approx(0.100)
     assert est.rttvar == pytest.approx(0.050)
     assert est.rto == pytest.approx(0.300)
@@ -114,7 +114,7 @@ def test_ack_update_pops_covered_mappings_and_samples():
 def test_ack_update_karn_skips_retransmitted_mappings():
     sf = make_subflow()
     m = add_mapping(sf, 0, sent_s=1.0)
-    m.retransmitted = True
+    m.retransmits = 1
     acked, samples = sf.ack_update(1400, now_ns=3 * NS_PER_S)
     assert acked == 1400
     assert samples == []
