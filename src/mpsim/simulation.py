@@ -354,8 +354,7 @@ class Simulation:
         sf.dup_ack_count = 0
         sf.recover_point = self.conn.data_snd_nxt
         sf.estimator.backoff()
-        self._send_mapping(sf, m)
-        self._arm_rto(sf)
+        self._send_mapping(sf, m)  # arms the timer: rto_handle is None
         self._pump()
 
     # ---------------------------------------------------------- detectors

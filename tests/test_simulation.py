@@ -9,6 +9,7 @@ from mpsim.connection import ReassemblyState
 from mpsim.coupling import CouplingMode
 from mpsim.harness import trace_csv_lines
 from mpsim.netmodel import LinkConfig
+from mpsim.simkernel import SimKernel
 from mpsim.simulation import Simulation
 from mpsim.spurious import DetectorChoice
 from mpsim.subflow import Mapping
@@ -56,6 +57,34 @@ def test_lossy_path_recovers_and_checksum_survives():
     assert s.retx_sf[1] > 0
     assert s.fast_retx + s.rtos > 0
     assert s.protocol_violations == 0
+
+
+def test_a_resending_rto_arms_its_timer_once(monkeypatch):
+    # the resend arms the subflow's timer; arming it a second time would
+    # cancel that entry and push another at the same deadline, leaving a
+    # dead entry in the kernel's heap
+    schedule, on_rto = SimKernel.schedule, Simulation._on_rto
+    pushed = []  # per resending RTO: timer entries pushed for its subflow
+
+    def spy_on_rto(self, sf):
+        timers = []
+
+        def spy_schedule(kernel, fire_time, fn):
+            if fn is self._rto_fns[sf.index]:
+                timers.append(fire_time)
+            return schedule(kernel, fire_time, fn)
+
+        rtos = sf.rtos
+        monkeypatch.setattr(SimKernel, "schedule", spy_schedule)
+        on_rto(self, sf)
+        monkeypatch.setattr(SimKernel, "schedule", schedule)
+        if sf.rtos > rtos:
+            pushed.append(len(timers))
+
+    monkeypatch.setattr(Simulation, "_on_rto", spy_on_rto)
+    result = run(two_path_cfg(loss2=0.05, seed=3))
+    assert result.stats.completed and result.stats.rtos > 0
+    assert pushed == [1] * result.stats.rtos
 
 
 def test_delay_asymmetry_triggers_spurious_fast_retransmit():
