@@ -43,9 +43,9 @@ def on_retransmit_record(sf: Subflow, m: Mapping,
     """Record a retransmission decision for mapping `m` of `sf`; call before
     reducing the window and resending `m`.
 
-    Counts the resend on the mapping, which the DSACK ambiguity rule reads,
-    and on the subflow. Keeps one snapshot per subflow (the most recent
-    recovery episode).
+    Counts the resend on the mapping, where Karn's rule and the DSACK
+    ambiguity rule read it, and on the subflow. Keeps one snapshot per
+    subflow (the most recent recovery episode).
     """
     m.retransmits += 1
     sf.retransmissions += 1

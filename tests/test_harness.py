@@ -1,5 +1,6 @@
 """Scenario files, presets, CSV/SVG emission, sweeps and the CLI."""
 
+import dataclasses
 import json
 import math
 import re
@@ -10,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from mpsim import harness
 from mpsim.cli import main
-from mpsim.config import (PRESET_NAMES, ScenarioConfig, ScenarioError,
-                          load_scenario, parse_scenario, preset_text)
+from mpsim.config import (_BOOL_KEYS, _FLOAT_KEYS, _INT_KEYS, PRESET_NAMES,
+                          ScenarioConfig, ScenarioError, load_scenario,
+                          parse_scenario, preset_text)
 from mpsim.coupling import CouplingMode
 from mpsim.harness import (SweepParameter, SweepSpec, emit_csv, emit_plot,
                            fmt, parse_trace_csv, run_scenario, run_sweep,
@@ -124,6 +126,26 @@ def test_link_indices_must_be_contiguous():
 def test_scenario_requires_at_least_one_link():
     with pytest.raises(ScenarioError, match="links"):
         parse_scenario("transfer_size = 1000\n")
+
+
+def test_scenario_keys_are_the_config_fields():
+    # a field no scenario file can set is a switch with one reachable side;
+    # links have their own keys, and the per-segment logs are a caller's
+    # choice, not part of a scenario
+    accepted = {*_INT_KEYS, *_FLOAT_KEYS, *_BOOL_KEYS, "coupling", "detector"}
+    fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
+    assert accepted == fields - {"links", "record_segments"}
+
+
+@pytest.mark.parametrize("text", [
+    "link1.capacity_mbps=1\nlink1.delay_ms=1\npartial_ack_retransmit=off\n",
+    json.dumps({"links": [JSON_LINK], "partial_ack_retransmit": False}),
+], ids=["flat", "json"])
+def test_partial_ack_switch_is_an_unknown_key(text):
+    # NewReno partial-ACK recovery is always on: no key turns it off
+    with pytest.raises(ScenarioError,
+                       match="unknown key 'partial_ack_retransmit'"):
+        parse_scenario(text)
 
 
 def test_presets_load_and_differ_in_latency():

@@ -1,6 +1,7 @@
 """Subflow sender state: RTT estimation, window gating, ack bookkeeping."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpsim.connection import ConnectionState, schedule_next
 from mpsim.simkernel import NS_PER_S
@@ -138,6 +139,57 @@ def test_ack_update_ignores_partial_coverage():
     acked, _ = sf.ack_update(700, now_ns=10)
     assert acked == 0
     assert len(sf.mappings) == 1
+
+
+def reference_ack_update(mappings, snd_una, dup_ack_count, data_una, now_ns):
+    """What `ack_update` must do, stated directly: the leading mappings
+    whose data range ends at or below `data_una` are acked; each one never
+    resent and sent at all gives a sample (Karn's rule); `snd_una` moves to
+    the last one's subflow end; any progress resets the duplicate count."""
+    covered = []
+    for m in mappings:
+        if m.data_end > data_una:
+            break
+        covered.append(m)
+    acked = sum(m.sf_end - m.sf_start for m in covered)
+    samples = [(now_ns - m.sent_ns) / NS_PER_S for m in covered
+               if m.retransmits == 0 and m.sent_ns >= 0]
+    if covered:
+        snd_una = covered[-1].sf_end
+    return (acked, samples, mappings[len(covered):], snd_una,
+            0 if acked else dup_ack_count)
+
+
+# (size, data-seq gap before it: bytes mapped on other subflows, send time
+# or -1 for never sent, times resent)
+MAPPING = st.tuples(st.integers(1, 3000), st.integers(0, 3000),
+                    st.one_of(st.just(-1), st.integers(0, 10 * NS_PER_S)),
+                    st.integers(0, 3))
+# (data_una, reaching past the last of 40 mappings; ns after the latest
+# send; duplicate count before the call)
+ACK = st.tuples(st.integers(0, 40 * 6000), st.integers(1, NS_PER_S),
+                st.integers(0, 5))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(MAPPING, max_size=40), st.lists(ACK, max_size=8))
+def test_ack_update_matches_reference(drawn, acks):
+    sf = make_subflow()
+    data_seq = 0
+    for size, gap, sent_ns, retransmits in drawn:
+        data_seq += gap
+        m = add_mapping(sf, data_seq, size)
+        m.sent_ns, m.retransmits = sent_ns, retransmits
+        data_seq += size
+    latest = max((m.sent_ns for m in sf.mappings), default=0)
+    for data_una, after, dup in acks:
+        now_ns = latest + after
+        sf.dup_ack_count = dup
+        expected = reference_ack_update(list(sf.mappings), sf.snd_una, dup,
+                                        data_una, now_ns)
+        acked, samples = sf.ack_update(data_una, now_ns)
+        assert (acked, samples, list(sf.mappings), sf.snd_una,
+                sf.dup_ack_count) == expected
 
 
 def test_initial_phase_and_defaults():
