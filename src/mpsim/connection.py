@@ -45,16 +45,15 @@ def schedule_next(conn: ConnectionState,
         if idx == n:
             idx = 0
         sf = subflows[idx]
-        sf_nxt = sf.snd_nxt
-        if sf_nxt - sf.snd_una + mss > sf.cwnd * mss:
+        if sf.flight + mss > sf.cwnd * mss:
             blocked += 1
             continue
         blocked = 0
         remaining = end - snd_nxt
         size = mss if mss < remaining else remaining
-        m = Mapping(snd_nxt, snd_nxt + size, sf_nxt, sf_nxt + size)
+        m = Mapping(snd_nxt, snd_nxt + size)
         sf.mappings.append(m)
-        sf.snd_nxt = sf_nxt + size
+        sf.flight += size
         snd_nxt += size
         conn.scheduler_cursor = idx
         picks.append((sf, m))

@@ -119,8 +119,9 @@ def trace_csv_lines(records: Sequence[TraceRecord]) -> List[str]:
 
 
 def sweep_csv_lines(rows: Sequence[SweepRow]) -> List[str]:
-    # one bytes_sfN and one retx_sfN column per subflow
-    n = max((len(row.stats.bytes_sf) for row in rows), default=0)
+    # one bytes_sfN and one retx_sfN column per subflow; every point of a
+    # sweep, error rows included, has the base scenario's links
+    n = len(rows[0].stats.bytes_sf) if rows else 0
     sfs = range(1, n + 1)
     lines = [",".join(["param_value", "completion_time_s", "goodput_bps"]
                       + ["bytes_sf%d" % i for i in sfs]
@@ -129,12 +130,11 @@ def sweep_csv_lines(rows: Sequence[SweepRow]) -> List[str]:
                          "error"])]
     for row in rows:
         s = row.stats
-        pad = (0,) * (n - len(s.bytes_sf))
         lines.append(",".join(
             [fmt(row.param_value), fmt(s.completion_time_s),
              fmt(s.goodput_bps)]
-            + [str(b) for b in s.bytes_sf + pad]
-            + [str(r) for r in s.retx_sf + pad]
+            + [str(b) for b in s.bytes_sf]
+            + [str(r) for r in s.retx_sf]
             + [str(s.fast_retx), str(s.rtos), str(s.spurious_detections),
                _csv_text(row.error)]))
     return lines

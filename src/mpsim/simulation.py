@@ -286,7 +286,7 @@ class Simulation:
                 m = mappings[0]
                 sp.on_retransmit_record(sf, m, now)
                 self._send_mapping(sf, m)
-            if sf.snd_nxt > sf.snd_una:
+            if sf.flight:
                 self._arm_rto(sf)
             else:
                 self._disarm_rto(sf)
@@ -295,12 +295,9 @@ class Simulation:
         if self._eifel:
             for sf in self.subflows:
                 snap = sf.saved
-                if snap is not None and not snap.consumed \
-                        and conn.data_una >= snap.mapping.data_end:
-                    if sp.eifel_check(snap, ts_echo, data_ack):
-                        self._detected(sf, snap)
-                        sp.eifel_respond(sf, snap)
-                        self._trace(sf, _RESTORE)
+                if snap is not None and data_una >= snap.mapping.data_end \
+                        and sp.eifel_check(snap, ts_echo):
+                    self._undo(sf, snap, sp.eifel_respond)
         if transfer_complete(conn):
             self.completed_ns = now
             self.kernel.stop()
@@ -362,16 +359,16 @@ class Simulation:
     def _dsack_check(self, sf: Subflow, dsack_block) -> None:
         snap = sf.saved
         if sp.dsack_sender_check(snap, dsack_block):
-            self._detected(sf, snap)
-            sp.dsack_respond(sf, snap)
-            self._trace(sf, _RESTORE)
+            self._undo(sf, snap, sp.dsack_respond)
 
-    def _detected(self, sf: Subflow, snap) -> None:
+    def _undo(self, sf: Subflow, snap, respond) -> None:
+        """Act on a spurious verdict: restart the timer, record the
+        detection, then let the detector's `respond` restore the window."""
         # the timer that caused (or would repeat) the spurious retransmission
         # is too tight for the actual ACK latency: restart it conservatively
         est = sf.estimator
         est.rto = min(max(est.rto * 2.0, self.cfg.initial_rto), est.ceiling)
-        if sf.flight > 0:
+        if sf.flight:
             self._arm_rto(sf)
         self._trace(sf, TraceEvent.SPURIOUS_DETECTED)
         self.detections.append(Detection(
@@ -379,6 +376,8 @@ class Simulation:
             detector=self.detector, cwnd_before=snap.cwnd_before,
             ssthresh_before=snap.ssthresh_before, cwnd_at_detection=sf.cwnd,
             srtt=sf.rtt_for_coupling))
+        respond(sf, snap)
+        self._trace(sf, _RESTORE)
 
     # ------------------------------------------------------ window growth
 
@@ -428,7 +427,7 @@ class Simulation:
             t, goodput = 0.0, 0.0
         else:
             t, goodput = None, self.conn.data_una * 8.0 / cfg.stop_time
-        checksum_ok = cfg.transfer_size == 0 or (
+        checksum_ok = (
             completed and self.delivery_faults == 0
             and self.app_next == self.conn.data_una == cfg.transfer_size
             and not any(sf.mappings for sf in self.subflows))

@@ -35,7 +35,6 @@ class SpuriousSnapshot:
     phase_before: Phase
     retransmit_ts: int  # virtual ns
     mapping: Mapping    # the resent segment
-    consumed: bool = False
 
 
 def on_retransmit_record(sf: Subflow, m: Mapping,
@@ -45,12 +44,12 @@ def on_retransmit_record(sf: Subflow, m: Mapping,
 
     Counts the resend on the mapping, where Karn's rule and the DSACK
     ambiguity rule read it, and on the subflow. Keeps one snapshot per
-    subflow (the most recent recovery episode).
+    subflow (the most recent recovery episode), until a verdict clears it.
     """
     m.retransmits += 1
     sf.retransmissions += 1
     snap = sf.saved
-    if snap is not None and not snap.consumed and snap.mapping is m:
+    if snap is not None and snap.mapping is m:
         # same recovery episode (e.g. an RTO re-sending the fast-retransmit
         # range): keep the pre-episode window values, refresh the stamp
         snap.retransmit_ts = now
@@ -60,34 +59,29 @@ def on_retransmit_record(sf: Subflow, m: Mapping,
     return snap
 
 
-def eifel_check(snap: SpuriousSnapshot, ts_echo: Optional[int],
-                data_ack: int) -> bool:
-    """True iff the ACK (echoed timestamp `ts_echo`, None without one; data
-    ACK `data_ack`) covering the resent range was elicited by the
-    original transmission (echoed timestamp predates the retransmission)."""
-    if snap.consumed or ts_echo is None or data_ack < snap.mapping.data_end:
-        return False
+def eifel_check(snap: SpuriousSnapshot, ts_echo: int) -> bool:
+    """True iff an ACK covering the resent range, echoing timestamp
+    `ts_echo`, was elicited by the original transmission (the echoed
+    timestamp predates the retransmission). The caller checks coverage."""
     return ts_echo < snap.retransmit_ts
 
 
 def eifel_respond(sf: Subflow, snap: SpuriousSnapshot) -> None:
     """Restore the exact pre-retransmit window, threshold and phase."""
-    if snap.consumed:
-        return
     sf.cwnd = snap.cwnd_before
     sf.ssthresh = snap.ssthresh_before
     sf.phase = snap.phase_before
     sf.dup_ack_count = 0
     sf.spurious_detections += 1
-    snap.consumed = True
+    sf.saved = None
 
 
 def dsack_sender_check(snap: Optional[SpuriousSnapshot],
-                       dsack_block: Optional[Tuple[int, int]]) -> bool:
+                       dsack_block: Tuple[int, int]) -> bool:
     """True iff the DSACK block, a (start, end) tuple, names the snapshot's
     mapping and that mapping was resent exactly once (more than once is
-    ambiguous: no verdict)."""
-    if snap is None or snap.consumed or dsack_block is None:
+    ambiguous: no verdict). No snapshot, as after a verdict, gives none."""
+    if snap is None:
         return False
     m = snap.mapping
     if dsack_block != (m.data_start, m.data_end):
@@ -98,8 +92,6 @@ def dsack_sender_check(snap: Optional[SpuriousSnapshot],
 def dsack_respond(sf: Subflow, snap: SpuriousSnapshot) -> None:
     """Restore ssthresh only; the window regrows from its current value
     through slow start, giving the characteristic exponential recovery."""
-    if snap.consumed:
-        return
     sf.ssthresh = snap.ssthresh_before
     if sf.cwnd < sf.ssthresh:
         sf.phase = Phase.SLOW_START
@@ -107,4 +99,4 @@ def dsack_respond(sf: Subflow, snap: SpuriousSnapshot) -> None:
         sf.phase = Phase.CONGESTION_AVOIDANCE
     sf.dup_ack_count = 0
     sf.spurious_detections += 1
-    snap.consumed = True
+    sf.saved = None

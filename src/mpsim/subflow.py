@@ -1,9 +1,11 @@
-"""Per-path TCP sender state: sequence tracking, congestion window,
+"""Per-path TCP sender state: bytes in flight, congestion window,
 RTT/RTO estimation and recovery bookkeeping.
 
-The subflow owns its own sequence space and window; duplicate-ACK counting
-and the recovery decisions are driven by the connection engine, which sees
-data-level ACKs, and land here as state updates.
+Segments carry data sequence numbers and every ACK is data-level, so a
+subflow keeps no sequence space of its own: only the data ranges mapped to
+it and their byte count in flight. Duplicate-ACK counting and the recovery
+decisions are driven by the connection engine and land here as state
+updates.
 """
 
 from __future__ import annotations
@@ -59,16 +61,13 @@ class RttEstimator:
 
 
 class Mapping:
-    """One transmitted data-to-subflow sequence mapping, until acked."""
+    """One data range assigned to one subflow, until acked."""
 
-    __slots__ = ("data_start", "data_end", "sf_start", "sf_end",
-                 "sent_ns", "retransmits")
+    __slots__ = ("data_start", "data_end", "sent_ns", "retransmits")
 
-    def __init__(self, data_start, data_end, sf_start, sf_end):
+    def __init__(self, data_start, data_end):
         self.data_start = data_start
         self.data_end = data_end
-        self.sf_start = sf_start
-        self.sf_end = sf_end
         self.sent_ns = -1
         self.retransmits = 0  # times resent; read by Karn's rule and DSACK
 
@@ -86,8 +85,7 @@ class Subflow:
         self.cwnd = initial_cwnd
         self.ssthresh = initial_ssthresh
         self.phase = Phase.SLOW_START
-        self.snd_una = 0
-        self.snd_nxt = 0
+        self.flight = 0  # bytes mapped to this subflow and not yet acked
         self.dup_ack_count = 0
         self.estimator = RttEstimator(rto_floor, rto_ceiling, initial_rto)
         self.initial_rtt = initial_rtt
@@ -105,16 +103,13 @@ class Subflow:
         self.spurious_detections = 0
 
     @property
-    def flight(self) -> int:
-        return self.snd_nxt - self.snd_una
-
-    @property
     def rtt_for_coupling(self) -> float:
         srtt = self.estimator.srtt
         return srtt if srtt is not None else self.initial_rtt
 
     def ack_update(self, data_una: int, now_ns: int):
-        """Advance snd_una over mappings cumulatively acked at data level.
+        """Pop the mappings cumulatively acked at data level and take their
+        bytes out of flight.
 
         Returns (acked_bytes, rtt_samples). One RTT sample per newly acked
         mapping, obeying Karn's rule: only mappings never resent produce
@@ -125,10 +120,10 @@ class Subflow:
         mappings = self.mappings
         while mappings and mappings[0].data_end <= data_una:
             m = mappings.popleft()
-            acked += m.sf_end - m.sf_start
+            acked += m.data_end - m.data_start
             if not m.retransmits and m.sent_ns >= 0:
                 samples.append((now_ns - m.sent_ns) / NS_PER_S)
-            self.snd_una = m.sf_end
         if acked:
+            self.flight -= acked
             self.dup_ack_count = 0
         return acked, samples

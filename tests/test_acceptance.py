@@ -1,7 +1,8 @@
 """Acceptance gate: nine end-to-end criteria, one printed verdict line each.
 
 Run with `pytest -sv tests/test_acceptance.py` to see the verdict lines as
-they pass; under default capture they appear only for failures.
+they pass; under default capture they appear only for failures, or for
+passes too with `-rP`.
 """
 
 import time

@@ -58,19 +58,78 @@ def test_last_chunk_is_truncated_to_transfer_size():
     assert schedule_next(conn, sfs) == []
 
 
-def test_mapping_tracks_both_sequence_spaces():
+def test_mapping_assigns_data_ranges_and_counts_flight():
     conn, sfs = make_pair()
     picks = schedule_next(conn, sfs)
     sf, m = picks[0]
     assert (m.data_start, m.data_end) == (0, 1400)
-    assert (m.sf_start, m.sf_end) == (0, 1400)
     # the subflow's second chunk is the connection's third
     sf2, m2 = picks[2]
     assert sf2 is sf
     assert (m2.data_start, m2.data_end) == (2800, 4200)
-    assert (m2.sf_start, m2.sf_end) == (1400, 2800)
     assert list(sf.mappings) == [m, m2]
-    assert sf.snd_nxt == 2800
+    assert sf.flight == 2800
+
+
+def reference_schedule(cwnds, flights, cursor, mss, snd_nxt, end):
+    """What `schedule_next` must do, one chunk at a time: the chunk at
+    `snd_nxt`, at most `mss` bytes, goes to the first subflow after the
+    cursor with room for one more MSS in cwnd * mss; that subflow becomes
+    the cursor. Stops when nothing is left or no subflow has room."""
+    n = len(cwnds)
+    flights = list(flights)
+    picks = []
+    while snd_nxt < end:
+        room = [i for i in ((cursor + k) % n for k in range(1, n + 1))
+                if flights[i] + mss <= cwnds[i] * mss]
+        if not room:
+            break
+        cursor = room[0]
+        size = min(mss, end - snd_nxt)
+        picks.append((cursor, snd_nxt, snd_nxt + size))
+        flights[cursor] += size
+        snd_nxt += size
+    return picks, flights, cursor, snd_nxt
+
+
+@st.composite
+def scheduler_state(draw):
+    mss = draw(st.integers(1, 1500))
+    n = draw(st.integers(1, 4))
+    # fractional windows, and flights both arbitrary and in whole MSS, so
+    # that one more MSS lands exactly on a window as often as not
+    cwnds = draw(st.lists(st.integers(4, 48).map(lambda q: q / 4),
+                          min_size=n, max_size=n))
+    flights = draw(st.lists(
+        st.one_of(st.integers(0, 12 * mss),
+                  st.integers(0, 12).map(lambda k: k * mss)),
+        min_size=n, max_size=n))
+    cursor = draw(st.integers(0, n - 1))
+    snd_nxt = draw(st.integers(0, 10 ** 6))
+    left = draw(st.integers(0, 40 * mss))
+    return mss, cwnds, flights, cursor, snd_nxt, left
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(scheduler_state())
+def test_schedule_next_matches_reference(state):
+    mss, cwnds, flights, cursor, snd_nxt, left = state
+    conn = ConnectionState(snd_nxt + left, mss, len(cwnds))
+    conn.scheduler_cursor = cursor
+    conn.data_snd_nxt = snd_nxt
+    sfs = []
+    for i, (cwnd, flight) in enumerate(zip(cwnds, flights)):
+        sf = Subflow(i)
+        sf.cwnd, sf.flight = cwnd, flight
+        sfs.append(sf)
+    picks = schedule_next(conn, sfs)
+    expected = reference_schedule(cwnds, flights, cursor, mss, snd_nxt,
+                                  snd_nxt + left)
+    got = [(sf.index, m.data_start, m.data_end) for sf, m in picks]
+    assert (got, [sf.flight for sf in sfs], conn.scheduler_cursor,
+            conn.data_snd_nxt) == expected
+    for sf in sfs:
+        assert list(sf.mappings) == [m for p, m in picks if p is sf]
 
 
 class SendRecorder(Simulation):

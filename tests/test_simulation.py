@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from mpsim import spurious as sp
 from mpsim.config import ScenarioConfig, load_scenario
 from mpsim.connection import ReassemblyState
 from mpsim.coupling import CouplingMode
@@ -115,6 +116,23 @@ def test_eifel_restores_exact_window_right_after_detection():
         assert nxt.ssthresh == det.ssthresh_before
 
 
+def test_eifel_judges_only_snapshots_the_ack_covers(monkeypatch):
+    # eifel_check compares timestamps only: the caller hands it a snapshot
+    # only once the cumulative ACK covers the resent range
+    sim = Simulation(two_path_cfg(delay2_ms=320.0,
+                                  detector=DetectorChoice.EIFEL))
+    check = sp.eifel_check
+    covered = []
+
+    def spy(snap, ts_echo):
+        covered.append(sim.conn.data_una >= snap.mapping.data_end)
+        return check(snap, ts_echo)
+
+    monkeypatch.setattr(sp, "eifel_check", spy)
+    assert sim.run().stats.completed
+    assert covered and all(covered)
+
+
 def test_dsack_restores_threshold_but_not_window():
     result = run(two_path_cfg(delay2_ms=320.0, transfer=400_000,
                               detector=DetectorChoice.DSACK))
@@ -202,7 +220,7 @@ def test_integrity_check_fails_on_injected_fault(fault, monkeypatch):
 
         def loop_then_leave_a_mapping(stop_time):
             end = loop(stop_time)
-            sim.subflows[0].mappings.append(Mapping(0, 1400, 0, 1400))
+            sim.subflows[0].mappings.append(Mapping(0, 1400))
             return end
 
         monkeypatch.setattr(sim.kernel, "run_until_idle",
@@ -213,6 +231,59 @@ def test_integrity_check_fails_on_injected_fault(fault, monkeypatch):
     stats = sim.run().stats
     assert stats.completed
     assert not stats.checksum_ok
+
+
+# ------------------------------------------------------------ flight ledger
+
+class FlightLedger(Simulation):
+    """Checks after every ACK that each subflow's flight is the bytes of the
+    mappings it holds, and that the flights add up to the connection's
+    unacked data."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.acks = 0
+
+    def _on_ack(self, *args):
+        super()._on_ack(*args)
+        conn = self.conn
+        for sf in self.subflows:
+            assert sf.flight == sum(m.data_end - m.data_start
+                                    for m in sf.mappings), sf.index
+        assert sum(sf.flight for sf in self.subflows) \
+            == conn.data_snd_nxt - conn.data_una
+        self.acks += 1
+
+
+def _three_link_cfg():
+    cfg = two_path_cfg(delay2_ms=160.0, loss2=0.01, seed=5)
+    cfg.links.append(LinkConfig(1e6, 0.080, loss_rate=0.02))
+    return cfg
+
+
+# case: (config, what the run must have gone through)
+LEDGER_CASES = {
+    # fast retransmits, RTOs, and NewReno resends on a partial ACK, which
+    # neither of those two counters counts
+    "lossy": (lambda: two_path_cfg(loss2=0.05, seed=1),
+              lambda s: s.fast_retx and s.rtos
+              and sum(s.retx_sf) > s.fast_retx + s.rtos),
+    "three-links": (_three_link_cfg,
+                    lambda s: s.completed and min(s.retx_sf) > 0),
+    "stop-time": (lambda: two_path_cfg(delay2_ms=320.0, transfer=2_000_000,
+                                       stop_time=3.0),
+                  lambda s: not s.completed and s.delivered_bytes > 0),
+}
+
+
+@pytest.mark.parametrize("case", list(LEDGER_CASES))
+def test_flight_ledger_holds_after_every_ack(case):
+    make_cfg, went_through = LEDGER_CASES[case]
+    sim = FlightLedger(make_cfg())
+    s = sim.run().stats
+    assert sim.acks > 0
+    assert went_through(s), s
+    assert s.checksum_ok or not s.completed
 
 
 # --------------------------------------------------------- per-segment logs

@@ -14,15 +14,11 @@ def make_subflow(cwnd=10.0, ssthresh=64.0, phase=Phase.SLOW_START):
     return sf
 
 
-def mapping(data_start, data_end):
-    return Mapping(data_start, data_end, data_start, data_end)
-
-
 # ---------------------------------------------------------------- snapshot
 
 def test_snapshot_captures_pre_reduction_state():
     sf = make_subflow(cwnd=12.0, ssthresh=30.0, phase=Phase.CONGESTION_AVOIDANCE)
-    m = mapping(1400, 2800)
+    m = Mapping(1400, 2800)
     snap = on_retransmit_record(sf, m, now=5_000)
     assert (snap.cwnd_before, snap.ssthresh_before) == (12.0, 30.0)
     assert snap.phase_before is Phase.CONGESTION_AVOIDANCE
@@ -36,7 +32,7 @@ def test_rerecording_same_range_keeps_pre_episode_values():
     # an RTO re-sending the fast-retransmit range must not overwrite the
     # snapshot with the already-reduced window
     sf = make_subflow(cwnd=12.0)
-    m = mapping(0, 1400)
+    m = Mapping(0, 1400)
     snap = on_retransmit_record(sf, m, now=100)
     sf.cwnd, sf.ssthresh = 1.0, 2.0
     again = on_retransmit_record(sf, m, now=200)
@@ -48,7 +44,7 @@ def test_rerecording_same_range_keeps_pre_episode_values():
 
 def test_new_range_replaces_snapshot_and_counts_per_range():
     sf = make_subflow()
-    m1, m2 = mapping(0, 1400), mapping(1400, 2800)
+    m1, m2 = Mapping(0, 1400), Mapping(1400, 2800)
     on_retransmit_record(sf, m1, now=100)
     snap2 = on_retransmit_record(sf, m2, now=200)
     assert sf.saved is snap2
@@ -61,22 +57,15 @@ def test_new_range_replaces_snapshot_and_counts_per_range():
 
 def test_eifel_detects_echo_older_than_retransmission():
     sf = make_subflow()
-    snap = on_retransmit_record(sf, mapping(0, 1400), now=1_000)
-    assert eifel_check(snap, ts_echo=500, data_ack=1400)
-    assert not eifel_check(snap, ts_echo=1_000, data_ack=1400)
-    assert not eifel_check(snap, ts_echo=1_500, data_ack=1400)
-
-
-def test_eifel_requires_covering_ack_and_timestamp():
-    sf = make_subflow()
-    snap = on_retransmit_record(sf, mapping(2800, 4200), now=1_000)
-    assert not eifel_check(snap, ts_echo=1, data_ack=2800)  # not covering
-    assert not eifel_check(snap, ts_echo=None, data_ack=4200)
+    snap = on_retransmit_record(sf, Mapping(0, 1400), now=1_000)
+    assert eifel_check(snap, ts_echo=500)
+    assert not eifel_check(snap, ts_echo=1_000)
+    assert not eifel_check(snap, ts_echo=1_500)
 
 
 def test_eifel_respond_restores_exact_state():
     sf = make_subflow(cwnd=24.0, ssthresh=48.0, phase=Phase.CONGESTION_AVOIDANCE)
-    snap = on_retransmit_record(sf, mapping(0, 1400), now=1_000)
+    snap = on_retransmit_record(sf, Mapping(0, 1400), now=1_000)
     sf.cwnd, sf.ssthresh, sf.phase = 2.0, 12.0, Phase.FAST_RECOVERY
     sf.dup_ack_count = 5
     eifel_respond(sf, snap)
@@ -84,16 +73,25 @@ def test_eifel_respond_restores_exact_state():
     assert sf.phase is Phase.CONGESTION_AVOIDANCE
     assert sf.dup_ack_count == 0
     assert sf.spurious_detections == 1
-    assert snap.consumed
+    assert sf.saved is None
 
 
 def test_consumed_snapshot_never_fires_again():
-    sf = make_subflow()
-    snap = on_retransmit_record(sf, mapping(0, 1400), now=1_000)
+    # a verdict clears the snapshot: a later resend of the same mapping is a
+    # new episode, recorded against the window the subflow has by then
+    sf = make_subflow(cwnd=24.0, ssthresh=48.0)
+    m = Mapping(0, 1400)
+    snap = on_retransmit_record(sf, m, now=1_000)
+    sf.cwnd, sf.ssthresh = 1.0, 2.0
     eifel_respond(sf, snap)
-    assert not eifel_check(snap, ts_echo=1, data_ack=1400)
-    eifel_respond(sf, snap)  # idempotent
-    assert sf.spurious_detections == 1
+    assert sf.saved is None
+    sf.cwnd, sf.ssthresh = 30.0, 40.0
+    fresh = on_retransmit_record(sf, m, now=2_000)
+    assert fresh is not snap
+    assert sf.saved is fresh
+    assert (fresh.cwnd_before, fresh.ssthresh_before) == (30.0, 40.0)
+    assert fresh.retransmit_ts == 2_000
+    assert m.retransmits == 2
 
 
 # ------------------------------------------------------------------- DSACK
@@ -111,16 +109,15 @@ def test_receiver_reports_duplicate_overlap():
 
 def test_dsack_verdict_needs_exact_range_and_single_retransmit():
     sf = make_subflow()
-    snap = on_retransmit_record(sf, mapping(1400, 2800), now=1_000)
+    snap = on_retransmit_record(sf, Mapping(1400, 2800), now=1_000)
     assert dsack_sender_check(snap, (1400, 2800))
     assert not dsack_sender_check(snap, (1400, 2100))
-    assert not dsack_sender_check(snap, None)
     assert not dsack_sender_check(None, (1400, 2800))
 
 
 def test_dsack_ambiguous_after_second_retransmission():
     sf = make_subflow()
-    m = mapping(1400, 2800)
+    m = Mapping(1400, 2800)
     on_retransmit_record(sf, m, now=1_000)
     snap = on_retransmit_record(sf, m, now=2_000)
     assert m.retransmits == 2
@@ -129,18 +126,18 @@ def test_dsack_ambiguous_after_second_retransmission():
 
 def test_dsack_respond_restores_threshold_only():
     sf = make_subflow(cwnd=14.0, ssthresh=28.0)
-    snap = on_retransmit_record(sf, mapping(0, 1400), now=1_000)
+    snap = on_retransmit_record(sf, Mapping(0, 1400), now=1_000)
     sf.cwnd, sf.ssthresh, sf.phase = 7.0, 7.0, Phase.FAST_RECOVERY
     dsack_respond(sf, snap)
     assert sf.cwnd == 7.0                 # window is not jumped back
     assert sf.ssthresh == 28.0            # threshold is restored
     assert sf.phase is Phase.SLOW_START   # regrow exponentially from 7
-    assert snap.consumed
+    assert sf.saved is None
 
 
 def test_dsack_respond_keeps_avoidance_above_threshold():
     sf = make_subflow(cwnd=30.0, ssthresh=20.0)
-    snap = on_retransmit_record(sf, mapping(0, 1400), now=1_000)
+    snap = on_retransmit_record(sf, Mapping(0, 1400), now=1_000)
     sf.cwnd, sf.phase = 25.0, Phase.FAST_RECOVERY
     dsack_respond(sf, snap)
     assert sf.phase is Phase.CONGESTION_AVOIDANCE

@@ -69,9 +69,9 @@ def make_subflow(**kw):
 def test_can_send_respects_window():
     # the scheduler maps a chunk onto a subflow only while one more MSS
     # keeps its flight within cwnd * mss
-    def sendable(snd_nxt):
+    def sendable(flight):
         sf = make_subflow(initial_cwnd=2.0)
-        sf.snd_nxt = snd_nxt
+        sf.flight = flight
         return len(schedule_next(ConnectionState(100_000, 1400, 1), [sf]))
     assert sendable(0) == 2
     assert sendable(1400) == 1
@@ -80,9 +80,16 @@ def test_can_send_respects_window():
 
 def test_flight_is_unacked_bytes():
     sf = make_subflow()
-    sf.snd_nxt = 7000
-    sf.snd_una = 2800
+    assert sf.flight == 0
+    for data_start in range(0, 7000, 1400):
+        add_mapping(sf, data_start)
+    assert sf.flight == 7000
+    sf.ack_update(2800, now_ns=10)
     assert sf.flight == 4200
+    sf.ack_update(3500, now_ns=20)  # covers no whole mapping
+    assert sf.flight == 4200
+    sf.ack_update(7000, now_ns=30)
+    assert sf.flight == 0
 
 
 def test_rtt_for_coupling_falls_back_to_initial():
@@ -93,10 +100,10 @@ def test_rtt_for_coupling_falls_back_to_initial():
 
 
 def add_mapping(sf, data_start, size=1400, sent_s=0.0):
-    m = Mapping(data_start, data_start + size, sf.snd_nxt, sf.snd_nxt + size)
+    m = Mapping(data_start, data_start + size)
     m.sent_ns = int(sent_s * NS_PER_S)
     sf.mappings.append(m)
-    sf.snd_nxt += size
+    sf.flight += size
     return m
 
 
@@ -107,7 +114,7 @@ def test_ack_update_pops_covered_mappings_and_samples():
     add_mapping(sf, 2800, sent_s=2.0)
     acked, samples = sf.ack_update(2800, now_ns=int(2.1 * NS_PER_S))
     assert acked == 2800
-    assert sf.snd_una == 2800
+    assert sf.flight == 1400
     assert len(sf.mappings) == 1
     assert samples == pytest.approx([1.1, 0.6])
 
@@ -141,22 +148,20 @@ def test_ack_update_ignores_partial_coverage():
     assert len(sf.mappings) == 1
 
 
-def reference_ack_update(mappings, snd_una, dup_ack_count, data_una, now_ns):
+def reference_ack_update(mappings, flight, dup_ack_count, data_una, now_ns):
     """What `ack_update` must do, stated directly: the leading mappings
     whose data range ends at or below `data_una` are acked; each one never
-    resent and sent at all gives a sample (Karn's rule); `snd_una` moves to
-    the last one's subflow end; any progress resets the duplicate count."""
+    resent and sent at all gives a sample (Karn's rule); their bytes leave
+    `flight`; any progress resets the duplicate count."""
     covered = []
     for m in mappings:
         if m.data_end > data_una:
             break
         covered.append(m)
-    acked = sum(m.sf_end - m.sf_start for m in covered)
+    acked = sum(m.data_end - m.data_start for m in covered)
     samples = [(now_ns - m.sent_ns) / NS_PER_S for m in covered
                if m.retransmits == 0 and m.sent_ns >= 0]
-    if covered:
-        snd_una = covered[-1].sf_end
-    return (acked, samples, mappings[len(covered):], snd_una,
+    return (acked, samples, mappings[len(covered):], flight - acked,
             0 if acked else dup_ack_count)
 
 
@@ -185,10 +190,10 @@ def test_ack_update_matches_reference(drawn, acks):
     for data_una, after, dup in acks:
         now_ns = latest + after
         sf.dup_ack_count = dup
-        expected = reference_ack_update(list(sf.mappings), sf.snd_una, dup,
+        expected = reference_ack_update(list(sf.mappings), sf.flight, dup,
                                         data_una, now_ns)
         acked, samples = sf.ack_update(data_una, now_ns)
-        assert (acked, samples, list(sf.mappings), sf.snd_una,
+        assert (acked, samples, list(sf.mappings), sf.flight,
                 sf.dup_ack_count) == expected
 
 
