@@ -64,6 +64,15 @@ class SimKernel:
     A queue entry is the list [fire_time, ordinal, fn]; the unique ordinal
     means fn is never compared. `schedule` returns the entry as the
     event's handle, and `cancel` clears its fn so the loop skips it.
+
+    `schedule` is `reserve` plus `push`, and a caller may split the two:
+    `reserve` takes the ordinal the next `schedule` would take, and
+    `push(entry)` queues an entry `[fire_time, reserved_ordinal, fn]`, at
+    once or later, even after that entry has fired once. A timer re-armed
+    on every ACK uses this to keep one live entry: it reserves an ordinal
+    per re-arm and queues the entry at the latest key only when the
+    earlier one comes due, so it fires exactly where a fresh `schedule`
+    per re-arm would have.
     """
 
     def __init__(self):
@@ -80,6 +89,22 @@ class SimKernel:
             )
         self._ordinal += 1
         entry = [fire_time, self._ordinal, fn]
+        heapq.heappush(self._queue, entry)
+        return entry
+
+    def reserve(self) -> int:
+        """Take the ordinal the next `schedule` would take."""
+        self._ordinal += 1
+        return self._ordinal
+
+    def push(self, entry: list) -> list:
+        """Queue `entry`, a list [fire_time, reserved_ordinal, fn], and
+        return it as its handle."""
+        if entry[0] < self.now:
+            raise ValueError(
+                "cannot schedule event at t=%d ns before current time %d ns"
+                % (entry[0], self.now)
+            )
         heapq.heappush(self._queue, entry)
         return entry
 

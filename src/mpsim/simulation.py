@@ -171,16 +171,26 @@ class Simulation:
             sf.phase._value_, event._value_))
 
     def _arm_rto(self, sf: Subflow) -> None:
+        """(Re)start the timer lazily. The timer is due at `sf.rto_key`, the
+        (time, ordinal) an eager cancel-and-schedule would give its entry.
+        A live entry that fires no later is kept: `_on_rto` moves it to the
+        key when it comes due. Only an earlier deadline replaces it."""
         kernel = self.kernel
-        if sf.rto_handle is not None:
-            kernel.cancel(sf.rto_handle)
         deadline = kernel.now + seconds_to_ns(sf.estimator.rto)
-        sf.rto_handle = kernel.schedule(deadline, self._rto_fns[sf.index])
+        ordinal = kernel.reserve()
+        sf.rto_key = (deadline, ordinal)
+        handle = sf.rto_handle
+        if handle is not None:
+            if handle[0] <= deadline:
+                return
+            kernel.cancel(handle)
+        sf.rto_handle = kernel.push([deadline, ordinal,
+                                     self._rto_fns[sf.index]])
 
     def _disarm_rto(self, sf: Subflow) -> None:
         if sf.rto_handle is not None:
             self.kernel.cancel(sf.rto_handle)
-            sf.rto_handle = None
+            sf.rto_handle = sf.rto_key = None
 
     # --------------------------------------------------------- send side
 
@@ -204,7 +214,7 @@ class Simulation:
         if isinstance(out, int):
             self.kernel.schedule(out, partial(self._data_fn, sf.index,
                                               m.data_start, size, now))
-        if sf.rto_handle is None:
+        if sf.rto_key is None:
             self._arm_rto(sf)
 
     # ------------------------------------------------------ receiver side
@@ -337,7 +347,13 @@ class Simulation:
         self._arm_rto(sf)
 
     def _on_rto(self, sf: Subflow) -> None:
-        sf.rto_handle = None
+        entry, key = sf.rto_handle, sf.rto_key
+        if entry[1] != key[1]:
+            # re-armed since this entry was queued: not due until the key
+            entry[0], entry[1] = key
+            self.kernel.push(entry)
+            return
+        sf.rto_handle = sf.rto_key = None
         if not sf.mappings:
             return
         now = self.kernel.now
@@ -351,7 +367,7 @@ class Simulation:
         sf.dup_ack_count = 0
         sf.recover_point = self.conn.data_snd_nxt
         sf.estimator.backoff()
-        self._send_mapping(sf, m)  # arms the timer: rto_handle is None
+        self._send_mapping(sf, m)  # arms the timer: rto_key is None
         self._pump()
 
     # ---------------------------------------------------------- detectors

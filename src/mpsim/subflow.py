@@ -94,7 +94,10 @@ class Subflow:
         self.recover_point = 0
         self.mappings = deque()
         self.saved = None  # SpuriousSnapshot of the latest recovery episode
+        # the RTO timer's live kernel entry, and the (fire time, ordinal) it
+        # is due at; the entry may still be queued at an earlier key
         self.rto_handle = None
+        self.rto_key = None
         # counters
         self.segments_sent = 0
         self.retransmissions = 0

@@ -1,8 +1,11 @@
 """End-to-end protocol behavior on small transfers."""
 
+import heapq
 import tracemalloc
+from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpsim import spurious as sp
 from mpsim.config import ScenarioConfig, load_scenario
@@ -10,7 +13,7 @@ from mpsim.connection import ReassemblyState
 from mpsim.coupling import CouplingMode
 from mpsim.harness import trace_csv_lines
 from mpsim.netmodel import LinkConfig
-from mpsim.simkernel import SimKernel
+from mpsim.simkernel import NS_PER_S, SimKernel, seconds_to_ns
 from mpsim.simulation import Simulation
 from mpsim.spurious import DetectorChoice
 from mpsim.subflow import Mapping
@@ -62,30 +65,159 @@ def test_lossy_path_recovers_and_checksum_survives():
 
 def test_a_resending_rto_arms_its_timer_once(monkeypatch):
     # the resend arms the subflow's timer; arming it a second time would
-    # cancel that entry and push another at the same deadline, leaving a
-    # dead entry in the kernel's heap
-    schedule, on_rto = SimKernel.schedule, Simulation._on_rto
-    pushed = []  # per resending RTO: timer entries pushed for its subflow
+    # reserve a second ordinal for the same deadline. A firing that only
+    # moves a stale entry to its key is no RTO and reserves none.
+    arm, on_rto = Simulation._arm_rto, Simulation._on_rto
+    state = {"sf": None, "reserved": 0}  # the subflow whose timer fires
+    firings = []  # per firing: (an RTO was counted, ordinals reserved)
+
+    def spy_arm(self, sf):
+        before = self.kernel._ordinal
+        arm(self, sf)
+        if sf is state["sf"]:
+            state["reserved"] += self.kernel._ordinal - before
 
     def spy_on_rto(self, sf):
-        timers = []
-
-        def spy_schedule(kernel, fire_time, fn):
-            if fn is self._rto_fns[sf.index]:
-                timers.append(fire_time)
-            return schedule(kernel, fire_time, fn)
-
         rtos = sf.rtos
-        monkeypatch.setattr(SimKernel, "schedule", spy_schedule)
+        state.update(sf=sf, reserved=0)
         on_rto(self, sf)
-        monkeypatch.setattr(SimKernel, "schedule", schedule)
-        if sf.rtos > rtos:
-            pushed.append(len(timers))
+        state["sf"] = None
+        firings.append((sf.rtos > rtos, state["reserved"]))
 
+    monkeypatch.setattr(Simulation, "_arm_rto", spy_arm)
     monkeypatch.setattr(Simulation, "_on_rto", spy_on_rto)
     result = run(two_path_cfg(loss2=0.05, seed=3))
     assert result.stats.completed and result.stats.rtos > 0
-    assert pushed == [1] * result.stats.rtos
+    assert [n for is_rto, n in firings if is_rto] == [1] * result.stats.rtos
+    # stale entries came due too, and moving one reserves nothing
+    assert len(firings) > result.stats.rtos
+    assert all(n == 0 for is_rto, n in firings if not is_rto)
+
+
+def test_rto_rearming_leaves_few_dead_heap_entries(monkeypatch):
+    # every advancing ACK re-arms the timer; re-arming must not leave a
+    # cancelled entry in the heap each time
+    sim = Simulation(two_path_cfg(transfer=1_000_000))
+    kernel = sim.kernel
+    pops = {"all": 0, "dead": 0}
+
+    def counting_loop(stop_time):
+        # SimKernel.run_until_idle, counting its pops
+        queue = kernel._queue
+        while queue and not kernel._stopped:
+            if queue[0][0] > stop_time:
+                break
+            fire_time, _, fn = heapq.heappop(queue)
+            pops["all"] += 1
+            if fn is None:
+                pops["dead"] += 1
+            else:
+                kernel.now = fire_time
+                fn()
+        return kernel.now
+
+    monkeypatch.setattr(kernel, "run_until_idle", counting_loop)
+    result = sim.run()
+    assert result.stats.completed and result.stats.checksum_ok
+    assert result.stats.rtos == 0
+    assert pops["all"] > 1000
+    assert pops["dead"] < 0.02 * pops["all"]
+
+
+class EagerTimers:
+    """Reference RTO timers: each re-arm cancels the entry and schedules a
+    fresh one."""
+
+    def __init__(self, n):
+        self.kernel = SimKernel()
+        self.handles = [None] * n
+        self.fired = []  # (time, ordinal) of each RTO
+
+    def arm(self, i, rto_s):
+        kernel = self.kernel
+        if self.handles[i] is not None:
+            kernel.cancel(self.handles[i])
+        self.handles[i] = kernel.schedule(kernel.now + seconds_to_ns(rto_s),
+                                          partial(self._fire, i))
+
+    def disarm(self, i):
+        if self.handles[i] is not None:
+            self.kernel.cancel(self.handles[i])
+            self.handles[i] = None
+
+    def _fire(self, i):
+        self.fired.append((self.kernel.now, self.handles[i][1]))
+        self.handles[i] = None
+
+
+class LazyTimers:
+    """The simulator's own timer methods. Each subflow holds one mapping
+    that an RTO counts but does not resend, so an RTO only stops the
+    timer."""
+
+    def __init__(self, n):
+        sim = self.sim = Simulation(ScenarioConfig(
+            links=[LinkConfig(1e6, 0.01) for _ in range(n)]))
+        sim._send_mapping = lambda sf, m: None
+        sim._pump = lambda: None
+        for sf in sim.subflows:
+            sf.mappings.append(Mapping(0, 1400))
+        sim._rto_fns = [partial(self._fire, sf) for sf in sim.subflows]
+        self.kernel = sim.kernel
+        self.fired = []
+
+    def arm(self, i, rto_s):
+        sf = self.sim.subflows[i]
+        sf.estimator.rto = rto_s
+        self.sim._arm_rto(sf)
+
+    def disarm(self, i):
+        self.sim._disarm_rto(self.sim.subflows[i])
+
+    def _fire(self, sf):
+        rtos, key = sf.rtos, sf.rto_key
+        self.sim._on_rto(sf)
+        if sf.rtos > rtos:
+            self.fired.append((self.kernel.now, key[1]))
+
+
+TICK_NS = 10
+TIMER_OP = st.one_of(
+    st.tuples(st.just("arm"), st.integers(0, 1), st.integers(1, 6)),
+    st.tuples(st.just("disarm"), st.integers(0, 1), st.just(0)),
+    st.tuples(st.just("event"), st.just(0), st.integers(0, 6)),
+    st.tuples(st.just("advance"), st.just(0), st.integers(0, 6)))
+
+
+def drive_timers(timers, ops, n):
+    """Apply `ops` from kernel events, as the simulator arms its timers:
+    "advance" continues with the next op `ticks` later, "event" schedules
+    an unrelated event. Returns the RTOs and the events scheduled."""
+    kernel = timers.kernel
+    ops = iter(ops)
+
+    def step():
+        for kind, i, ticks in ops:
+            if kind == "arm":
+                timers.arm(i % n, ticks * TICK_NS / NS_PER_S)
+            elif kind == "disarm":
+                timers.disarm(i % n)
+            elif kind == "event":
+                kernel.schedule(kernel.now + ticks * TICK_NS, lambda: None)
+            else:
+                kernel.schedule(kernel.now + ticks * TICK_NS, step)
+                return
+
+    kernel.schedule(0, step)
+    kernel.run_until_idle(NS_PER_S)
+    return timers.fired, kernel._ordinal
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(st.integers(1, 2), st.lists(TIMER_OP, max_size=40))
+def test_lazy_rto_timer_fires_as_the_eager_one(n, ops):
+    lazy = drive_timers(LazyTimers(n), ops, n)
+    assert lazy == drive_timers(EagerTimers(n), ops, n)
 
 
 def test_delay_asymmetry_triggers_spurious_fast_retransmit():

@@ -60,6 +60,43 @@ def test_nonpositive_sample_rejected():
         est.update(0.0)
 
 
+def reference_rto_estimates(floor, ceiling, initial_rto, samples):
+    """RFC 6298 section 2 with alpha = 1/8, beta = 1/4, K = 4, no clock
+    granularity term, and the RTO clamped to [floor, ceiling]: the
+    (srtt, rttvar, rto) after each sample, preceded by the initial RTO."""
+    def clamp(rto):
+        return min(max(rto, floor), ceiling)
+
+    srtt = rttvar = None
+    out = [(None, None, clamp(initial_rto))]
+    for r in samples:
+        if srtt is None:
+            srtt, rttvar = r, r / 2
+        else:
+            # RTTVAR first: it reads the SRTT of before this sample
+            rttvar = (1 - 1 / 4) * rttvar + 1 / 4 * abs(srtt - r)
+            srtt = (1 - 1 / 8) * srtt + 1 / 8 * r
+        out.append((srtt, rttvar, clamp(srtt + 4 * rttvar)))
+    return out
+
+
+SECONDS = st.floats(min_value=1e-6, max_value=200.0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.floats(min_value=1e-3, max_value=1.0), st.floats(0.0, 100.0),
+       SECONDS, st.lists(SECONDS, max_size=20))
+def test_rtt_estimator_matches_rfc6298_reference(floor, extra, initial_rto,
+                                                 samples):
+    est = RttEstimator(floor, floor + extra, initial_rto)
+    seen = [(est.srtt, est.rttvar, est.rto)]
+    for sample in samples:
+        est.update(sample)
+        seen.append((est.srtt, est.rttvar, est.rto))
+    assert seen == reference_rto_estimates(floor, floor + extra, initial_rto,
+                                           samples)
+
+
 # ----------------------------------------------------------------- Subflow
 
 def make_subflow(**kw):
