@@ -65,14 +65,13 @@ class SimKernel:
     means fn is never compared. `schedule` returns the entry as the
     event's handle, and `cancel` clears its fn so the loop skips it.
 
-    `schedule` is `reserve` plus `push`, and a caller may split the two:
-    `reserve` takes the ordinal the next `schedule` would take, and
-    `push(entry)` queues an entry `[fire_time, reserved_ordinal, fn]`, at
-    once or later, even after that entry has fired once. A timer re-armed
-    on every ACK uses this to keep one live entry: it reserves an ordinal
-    per re-arm and queues the entry at the latest key only when the
-    earlier one comes due, so it fires exactly where a fresh `schedule`
-    per re-arm would have.
+    `schedule(fire_time, fn, queue=False)` takes the ordinal and makes
+    the entry but leaves it out of the queue; `push(entry)` queues it
+    later. A timer re-armed on every ACK uses this to keep one queued
+    entry: each re-arm makes an unqueued entry, which is queued only when
+    the queued one would fire later than it or comes due before it. So
+    every timer firing keeps the (time, ordinal) it would have had with
+    one queued entry per re-arm.
     """
 
     def __init__(self):
@@ -81,7 +80,7 @@ class SimKernel:
         self.now = 0
         self._stopped = False
 
-    def schedule(self, fire_time: int, fn) -> list:
+    def schedule(self, fire_time: int, fn, queue: bool = True) -> list:
         if fire_time < self.now:
             raise ValueError(
                 "cannot schedule event at t=%d ns before current time %d ns"
@@ -89,17 +88,12 @@ class SimKernel:
             )
         self._ordinal += 1
         entry = [fire_time, self._ordinal, fn]
-        heapq.heappush(self._queue, entry)
+        if queue:
+            heapq.heappush(self._queue, entry)
         return entry
 
-    def reserve(self) -> int:
-        """Take the ordinal the next `schedule` would take."""
-        self._ordinal += 1
-        return self._ordinal
-
     def push(self, entry: list) -> list:
-        """Queue `entry`, a list [fire_time, reserved_ordinal, fn], and
-        return it as its handle."""
+        """Queue an entry made by `schedule`, and return it."""
         if entry[0] < self.now:
             raise ValueError(
                 "cannot schedule event at t=%d ns before current time %d ns"

@@ -171,26 +171,25 @@ class Simulation:
             sf.phase._value_, event._value_))
 
     def _arm_rto(self, sf: Subflow) -> None:
-        """(Re)start the timer lazily. The timer is due at `sf.rto_key`, the
-        (time, ordinal) an eager cancel-and-schedule would give its entry.
-        A live entry that fires no later is kept: `_on_rto` moves it to the
-        key when it comes due. Only an earlier deadline replaces it."""
+        """(Re)start the timer lazily. Each re-arm makes the entry a
+        cancel-and-schedule would queue, `sf.rto_due`, but queues it only
+        if the queued entry would fire later; one that fires no earlier is
+        kept, and `_on_rto` queues the due entry when it comes due."""
         kernel = self.kernel
-        deadline = kernel.now + seconds_to_ns(sf.estimator.rto)
-        ordinal = kernel.reserve()
-        sf.rto_key = (deadline, ordinal)
-        handle = sf.rto_handle
-        if handle is not None:
-            if handle[0] <= deadline:
+        due = kernel.schedule(kernel.now + seconds_to_ns(sf.estimator.rto),
+                              self._rto_fns[sf.index], queue=False)
+        sf.rto_due = due
+        queued = sf.rto_handle
+        if queued is not None:
+            if queued[0] <= due[0]:
                 return
-            kernel.cancel(handle)
-        sf.rto_handle = kernel.push([deadline, ordinal,
-                                     self._rto_fns[sf.index]])
+            kernel.cancel(queued)
+        sf.rto_handle = kernel.push(due)
 
     def _disarm_rto(self, sf: Subflow) -> None:
         if sf.rto_handle is not None:
             self.kernel.cancel(sf.rto_handle)
-            sf.rto_handle = sf.rto_key = None
+            sf.rto_handle = sf.rto_due = None
 
     # --------------------------------------------------------- send side
 
@@ -214,7 +213,7 @@ class Simulation:
         if isinstance(out, int):
             self.kernel.schedule(out, partial(self._data_fn, sf.index,
                                               m.data_start, size, now))
-        if sf.rto_key is None:
+        if sf.rto_due is None:
             self._arm_rto(sf)
 
     # ------------------------------------------------------ receiver side
@@ -347,13 +346,12 @@ class Simulation:
         self._arm_rto(sf)
 
     def _on_rto(self, sf: Subflow) -> None:
-        entry, key = sf.rto_handle, sf.rto_key
-        if entry[1] != key[1]:
-            # re-armed since this entry was queued: not due until the key
-            entry[0], entry[1] = key
-            self.kernel.push(entry)
+        due = sf.rto_due
+        if sf.rto_handle is not due:
+            # re-armed since the firing entry was queued: wait for the due one
+            sf.rto_handle = self.kernel.push(due)
             return
-        sf.rto_handle = sf.rto_key = None
+        sf.rto_handle = sf.rto_due = None
         if not sf.mappings:
             return
         now = self.kernel.now
@@ -367,7 +365,7 @@ class Simulation:
         sf.dup_ack_count = 0
         sf.recover_point = self.conn.data_snd_nxt
         sf.estimator.backoff()
-        self._send_mapping(sf, m)  # arms the timer: rto_key is None
+        self._send_mapping(sf, m)  # arms the timer: rto_due is None
         self._pump()
 
     # ---------------------------------------------------------- detectors

@@ -94,10 +94,11 @@ class Subflow:
         self.recover_point = 0
         self.mappings = deque()
         self.saved = None  # SpuriousSnapshot of the latest recovery episode
-        # the RTO timer's live kernel entry, and the (fire time, ordinal) it
-        # is due at; the entry may still be queued at an earlier key
+        # the RTO timer's queued kernel entry, and the entry of its latest
+        # re-arm, which it is due at; they differ while an earlier queued
+        # entry waits to come due
         self.rto_handle = None
-        self.rto_key = None
+        self.rto_due = None
         # counters
         self.segments_sent = 0
         self.retransmissions = 0

@@ -51,17 +51,19 @@ def test_schedule_in_the_past_raises():
         kernel.schedule(49, lambda: None)
 
 
-def test_pushed_entry_fires_at_its_reserved_ordinal():
+def test_pushed_entry_fires_at_its_scheduled_ordinal():
     kernel = SimKernel()
     fired = []
     kernel.schedule(42, lambda: fired.append("before"))
-    ordinal = kernel.reserve()
+    entry = kernel.schedule(42, lambda: fired.append("pushed"), queue=False)
     kernel.schedule(42, lambda: fired.append("after"))
     kernel.schedule(41, lambda: fired.append("earlier"))
-    kernel.push([42, ordinal, lambda: fired.append("reserved")])
+    kernel.run_until_idle(41)
+    assert fired == ["earlier"]  # an unqueued entry does not fire
+    assert kernel.push(entry) is entry
     kernel.run_until_idle(100)
-    assert fired == ["earlier", "before", "reserved", "after"]
-    assert kernel._ordinal == 4  # the reservation counts as one event
+    assert fired == ["earlier", "before", "pushed", "after"]
+    assert kernel._ordinal == 4  # the unqueued entry counts as one event
 
 
 def test_push_in_the_past_raises():
@@ -69,8 +71,8 @@ def test_push_in_the_past_raises():
     kernel.schedule(50, lambda: None)
     kernel.run_until_idle(100)
     with pytest.raises(ValueError):
-        kernel.push([49, kernel.reserve(), lambda: None])
-    kernel.push([50, kernel.reserve(), lambda: None])  # now itself is fine
+        kernel.push([49, 2, lambda: None])
+    kernel.push([50, 3, lambda: None])  # now itself is fine
 
 
 def test_events_beyond_stop_time_are_left_queued():

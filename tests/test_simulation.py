@@ -65,31 +65,31 @@ def test_lossy_path_recovers_and_checksum_survives():
 
 def test_a_resending_rto_arms_its_timer_once(monkeypatch):
     # the resend arms the subflow's timer; arming it a second time would
-    # reserve a second ordinal for the same deadline. A firing that only
-    # moves a stale entry to its key is no RTO and reserves none.
+    # take a second ordinal for the same deadline. A firing that only
+    # queues the due entry of a re-armed timer is no RTO and takes none.
     arm, on_rto = Simulation._arm_rto, Simulation._on_rto
-    state = {"sf": None, "reserved": 0}  # the subflow whose timer fires
-    firings = []  # per firing: (an RTO was counted, ordinals reserved)
+    state = {"sf": None, "taken": 0}  # the subflow whose timer fires
+    firings = []  # per firing: (an RTO was counted, ordinals taken)
 
     def spy_arm(self, sf):
         before = self.kernel._ordinal
         arm(self, sf)
         if sf is state["sf"]:
-            state["reserved"] += self.kernel._ordinal - before
+            state["taken"] += self.kernel._ordinal - before
 
     def spy_on_rto(self, sf):
         rtos = sf.rtos
-        state.update(sf=sf, reserved=0)
+        state.update(sf=sf, taken=0)
         on_rto(self, sf)
         state["sf"] = None
-        firings.append((sf.rtos > rtos, state["reserved"]))
+        firings.append((sf.rtos > rtos, state["taken"]))
 
     monkeypatch.setattr(Simulation, "_arm_rto", spy_arm)
     monkeypatch.setattr(Simulation, "_on_rto", spy_on_rto)
     result = run(two_path_cfg(loss2=0.05, seed=3))
     assert result.stats.completed and result.stats.rtos > 0
     assert [n for is_rto, n in firings if is_rto] == [1] * result.stats.rtos
-    # stale entries came due too, and moving one reserves nothing
+    # stale entries came due too, and queueing the due one takes nothing
     assert len(firings) > result.stats.rtos
     assert all(n == 0 for is_rto, n in firings if not is_rto)
 
@@ -98,25 +98,18 @@ def test_rto_rearming_leaves_few_dead_heap_entries(monkeypatch):
     # every advancing ACK re-arms the timer; re-arming must not leave a
     # cancelled entry in the heap each time
     sim = Simulation(two_path_cfg(transfer=1_000_000))
-    kernel = sim.kernel
+    heappop = heapq.heappop
     pops = {"all": 0, "dead": 0}
 
-    def counting_loop(stop_time):
-        # SimKernel.run_until_idle, counting its pops
-        queue = kernel._queue
-        while queue and not kernel._stopped:
-            if queue[0][0] > stop_time:
-                break
-            fire_time, _, fn = heapq.heappop(queue)
+    def counting_pop(queue):
+        entry = heappop(queue)
+        if queue is sim.kernel._queue:
             pops["all"] += 1
-            if fn is None:
-                pops["dead"] += 1
-            else:
-                kernel.now = fire_time
-                fn()
-        return kernel.now
+            pops["dead"] += entry[2] is None
+        return entry
 
-    monkeypatch.setattr(kernel, "run_until_idle", counting_loop)
+    # run_until_idle looks heapq.heappop up on each call
+    monkeypatch.setattr(heapq, "heappop", counting_pop)
     result = sim.run()
     assert result.stats.completed and result.stats.checksum_ok
     assert result.stats.rtos == 0
@@ -175,10 +168,10 @@ class LazyTimers:
         self.sim._disarm_rto(self.sim.subflows[i])
 
     def _fire(self, sf):
-        rtos, key = sf.rtos, sf.rto_key
+        rtos, due = sf.rtos, sf.rto_due
         self.sim._on_rto(sf)
         if sf.rtos > rtos:
-            self.fired.append((self.kernel.now, key[1]))
+            self.fired.append((self.kernel.now, due[1]))
 
 
 TICK_NS = 10
