@@ -2,8 +2,8 @@
 coupled congestion control and spurious-retransmission detection."""
 
 from .config import ScenarioConfig, ScenarioError, load_scenario
-from .coupling import (CouplingMode, CouplingView, compute_alpha,
-                       on_ack_increase, on_loss_decrease)
+from .coupling import (CouplingMode, compute_alpha, on_ack_increase,
+                       on_loss_decrease)
 from .harness import (SweepParameter, SweepSpec, emit_csv, emit_plot,
                       run_scenario, run_sweep)
 from .netmodel import DropReason, Link, LinkConfig
@@ -14,10 +14,10 @@ from .spurious import DetectorChoice
 __version__ = "0.1.0"
 
 __all__ = [
-    "CouplingMode", "CouplingView", "DetectorChoice", "DropReason", "Link",
-    "LinkConfig", "RandomStream", "RunResult", "ScenarioConfig",
-    "ScenarioError", "SimKernel", "Simulation", "SummaryStats",
-    "SweepParameter", "SweepSpec", "TraceRecord", "compute_alpha", "emit_csv",
-    "emit_plot", "load_scenario", "mix_seed", "on_ack_increase",
-    "on_loss_decrease", "run_scenario", "run_sweep",
+    "CouplingMode", "DetectorChoice", "DropReason", "Link", "LinkConfig",
+    "RandomStream", "RunResult", "ScenarioConfig", "ScenarioError",
+    "SimKernel", "Simulation", "SummaryStats", "SweepParameter", "SweepSpec",
+    "TraceRecord", "compute_alpha", "emit_csv", "emit_plot", "load_scenario",
+    "mix_seed", "on_ack_increase", "on_loss_decrease", "run_scenario",
+    "run_sweep",
 ]

@@ -9,7 +9,9 @@ from typing import List, Optional, Sequence
 
 from .config import ScenarioConfig, ScenarioError, load_scenario  # noqa: F401
 from .simkernel import mix_seed
-from .simulation import RunResult, Simulation, SummaryStats, TraceRecord
+from .simulation import (EVENTS, FAST_RETRANSMIT, SPURIOUS_DETECTED,
+                         RunResult, Simulation, SummaryStats, TraceRecord)
+from .subflow import PHASES
 
 TRACE_CSV_COLUMNS = ("time_s", "subflow", "cwnd_mss", "ssthresh_mss",
                      "phase", "event")
@@ -186,6 +188,12 @@ def parse_trace_csv(path) -> List[TraceRecord]:
                                     % (path, lineno, len(TRACE_CSV_COLUMNS),
                                        len(fields)))
             t, sf, cwnd, ssthresh, phase, event = fields
+            if phase not in PHASES:
+                raise ScenarioError("%s:%d: unknown phase %r"
+                                    % (path, lineno, phase))
+            if event not in EVENTS:
+                raise ScenarioError("%s:%d: unknown event %r"
+                                    % (path, lineno, event))
             try:
                 records.append(TraceRecord(float(t), int(sf), _window(cwnd),
                                            _window(ssthresh), phase, event))
@@ -286,11 +294,11 @@ def emit_plot(records: Sequence[TraceRecord], path) -> None:
                      % (_W - _MR - 90, _MT + 16 * (k + 1), color, sf))
     # event markers
     for r in records:
-        if r.event == "FastRetransmit":
+        if r.event == FAST_RETRANSMIT:
             px, py = x(r.time_s), y(r.cwnd)
             parts.append('<path d="M %g %g l 4 8 l -8 0 z" fill="#c22"/>'
                          % (px, py - 5))
-        elif r.event == "SpuriousDetected":
+        elif r.event == SPURIOUS_DETECTED:
             parts.append('<circle cx="%g" cy="%g" r="4" fill="none" '
                          'stroke="#7a2aa0" stroke-width="1.5"/>'
                          % (x(r.time_s), y(r.cwnd)))

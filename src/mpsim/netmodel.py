@@ -58,15 +58,13 @@ class Link:
     """
 
     __slots__ = (
-        "config", "busy_until", "_departures", "_delay_ns", "_ser_ns",
-        "_queue_limit", "_loss_cut", "accepted", "dropped_overflow",
-        "dropped_loss",
+        "config", "_departures", "_delay_ns", "_ser_ns", "_queue_limit",
+        "_loss_cut", "accepted", "dropped_overflow", "dropped_loss",
     )
 
     def __init__(self, config: LinkConfig):
         config.validate()
         self.config = config
-        self.busy_until = 0
         self._departures = deque()
         self._delay_ns = int(round(config.one_way_delay_s * NS_PER_S))
         # packet size -> serialization_ns, filled on first use; only the
@@ -105,9 +103,9 @@ class Link:
         if len(departures) >= self._queue_limit:
             self.dropped_overflow += 1
             return DropReason.QUEUE_OVERFLOW
-        start = now if now > self.busy_until else self.busy_until
-        finish = start + ser_ns
-        self.busy_until = finish
+        # the transmitter is free when the last queued packet departs, and
+        # now if none is queued
+        finish = (departures[-1] if departures else now) + ser_ns
         departures.append(finish)
         self.accepted += 1
         loss_cut = self._loss_cut

@@ -11,7 +11,6 @@ sender reacts with (spurious) fast retransmits unless a detector undoes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import partial
 from typing import List, Optional, Tuple
 
@@ -19,19 +18,21 @@ from . import spurious as sp
 from .config import ScenarioConfig
 from .connection import (ConnectionState, ReassemblyState, schedule_next,
                          transfer_complete)
-from .coupling import CouplingView, on_ack_increase, on_loss_decrease
+from .coupling import on_ack_increase, on_loss_decrease
 from .netmodel import Link
 from .simkernel import NS_PER_S, RandomStream, SimKernel, seconds_to_ns
 from .spurious import DetectorChoice
-from .subflow import ACK_SIZE_BYTES, Phase, Subflow
+from .subflow import (ACK_SIZE_BYTES, CONGESTION_AVOIDANCE, FAST_RECOVERY,
+                      SLOW_START, Subflow)
 
 
-class TraceEvent(Enum):
-    SAMPLE = "Sample"
-    FAST_RETRANSMIT = "FastRetransmit"
-    RTO = "Rto"
-    SPURIOUS_DETECTED = "SpuriousDetected"
-    RESTORE = "Restore"
+# a trace row's event, as the trace writes it
+SAMPLE = "Sample"
+FAST_RETRANSMIT = "FastRetransmit"
+RTO = "Rto"
+SPURIOUS_DETECTED = "SpuriousDetected"
+RESTORE = "Restore"
+EVENTS = (SAMPLE, FAST_RETRANSMIT, RTO, SPURIOUS_DETECTED, RESTORE)
 
 
 class TraceRecord:
@@ -42,20 +43,8 @@ class TraceRecord:
         self.subflow = subflow  # 1-based
         self.cwnd = cwnd
         self.ssthresh = ssthresh
-        self.phase = phase      # Phase value string
-        self.event = event      # TraceEvent value string
-
-
-# Enum members bound once: `Phase.FAST_RECOVERY` costs a global and a
-# class-attribute lookup on every packet, a module alias one global lookup.
-# Trace rows read a member's text as `._value_`, a plain instance attribute,
-# not through the `.value` property or a dict keyed by members (every
-# lookup in one runs the Python-level `Enum.__hash__`).
-_SLOW_START = Phase.SLOW_START
-_CONGESTION_AVOIDANCE = Phase.CONGESTION_AVOIDANCE
-_FAST_RECOVERY = Phase.FAST_RECOVERY
-_RESTORE = TraceEvent.RESTORE
-_SAMPLE = TraceEvent.SAMPLE._value_
+        self.phase = phase      # one of subflow.PHASES
+        self.event = event      # one of EVENTS
 
 
 @dataclass
@@ -154,21 +143,21 @@ class Simulation:
 
     # ------------------------------------------------------------ helpers
 
-    def _view(self) -> CouplingView:
-        # the windows and Subflow.rtt_for_coupling, read without the property
-        w, rtt = [], []
-        for sf in self.subflows:
-            w.append(sf.cwnd)
-            srtt = sf.estimator.srtt
-            rtt.append(srtt if srtt is not None else sf.initial_rtt)
-        # the same object the NamedTuple's generated __new__ builds, without
-        # that Python-level call
-        return tuple.__new__(CouplingView, (tuple(w), tuple(rtt)))
+    def _windows(self) -> List[float]:
+        return [sf.cwnd for sf in self.subflows]
 
-    def _trace(self, sf: Subflow, event: TraceEvent) -> None:
+    def _rtts(self) -> List[float]:
+        # Subflow.rtt_for_coupling of each subflow, read without the property
+        rtts = []
+        for sf in self.subflows:
+            srtt = sf.estimator.srtt
+            rtts.append(srtt if srtt is not None else sf.initial_rtt)
+        return rtts
+
+    def _trace(self, sf: Subflow, event: str) -> None:
         self.traces.append(TraceRecord(
             self.kernel.now / NS_PER_S, sf.index + 1, sf.cwnd, sf.ssthresh,
-            sf.phase._value_, event._value_))
+            sf.phase, event))
 
     def _arm_rto(self, sf: Subflow) -> None:
         """(Re)start the timer lazily. Each re-arm makes the entry a
@@ -195,8 +184,6 @@ class Simulation:
 
     def _pump(self) -> None:
         """Send new data while any subflow has window space."""
-        if self.completed_ns is not None:
-            return
         # sending changes no window, so mapping the whole batch first sends
         # the same chunks in the same order as mapping one at a time
         for sf, m in schedule_next(self.conn, self.subflows):
@@ -280,10 +267,10 @@ class Simulation:
                     sf.estimator.update(sample)
             else:
                 acked = 0
-            if sf.phase is _FAST_RECOVERY:
+            if sf.phase == FAST_RECOVERY:
                 if data_una >= sf.recover_point:
                     sf.cwnd = max(sf.ssthresh, 1.0)
-                    sf.phase = _CONGESTION_AVOIDANCE
+                    sf.phase = CONGESTION_AVOIDANCE
             elif acked:
                 self._grow(sf, acked)
             if not acked:
@@ -299,7 +286,7 @@ class Simulation:
                 self._arm_rto(sf)
             else:
                 self._disarm_rto(sf)
-        if self._dsack and dsack_block:
+        if dsack_block:
             self._dsack_check(self.subflows[sf_id], dsack_block)
         if self._eifel:
             for sf in self.subflows:
@@ -316,9 +303,9 @@ class Simulation:
     def _on_duplicate_ack(self, sf_id, dsack_block) -> None:
         sf = self.subflows[sf_id]
         sf.dup_ack_count += 1
-        if self._dsack and dsack_block:
+        if dsack_block:
             self._dsack_check(sf, dsack_block)
-        if sf.phase is _FAST_RECOVERY:
+        if sf.phase == FAST_RECOVERY:
             sf.cwnd += 1.0  # classic window inflation per extra duplicate
         elif (sf.dup_ack_count >= 3 and sf.mappings
                 and self.conn.data_una >= sf.recover_point):
@@ -336,11 +323,12 @@ class Simulation:
         m = sf.mappings[0]
         sp.on_retransmit_record(sf, m, now)
         sf.fast_retransmits += 1
-        self._trace(sf, TraceEvent.FAST_RETRANSMIT)
-        w, ss = on_loss_decrease(self.coupling_mode, sf.index, self._view())
+        self._trace(sf, FAST_RETRANSMIT)
+        w, ss = on_loss_decrease(self.coupling_mode, sf.index,
+                                 self._windows())
         sf.ssthresh = ss
         sf.cwnd = w
-        sf.phase = _FAST_RECOVERY
+        sf.phase = FAST_RECOVERY
         sf.recover_point = self.conn.data_snd_nxt
         self._send_mapping(sf, m)
         self._arm_rto(sf)
@@ -358,10 +346,10 @@ class Simulation:
         m = sf.mappings[0]
         sp.on_retransmit_record(sf, m, now)
         sf.rtos += 1
-        self._trace(sf, TraceEvent.RTO)
+        self._trace(sf, RTO)
         sf.ssthresh = max(sf.flight / self.mss / 2.0, 2.0)
         sf.cwnd = 1.0
-        sf.phase = _SLOW_START
+        sf.phase = SLOW_START
         sf.dup_ack_count = 0
         sf.recover_point = self.conn.data_snd_nxt
         sf.estimator.backoff()
@@ -384,26 +372,27 @@ class Simulation:
         est.rto = min(max(est.rto * 2.0, self.cfg.initial_rto), est.ceiling)
         if sf.flight:
             self._arm_rto(sf)
-        self._trace(sf, TraceEvent.SPURIOUS_DETECTED)
+        self._trace(sf, SPURIOUS_DETECTED)
         self.detections.append(Detection(
             time_s=self.kernel.now / NS_PER_S, subflow=sf.index + 1,
             detector=self.detector, cwnd_before=snap.cwnd_before,
             ssthresh_before=snap.ssthresh_before, cwnd_at_detection=sf.cwnd,
             srtt=sf.rtt_for_coupling))
         respond(sf, snap)
-        self._trace(sf, _RESTORE)
+        self._trace(sf, RESTORE)
 
     # ------------------------------------------------------ window growth
 
     def _grow(self, sf: Subflow, acked_bytes: int) -> None:
         acked_mss = acked_bytes / self.mss
-        if sf.phase is _SLOW_START:
+        if sf.phase == SLOW_START:
             if sf.cwnd < sf.ssthresh:
                 sf.cwnd = min(sf.cwnd + acked_mss, sf.ssthresh)
             if sf.cwnd >= sf.ssthresh:
-                sf.phase = _CONGESTION_AVOIDANCE
+                sf.phase = CONGESTION_AVOIDANCE
             return
-        inc = on_ack_increase(self.coupling_mode, sf.index, self._view())
+        inc = on_ack_increase(self.coupling_mode, sf.index, self._windows(),
+                              self._rtts())
         sf.cwnd += inc * acked_mss
 
     # -------------------------------------------------------------- driver
@@ -414,7 +403,7 @@ class Simulation:
         append = self.traces.append
         for sf in self.subflows:
             append(TraceRecord(now_s, sf.index + 1, sf.cwnd, sf.ssthresh,
-                               sf.phase._value_, _SAMPLE))
+                               sf.phase, SAMPLE))
             if self._record:
                 self.srtts.append((now_s, sf.index + 1, sf.rtt_for_coupling))
         nxt = now + self._trace_ns

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
-from .subflow import Mapping, Phase, Subflow
+from .subflow import CONGESTION_AVOIDANCE, SLOW_START, Mapping, Subflow
 
 
 class DetectorChoice(Enum):
@@ -32,7 +32,7 @@ class SpuriousSnapshot:
 
     cwnd_before: float
     ssthresh_before: float
-    phase_before: Phase
+    phase_before: str
     retransmit_ts: int  # virtual ns
     mapping: Mapping    # the resent segment
 
@@ -94,9 +94,9 @@ def dsack_respond(sf: Subflow, snap: SpuriousSnapshot) -> None:
     through slow start, giving the characteristic exponential recovery."""
     sf.ssthresh = snap.ssthresh_before
     if sf.cwnd < sf.ssthresh:
-        sf.phase = Phase.SLOW_START
+        sf.phase = SLOW_START
     else:
-        sf.phase = Phase.CONGESTION_AVOIDANCE
+        sf.phase = CONGESTION_AVOIDANCE
     sf.dup_ack_count = 0
     sf.spurious_detections += 1
     sf.saved = None

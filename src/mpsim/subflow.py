@@ -11,7 +11,6 @@ updates.
 from __future__ import annotations
 
 from collections import deque
-from enum import Enum
 
 from .simkernel import NS_PER_S
 
@@ -25,10 +24,11 @@ DEFAULT_INITIAL_RTT_S = 0.1
 ACK_SIZE_BYTES = 40
 
 
-class Phase(Enum):
-    SLOW_START = "slow_start"
-    CONGESTION_AVOIDANCE = "congestion_avoidance"
-    FAST_RECOVERY = "fast_recovery"
+# a subflow's congestion-control phase, as the trace writes it
+SLOW_START = "slow_start"
+CONGESTION_AVOIDANCE = "congestion_avoidance"
+FAST_RECOVERY = "fast_recovery"
+PHASES = (SLOW_START, CONGESTION_AVOIDANCE, FAST_RECOVERY)
 
 
 class RttEstimator:
@@ -84,7 +84,7 @@ class Subflow:
         self.index = index
         self.cwnd = initial_cwnd
         self.ssthresh = initial_ssthresh
-        self.phase = Phase.SLOW_START
+        self.phase = SLOW_START
         self.flight = 0  # bytes mapped to this subflow and not yet acked
         self.dup_ack_count = 0
         self.estimator = RttEstimator(rto_floor, rto_ceiling, initial_rto)

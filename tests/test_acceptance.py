@@ -10,8 +10,8 @@ import time
 import pytest
 
 from mpsim.config import load_scenario
-from mpsim.coupling import (CouplingMode, CouplingView, compute_alpha,
-                            on_ack_increase, on_loss_decrease)
+from mpsim.coupling import (CouplingMode, compute_alpha, on_ack_increase,
+                            on_loss_decrease)
 from mpsim.harness import run_scenario, trace_csv_lines
 from mpsim.netmodel import Link, LinkConfig
 from mpsim.simkernel import NS_PER_S, RandomStream
@@ -93,10 +93,10 @@ def test_criterion_2_determinism():
 
 def test_criterion_3_coupling_math():
     problems = []
-    if compute_alpha(CouplingView.make([17.0], [0.3])) != 1.0:
+    if compute_alpha([17.0], [0.3]) != 1.0:
         problems.append("single-subflow alpha != 1")
     for n in (2, 3, 4):
-        alpha = compute_alpha(CouplingView.make([10.0] * n, [0.1] * n))
+        alpha = compute_alpha([10.0] * n, [0.1] * n)
         if abs(alpha - 1.0 / n) > 1e-12:
             problems.append("equal-path alpha(n=%d) off by %g"
                             % (n, abs(alpha - 1.0 / n)))
@@ -105,14 +105,12 @@ def test_criterion_3_coupling_math():
         n = 2 + rng.next_u64() % 4
         w = [0.1 + 99.9 * rng.next_uniform() for _ in range(n)]
         rtt = [1e-3 + 10.0 * rng.next_uniform() for _ in range(n)]
-        view = CouplingView.make(w, rtt)
         i = rng.next_u64() % n
-        inc = on_ack_increase(CouplingMode.RTT_COMPENSATOR, i, view)
+        inc = on_ack_increase(CouplingMode.RTT_COMPENSATOR, i, w, rtt)
         if inc > 1.0 / w[i]:
             problems.append("compensator exceeded 1/w on %r" % ((w, rtt, i),))
             break
-    fc = on_loss_decrease(CouplingMode.FULLY_COUPLED, 0,
-                          CouplingView.make([10.0, 10.0], [0.1, 0.1]))
+    fc = on_loss_decrease(CouplingMode.FULLY_COUPLED, 0, [10.0, 10.0])
     if fc != (1.0, 1.0):
         problems.append("fully-coupled (10,10) gave %r, wanted (1.0, 1.0)"
                         % (fc,))

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from mpsim.coupling import (CouplingMode, CouplingView, compute_alpha,
-                            on_ack_increase, on_loss_decrease)
+from mpsim.coupling import (CouplingMode, compute_alpha, on_ack_increase,
+                            on_loss_decrease, window_total)
 
 windows = st.floats(min_value=0.01, max_value=1000.0,
                     allow_nan=False, allow_infinity=False)
@@ -12,11 +12,7 @@ rtts = st.floats(min_value=1e-4, max_value=100.0,
                  allow_nan=False, allow_infinity=False)
 
 
-def view_of(w, rtt):
-    return CouplingView.make(w, rtt)
-
-
-def multi_views(min_n=1, max_n=6):
+def multi_paths(min_n=1, max_n=6):
     return st.integers(min_value=min_n, max_value=max_n).flatmap(
         lambda n: st.tuples(st.lists(windows, min_size=n, max_size=n),
                             st.lists(rtts, min_size=n, max_size=n)))
@@ -25,115 +21,114 @@ def multi_views(min_n=1, max_n=6):
 # ------------------------------------------------------------------- alpha
 
 def test_alpha_single_subflow_identity():
-    assert compute_alpha(view_of([10.0], [0.1])) == 1.0
+    assert compute_alpha([10.0], [0.1]) == 1.0
 
 
 def test_alpha_equal_paths_two_subflows():
     # 20 * (10/0.01) / (10/0.1 + 10/0.1)^2 = 20000/40000 = 0.5
-    assert compute_alpha(view_of([10.0, 10.0], [0.1, 0.1])) == pytest.approx(0.5)
+    assert compute_alpha([10.0, 10.0], [0.1, 0.1]) == pytest.approx(0.5)
 
 
 def test_alpha_unequal_rtts():
     # 20 * (10/0.01) / (10/0.1 + 10/0.2)^2 = 20000/22500 = 8/9
-    alpha = compute_alpha(view_of([10.0, 10.0], [0.1, 0.2]))
+    alpha = compute_alpha([10.0, 10.0], [0.1, 0.2])
     assert alpha == pytest.approx(8.0 / 9.0)
 
 
-@given(multi_views())
+@given(multi_paths())
 def test_alpha_positive_and_finite(wr):
     w, rtt = wr
-    alpha = compute_alpha(view_of(w, rtt))
+    alpha = compute_alpha(w, rtt)
     assert alpha > 0.0
     assert alpha == alpha  # not NaN
 
 
-@given(multi_views(), st.floats(min_value=0.01, max_value=100.0))
+@given(multi_paths(), st.floats(min_value=0.01, max_value=100.0))
 def test_alpha_rtt_scale_invariance(wr, scale):
     w, rtt = wr
-    base = compute_alpha(view_of(w, rtt))
-    scaled = compute_alpha(view_of(w, [r * scale for r in rtt]))
+    base = compute_alpha(w, rtt)
+    scaled = compute_alpha(w, [r * scale for r in rtt])
     assert scaled == pytest.approx(base, rel=1e-9)
 
 
 @given(st.integers(min_value=2, max_value=8), windows, rtts)
 def test_alpha_identical_subflows_is_one_over_n(n, w, rtt):
-    alpha = compute_alpha(view_of([w] * n, [rtt] * n))
+    alpha = compute_alpha([w] * n, [rtt] * n)
     assert alpha == pytest.approx(1.0 / n, rel=1e-9)
 
 
 def test_alpha_rejects_nonpositive_rtt():
     with pytest.raises(ValueError):
-        compute_alpha(view_of([10.0, 10.0], [0.1, 0.0]))
+        compute_alpha([10.0, 10.0], [0.1, 0.0])
 
 
 def test_alpha_rejects_all_zero_windows():
     with pytest.raises(ValueError):
-        compute_alpha(view_of([0.0, 0.0], [0.1, 0.1]))
+        compute_alpha([0.0, 0.0], [0.1, 0.1])
 
 
 # ---------------------------------------------------------------- increase
 
 def test_increase_formulas_on_a_known_view():
-    view = view_of([10.0, 10.0], [0.1, 0.1])  # alpha = 0.5, w_total = 20
-    assert on_ack_increase(CouplingMode.UNCOUPLED, 0, view) == pytest.approx(0.1)
-    assert on_ack_increase(CouplingMode.FULLY_COUPLED, 0, view) == \
+    w, rtt = [10.0, 10.0], [0.1, 0.1]  # alpha = 0.5, w_total = 20
+    assert on_ack_increase(CouplingMode.UNCOUPLED, 0, w, rtt) == \
+        pytest.approx(0.1)
+    assert on_ack_increase(CouplingMode.FULLY_COUPLED, 0, w, rtt) == \
         pytest.approx(1.0 / 20.0)
-    assert on_ack_increase(CouplingMode.LINKED_INCREASES, 0, view) == \
+    assert on_ack_increase(CouplingMode.LINKED_INCREASES, 0, w, rtt) == \
         pytest.approx(0.5 / 20.0)
-    assert on_ack_increase(CouplingMode.RTT_COMPENSATOR, 0, view) == \
+    assert on_ack_increase(CouplingMode.RTT_COMPENSATOR, 0, w, rtt) == \
         pytest.approx(min(0.5 / 20.0, 0.1))
 
 
 def test_rtt_compensator_cap_binds_on_slow_fat_path():
     # alpha/w_total ~ 0.926 exceeds 1/39, so the cap must bind
-    view = view_of([1.0, 39.0], [0.01, 10.0])
-    alpha = compute_alpha(view)
+    w, rtt = [1.0, 39.0], [0.01, 10.0]
+    alpha = compute_alpha(w, rtt)
     assert alpha == pytest.approx(40.0 * (1.0 / 0.0001) / (1.0 / 0.01 + 3.9) ** 2)
-    inc = on_ack_increase(CouplingMode.RTT_COMPENSATOR, 1, view)
+    inc = on_ack_increase(CouplingMode.RTT_COMPENSATOR, 1, w, rtt)
     assert inc == pytest.approx(1.0 / 39.0)
 
 
-@given(multi_views(min_n=2), st.data())
+@given(multi_paths(min_n=2), st.data())
 def test_rtt_compensator_never_beats_single_path(wr, data):
     w, rtt = wr
     i = data.draw(st.integers(min_value=0, max_value=len(w) - 1))
-    view = view_of(w, rtt)
-    assert on_ack_increase(CouplingMode.RTT_COMPENSATOR, i, view) <= \
+    assert on_ack_increase(CouplingMode.RTT_COMPENSATOR, i, w, rtt) <= \
         1.0 / w[i] + 1e-15
 
 
-@given(multi_views())
+@given(multi_paths())
 def test_single_subflow_all_modes_degenerate_to_reno(wr):
     w, rtt = wr
-    view = view_of(w[:1], rtt[:1])
     reno = 1.0 / w[0]
     for mode in CouplingMode:
-        assert on_ack_increase(mode, 0, view) == pytest.approx(reno, rel=1e-12)
+        assert on_ack_increase(mode, 0, w[:1], rtt[:1]) == \
+            pytest.approx(reno, rel=1e-12)
 
 
 # ---------------------------------------------------------------- decrease
 
 def test_halving_modes_floor_at_two():
-    view = view_of([10.0, 3.0], [0.1, 0.1])
+    w = [10.0, 3.0]
     for mode in (CouplingMode.UNCOUPLED, CouplingMode.LINKED_INCREASES,
                  CouplingMode.RTT_COMPENSATOR):
-        assert on_loss_decrease(mode, 0, view) == (5.0, 5.0)
-        assert on_loss_decrease(mode, 1, view) == (2.0, 2.0)
+        assert on_loss_decrease(mode, 0, w) == (5.0, 5.0)
+        assert on_loss_decrease(mode, 1, w) == (2.0, 2.0)
 
 
 def test_fully_coupled_charges_total_halving_to_lossy_subflow():
-    view = view_of([10.0, 10.0], [0.1, 0.1])
     # w_1 = max(10 - 20/2, 1) = 1, exact
-    assert on_loss_decrease(CouplingMode.FULLY_COUPLED, 0, view) == (1.0, 1.0)
+    assert on_loss_decrease(CouplingMode.FULLY_COUPLED, 0, [10.0, 10.0]) == \
+        (1.0, 1.0)
 
 
-@given(multi_views(), st.data())
+@given(multi_paths(), st.data())
 def test_decrease_returns_window_equal_to_ssthresh(wr, data):
     w, rtt = wr
     i = data.draw(st.integers(min_value=0, max_value=len(w) - 1))
-    view = view_of(w, rtt)
     for mode in CouplingMode:
-        new_w, ssthresh = on_loss_decrease(mode, i, view)
+        new_w, ssthresh = on_loss_decrease(mode, i, w)
         assert new_w == ssthresh
         assert new_w >= 1.0
 
@@ -141,4 +136,4 @@ def test_decrease_returns_window_equal_to_ssthresh(wr, data):
 def test_w_total_adds_left_to_right():
     # the same float on every Python version: from 3.12, sum() of floats
     # compensates rounding and would return 1.0 here
-    assert view_of([1e16, 1.0, -1e16], [0.1] * 3).w_total == 0.0
+    assert window_total([1e16, 1.0, -1e16]) == 0.0

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mpsim
 from mpsim import harness
 from mpsim.cli import main
 from mpsim.config import (_BOOL_KEYS, _FLOAT_KEYS, _INT_KEYS, PRESET_NAMES,
@@ -20,9 +21,9 @@ from mpsim.harness import (SweepParameter, SweepSpec, emit_csv, emit_plot,
                            sweep_csv_lines, trace_csv_lines)
 from mpsim.netmodel import LinkConfig
 from mpsim.simkernel import mix_seed
-from mpsim.simulation import TraceEvent, TraceRecord
+from mpsim.simulation import EVENTS, TraceRecord
 from mpsim.spurious import DetectorChoice
-from mpsim.subflow import Phase
+from mpsim.subflow import PHASES
 
 FLAT = """
 # two asymmetric paths
@@ -378,8 +379,8 @@ _numbers = st.one_of(
 @given(st.lists(st.builds(
     TraceRecord, time_s=_numbers,
     subflow=st.one_of(st.integers(1, 16), _numbers), cwnd=_numbers,
-    ssthresh=_numbers, phase=st.sampled_from([p.value for p in Phase]),
-    event=st.sampled_from([e.value for e in TraceEvent])), max_size=8))
+    ssthresh=_numbers, phase=st.sampled_from(PHASES),
+    event=st.sampled_from(EVENTS)), max_size=8))
 def test_trace_rows_match_the_fmt_renderer(records):
     lines = trace_csv_lines(records)
     assert lines[0] == ",".join(harness.TRACE_CSV_COLUMNS)
@@ -391,7 +392,10 @@ def test_trace_rows_match_the_fmt_renderer(records):
     ("0,1,2,64,slow_start,Sample,extra", "expected 6 fields, got 7"),
     ("0,one,2,64,slow_start,Sample", "invalid literal for int()"),
     ("0,1,2,many,slow_start,Sample", "could not convert string to float"),
-], ids=["short", "long", "subflow", "ssthresh"])
+    ("0,1,2,64,slow-start,Sample", "unknown phase 'slow-start'"),
+    ("0,1,2,64,fast_recovery,FastRetransmt",
+     "unknown event 'FastRetransmt'"),
+], ids=["short", "long", "subflow", "ssthresh", "phase", "event"])
 def test_parse_trace_csv_names_the_bad_line(tmp_path, capsys, row, message):
     path = tmp_path / "trace.csv"
     path.write_text(",".join(harness.TRACE_CSV_COLUMNS) + "\n" + row + "\n")
@@ -547,3 +551,9 @@ def test_cli_errors_exit_2(tmp_path, capsys):
     assert main(["sweep", "paper-base", "--param", "loss", "--link", "2",
                  "--values", "abc"]) == 2
     assert main(["plot", str(tmp_path / "missing.csv")]) == 2
+
+
+def test_star_import_resolves_every_public_name():
+    namespace = {}
+    exec("from mpsim import *", namespace)  # AttributeError on a stale name
+    assert set(mpsim.__all__) <= set(namespace)

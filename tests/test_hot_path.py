@@ -1,9 +1,9 @@
-"""The per-packet handlers read per-run constants bound once, not Enums.
+"""The per-packet handlers read plain values and run-bound flags, not Enums.
 
-`Phase.FAST_RECOVERY` is a global lookup plus a class-attribute lookup on
-every call; the handlers compare against module-level aliases and
-constructor-bound flags instead. This guards that choice against a
-well-meant edit that brings the Enum lookups back.
+`CouplingMode.UNCOUPLED` is a global lookup plus a class-attribute lookup
+on every call; the handlers compare against module-level aliases,
+constructor-bound flags and plain-string phases instead. This guards that
+choice against a well-meant edit that brings the Enum lookups back.
 """
 
 import dis
@@ -18,7 +18,7 @@ ENUMS = {"Phase", "CouplingMode", "DetectorChoice", "TraceEvent"}
 
 HOT = [getattr(Simulation, name) for name in (
     "_on_data", "_on_ack", "_on_advancing_ack", "_on_duplicate_ack",
-    "_send_mapping", "_grow", "_view", "_on_trace_sample")]
+    "_send_mapping", "_grow", "_windows", "_rtts", "_on_trace_sample")]
 HOT += [coupling.on_ack_increase, Link.transmit]
 
 

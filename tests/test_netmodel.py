@@ -88,11 +88,18 @@ def test_random_loss_binomial_within_three_sigma():
 
 
 def test_lost_segment_still_occupies_the_transmitter():
+    # 1000 bytes at 0.5 Mbps hold the transmitter for 16 ms; with room for
+    # one packet, the lost one turns the next away until it has left
     link = Link(LinkConfig(capacity_bps=0.5 * MBPS, one_way_delay_s=0.01,
-                           loss_rate=1.0))
+                           loss_rate=1.0, queue_limit=1))
     rng = RandomStream(1)
     assert link.transmit(1000, 0, rng) is DropReason.RANDOM_LOSS
-    assert link.busy_until == 16_000_000
+    assert link.transmit(1000, 15_999_999, rng) is \
+        DropReason.QUEUE_OVERFLOW
+    assert link.queued == 1
+    assert link.transmit(1000, 16_000_000, rng) is DropReason.RANDOM_LOSS
+    assert link.queued == 1
+    assert (link.accepted, link.dropped_overflow) == (2, 1)
 
 
 def test_zero_loss_never_consumes_randomness():

@@ -3,10 +3,11 @@
 from mpsim.connection import ReassemblyState
 from mpsim.spurious import (dsack_respond, dsack_sender_check, eifel_check,
                             eifel_respond, on_retransmit_record)
-from mpsim.subflow import Mapping, Phase, Subflow
+from mpsim.subflow import (CONGESTION_AVOIDANCE, FAST_RECOVERY, SLOW_START,
+                           Mapping, Subflow)
 
 
-def make_subflow(cwnd=10.0, ssthresh=64.0, phase=Phase.SLOW_START):
+def make_subflow(cwnd=10.0, ssthresh=64.0, phase=SLOW_START):
     sf = Subflow(0)
     sf.cwnd = cwnd
     sf.ssthresh = ssthresh
@@ -17,11 +18,11 @@ def make_subflow(cwnd=10.0, ssthresh=64.0, phase=Phase.SLOW_START):
 # ---------------------------------------------------------------- snapshot
 
 def test_snapshot_captures_pre_reduction_state():
-    sf = make_subflow(cwnd=12.0, ssthresh=30.0, phase=Phase.CONGESTION_AVOIDANCE)
+    sf = make_subflow(cwnd=12.0, ssthresh=30.0, phase=CONGESTION_AVOIDANCE)
     m = Mapping(1400, 2800)
     snap = on_retransmit_record(sf, m, now=5_000)
     assert (snap.cwnd_before, snap.ssthresh_before) == (12.0, 30.0)
-    assert snap.phase_before is Phase.CONGESTION_AVOIDANCE
+    assert snap.phase_before == CONGESTION_AVOIDANCE
     assert snap.mapping is m
     assert m.retransmits == 1
     assert sf.retransmissions == 1
@@ -64,13 +65,13 @@ def test_eifel_detects_echo_older_than_retransmission():
 
 
 def test_eifel_respond_restores_exact_state():
-    sf = make_subflow(cwnd=24.0, ssthresh=48.0, phase=Phase.CONGESTION_AVOIDANCE)
+    sf = make_subflow(cwnd=24.0, ssthresh=48.0, phase=CONGESTION_AVOIDANCE)
     snap = on_retransmit_record(sf, Mapping(0, 1400), now=1_000)
-    sf.cwnd, sf.ssthresh, sf.phase = 2.0, 12.0, Phase.FAST_RECOVERY
+    sf.cwnd, sf.ssthresh, sf.phase = 2.0, 12.0, FAST_RECOVERY
     sf.dup_ack_count = 5
     eifel_respond(sf, snap)
     assert (sf.cwnd, sf.ssthresh) == (24.0, 48.0)
-    assert sf.phase is Phase.CONGESTION_AVOIDANCE
+    assert sf.phase == CONGESTION_AVOIDANCE
     assert sf.dup_ack_count == 0
     assert sf.spurious_detections == 1
     assert sf.saved is None
@@ -127,17 +128,17 @@ def test_dsack_ambiguous_after_second_retransmission():
 def test_dsack_respond_restores_threshold_only():
     sf = make_subflow(cwnd=14.0, ssthresh=28.0)
     snap = on_retransmit_record(sf, Mapping(0, 1400), now=1_000)
-    sf.cwnd, sf.ssthresh, sf.phase = 7.0, 7.0, Phase.FAST_RECOVERY
+    sf.cwnd, sf.ssthresh, sf.phase = 7.0, 7.0, FAST_RECOVERY
     dsack_respond(sf, snap)
     assert sf.cwnd == 7.0                 # window is not jumped back
     assert sf.ssthresh == 28.0            # threshold is restored
-    assert sf.phase is Phase.SLOW_START   # regrow exponentially from 7
+    assert sf.phase == SLOW_START   # regrow exponentially from 7
     assert sf.saved is None
 
 
 def test_dsack_respond_keeps_avoidance_above_threshold():
     sf = make_subflow(cwnd=30.0, ssthresh=20.0)
     snap = on_retransmit_record(sf, Mapping(0, 1400), now=1_000)
-    sf.cwnd, sf.phase = 25.0, Phase.FAST_RECOVERY
+    sf.cwnd, sf.phase = 25.0, FAST_RECOVERY
     dsack_respond(sf, snap)
-    assert sf.phase is Phase.CONGESTION_AVOIDANCE
+    assert sf.phase == CONGESTION_AVOIDANCE

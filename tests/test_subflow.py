@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from mpsim.connection import ConnectionState, schedule_next
 from mpsim.simkernel import NS_PER_S
-from mpsim.subflow import Mapping, Phase, RttEstimator, Subflow
+from mpsim.subflow import SLOW_START, Mapping, RttEstimator, Subflow
 
 
 # ------------------------------------------------------------ RttEstimator
@@ -236,6 +236,6 @@ def test_ack_update_matches_reference(drawn, acks):
 
 def test_initial_phase_and_defaults():
     sf = make_subflow()
-    assert sf.phase is Phase.SLOW_START
+    assert sf.phase == SLOW_START
     assert sf.cwnd == 2.0
     assert sf.ssthresh == 64.0
