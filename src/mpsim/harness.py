@@ -71,7 +71,6 @@ def run_sweep(base: ScenarioConfig, sweep: SweepSpec) -> List[SweepRow]:
         point = apply_sweep_point(base, sweep, value)
         point.seed = mix_seed(base.seed, i)
         try:
-            point.validate()
             result = run_scenario(point)
         except ScenarioError as exc:
             rows.append(SweepRow(param_value=value,
@@ -101,23 +100,16 @@ def fmt(value) -> str:
     return str(value)
 
 
-# one trace row as `fmt` renders it, when its numbers are float, int,
-# float, float; "%.6g" would write an int window such as 1000000 as 1e+06
+# one trace row as `fmt` renders it: a record's time and windows are floats
+# (a subflow's windows from its construction on) and its subflow an int
 _TRACE_ROW = "%.6g,%d,%.6g,%.6g,%s,%s"
 
 
 def trace_csv_lines(records: Sequence[TraceRecord]) -> List[str]:
-    lines = [",".join(TRACE_CSV_COLUMNS)]
-    append = lines.append
-    for r in records:
-        t, sf, cwnd, ssthresh = r.time_s, r.subflow, r.cwnd, r.ssthresh
-        if float is type(t) is type(cwnd) is type(ssthresh) \
-                and type(sf) is int:
-            append(_TRACE_ROW % (t, sf, cwnd, ssthresh, r.phase, r.event))
-        else:
-            append(",".join((fmt(t), str(sf), fmt(cwnd), fmt(ssthresh),
-                             r.phase, r.event)))
-    return lines
+    return [",".join(TRACE_CSV_COLUMNS)] + [
+        _TRACE_ROW % (r.time_s, r.subflow, r.cwnd, r.ssthresh, r.phase,
+                      r.event)
+        for r in records]
 
 
 def sweep_csv_lines(rows: Sequence[SweepRow]) -> List[str]:
@@ -165,12 +157,6 @@ def emit_csv(data, path) -> None:
         raise OSError("cannot write CSV %s: %s" % (path, exc)) from exc
 
 
-def _window(text: str):
-    """A window field read back as written: `fmt` writes an int window in
-    plain digits, which a float would render again as `1e+06`."""
-    return int(text) if text.lstrip("-").isdecimal() else float(text)
-
-
 def parse_trace_csv(path) -> List[TraceRecord]:
     records = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -195,8 +181,14 @@ def parse_trace_csv(path) -> List[TraceRecord]:
                 raise ScenarioError("%s:%d: unknown event %r"
                                     % (path, lineno, event))
             try:
-                records.append(TraceRecord(float(t), int(sf), _window(cwnd),
-                                           _window(ssthresh), phase, event))
+                t, cwnd, ssthresh = float(t), float(cwnd), float(ssthresh)
+                # the simulator writes inf only as a threshold
+                if not (math.isfinite(t) and math.isfinite(cwnd)) \
+                        or math.isnan(ssthresh):
+                    raise ValueError("time_s and cwnd_mss must be finite "
+                                     "and ssthresh_mss not nan")
+                records.append(TraceRecord(t, int(sf), cwnd, ssthresh,
+                                           phase, event))
             except ValueError as exc:
                 raise ScenarioError("%s:%d: %s" % (path, lineno, exc)) \
                     from None

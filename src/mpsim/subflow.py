@@ -82,8 +82,9 @@ class Subflow:
                  initial_rto=DEFAULT_INITIAL_RTO_S,
                  initial_rtt=DEFAULT_INITIAL_RTT_S):
         self.index = index
-        self.cwnd = initial_cwnd
-        self.ssthresh = initial_ssthresh
+        # floats whatever the caller gave, as every later assignment yields
+        self.cwnd = float(initial_cwnd)
+        self.ssthresh = float(initial_ssthresh)
         self.phase = SLOW_START
         self.flight = 0  # bytes mapped to this subflow and not yet acked
         self.dup_ack_count = 0

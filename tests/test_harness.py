@@ -340,21 +340,28 @@ def test_sweep_invalid_value_yields_error_row_not_abort():
 # --------------------------------------------------------------- CSV / SVG
 
 def test_trace_csv_round_trip(tmp_path):
-    # the int window 1000000 must read back as an int: as a float it would
-    # render again as 1e+06
-    for cfg in (small_cfg(), small_cfg(initial_ssthresh=1_000_000)):
+    # %.6g writes a window of 1000000 as 1e+06, which reads back as the same
+    # float; inf is written only as a threshold, and read back as one
+    for cfg in (small_cfg(), small_cfg(initial_ssthresh=1_000_000),
+                small_cfg(initial_ssthresh=math.inf)):
         result = run_scenario(cfg)
         path = tmp_path / "trace.csv"
         emit_csv(result.traces, path)
         back = parse_trace_csv(path)
         assert trace_csv_lines(back) == trace_csv_lines(result.traces)
+        assert main(["plot", str(path)]) == 0
 
 
-def test_integer_window_is_written_as_an_integer():
-    # "%.6g" alone would write this programmatic int ssthresh as 1e+06
-    lines = trace_csv_lines(
-        run_scenario(small_cfg(initial_ssthresh=1_000_000)).traces)
-    assert lines[1] == "0,1,2,1000000,slow_start,Sample"
+def test_int_and_file_windows_write_the_same_trace():
+    # a subflow's windows are floats from its construction, so an int window
+    # given from Python is written as the same scenario from a file writes it
+    text = preset_text("paper-base").replace("transfer_size = 5000000",
+                                             "transfer_size = 120000")
+    from_file = parse_scenario(text + "initial_ssthresh = 1000000\n")
+    from_python = small_cfg(initial_ssthresh=1_000_000)
+    lines = trace_csv_lines(run_scenario(from_python).traces)
+    assert lines == trace_csv_lines(run_scenario(from_file).traces)
+    assert lines[1] == "0,1,2,1e+06,slow_start,Sample"
 
 
 def fmt_row(r):
@@ -364,22 +371,20 @@ def fmt_row(r):
                      fmt(r.ssthresh), r.phase, r.event))
 
 
-_numbers = st.one_of(
+# the floats the simulator and the trace reader put in a record
+_floats = st.one_of(
     st.floats(),  # nan, +-inf, -0.0 and subnormals included
     st.floats(min_value=-1e-300, max_value=1e-300),
     st.floats(min_value=9e-6, max_value=1.1e-5),
     st.floats(min_value=9.9e5, max_value=1.01e6),
     st.sampled_from([0.0, -0.0, 5e-324, 1e-5, 9.999995e-6, 999999.4,
-                     999999.5, 1e6, math.inf, -math.inf, math.nan]),
-    st.integers(min_value=-10**7, max_value=10**7),
-    st.integers())
+                     999999.5, 1e6, math.inf, -math.inf, math.nan]))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.lists(st.builds(
-    TraceRecord, time_s=_numbers,
-    subflow=st.one_of(st.integers(1, 16), _numbers), cwnd=_numbers,
-    ssthresh=_numbers, phase=st.sampled_from(PHASES),
+    TraceRecord, time_s=_floats, subflow=st.integers(min_value=1),
+    cwnd=_floats, ssthresh=_floats, phase=st.sampled_from(PHASES),
     event=st.sampled_from(EVENTS)), max_size=8))
 def test_trace_rows_match_the_fmt_renderer(records):
     lines = trace_csv_lines(records)
@@ -395,7 +400,13 @@ def test_trace_rows_match_the_fmt_renderer(records):
     ("0,1,2,64,slow-start,Sample", "unknown phase 'slow-start'"),
     ("0,1,2,64,fast_recovery,FastRetransmt",
      "unknown event 'FastRetransmt'"),
-], ids=["short", "long", "subflow", "ssthresh", "phase", "event"])
+    ("nan,1,2,64,slow_start,Sample", "must be finite"),
+    ("-inf,1,2,64,slow_start,Sample", "must be finite"),
+    ("0,1,inf,64,slow_start,Sample", "must be finite"),
+    ("0,1,nan,64,slow_start,Sample", "must be finite"),
+    ("0,1,2,nan,slow_start,Sample", "ssthresh_mss not nan"),
+], ids=["short", "long", "subflow", "ssthresh", "phase", "event", "nan-time",
+        "inf-time", "inf-cwnd", "nan-cwnd", "nan-ssthresh"])
 def test_parse_trace_csv_names_the_bad_line(tmp_path, capsys, row, message):
     path = tmp_path / "trace.csv"
     path.write_text(",".join(harness.TRACE_CSV_COLUMNS) + "\n" + row + "\n")
@@ -454,7 +465,8 @@ def test_plot_rejects_empty_trace(tmp_path):
 
 def test_run_scenario_calls_simulation_with_the_config_alone(monkeypatch):
     # perfbench/workloads.py swaps harness.Simulation for a stand-in that
-    # takes only the config, and takes len() of every list a run returns
+    # takes only the config; perfbench/layers.py takes len() of every list a
+    # run returns and reads sim.kernel.now
     real, made = harness.Simulation, []
 
     def one_argument(cfg):
@@ -467,6 +479,7 @@ def test_run_scenario_calls_simulation_with_the_config_alone(monkeypatch):
     assert result.stats.completed and result.stats.checksum_ok
     for name in ("sends", "arrivals", "srtts", "traces", "detections"):
         assert isinstance(len(getattr(result, name)), int)
+    assert made[0].kernel.now > 0
 
 
 @pytest.mark.parametrize("detector", list(DetectorChoice),
