@@ -14,7 +14,6 @@ from typing import List
 from .coupling import CouplingMode
 from .netmodel import DEFAULT_QUEUE_LIMIT, LinkConfig
 from .spurious import DetectorChoice
-from . import subflow as _sf
 
 
 # Trace samples a run may take (stop_time / trace_interval): each one holds
@@ -30,20 +29,20 @@ class ScenarioError(ValueError):
 @dataclass
 class ScenarioConfig:
     links: List[LinkConfig] = field(default_factory=list)
-    transfer_size: int = 5_000_000
-    mss: int = _sf.DEFAULT_MSS
+    transfer_size: int = 5_000_000  # bytes
+    mss: int = 1400                 # bytes
     coupling: CouplingMode = CouplingMode.RTT_COMPENSATOR
     detector: DetectorChoice = DetectorChoice.NONE
     seed: int = 1
-    trace_interval: float = 0.1
+    trace_interval: float = 0.1     # seconds, as are the times below
     stop_time: float = 600.0
     ack_loss: bool = True
-    rto_floor: float = _sf.DEFAULT_RTO_FLOOR_S
-    rto_ceiling: float = _sf.DEFAULT_RTO_CEILING_S
-    initial_rto: float = _sf.DEFAULT_INITIAL_RTO_S
-    initial_cwnd: float = _sf.DEFAULT_INITIAL_CWND_MSS
-    initial_ssthresh: float = _sf.DEFAULT_INITIAL_SSTHRESH_MSS
-    initial_rtt: float = _sf.DEFAULT_INITIAL_RTT_S
+    rto_floor: float = 0.2
+    rto_ceiling: float = 60.0
+    initial_rto: float = 1.0
+    initial_cwnd: float = 2.0       # MSS
+    initial_ssthresh: float = 64.0  # MSS
+    initial_rtt: float = 0.1
     # keep the per-segment logs RunResult.sends/arrivals/srtts; they grow
     # with the segments sent, so they are off unless a caller reads them
     record_segments: bool = False
@@ -80,6 +79,12 @@ class ScenarioConfig:
             raise ScenarioError("rto_ceiling: must be finite")
         if self.initial_cwnd < 1:
             raise ScenarioError("initial_cwnd: must be >= 1 (one MSS)")
+        if self.initial_cwnd == math.inf:
+            raise ScenarioError("initial_cwnd: must be finite")
+        # one clock tick up to a bound that keeps the coupling's rtt**2 terms
+        # within float range
+        if not 1e-9 <= self.initial_rtt <= 1e9:
+            raise ScenarioError("initial_rtt: must be between 1e-9 and 1e9 s")
 
     def copy(self) -> "ScenarioConfig":
         return replace(self, links=[replace(l) for l in self.links])

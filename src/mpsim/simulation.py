@@ -48,18 +48,6 @@ class TraceRecord:
 
 
 @dataclass
-class Detection:
-    """One spurious-retransmission verdict, with what was restored."""
-    time_s: float
-    subflow: int              # 1-based
-    detector: DetectorChoice
-    cwnd_before: float        # snapshot (pre-retransmit) window
-    ssthresh_before: float
-    cwnd_at_detection: float  # window the subflow had when the verdict came
-    srtt: float
-
-
-@dataclass
 class SummaryStats:
     completed: bool
     completion_time_s: Optional[float]
@@ -88,7 +76,8 @@ class RunResult:
     traces: List[TraceRecord]
     sends: List[Tuple[int, int]]                  # (ns, subflow 1-based)
     arrivals: List[Tuple[int, int, int, int]]     # (ns, sf, bytes, new_bytes)
-    detections: List[Detection]
+    # the recovery snapshots judged spurious, in verdict order
+    detections: List[sp.SpuriousSnapshot]
     srtts: List[Tuple[float, int, float]]         # (time_s, sf, smoothed rtt)
 
 
@@ -99,18 +88,11 @@ class Simulation:
         self.kernel = SimKernel()
         self.rng = RandomStream(cfg.seed)
         self.mss = cfg.mss
-        self.detector = cfg.detector
         self.coupling_mode = cfg.coupling
         self.links_fwd = [Link(lc) for lc in cfg.links]
         rev_cfgs = [lc if cfg.ack_loss else _lossless(lc) for lc in cfg.links]
         self.links_rev = [Link(lc) for lc in rev_cfgs]
-        self.subflows = [
-            Subflow(i, initial_cwnd=cfg.initial_cwnd,
-                    initial_ssthresh=cfg.initial_ssthresh,
-                    rto_floor=cfg.rto_floor, rto_ceiling=cfg.rto_ceiling,
-                    initial_rto=cfg.initial_rto, initial_rtt=cfg.initial_rtt)
-            for i in range(len(cfg.links))
-        ]
+        self.subflows = [Subflow(i, cfg) for i in range(len(cfg.links))]
         self.conn = ConnectionState(cfg.transfer_size, cfg.mss,
                                     len(cfg.links))
         self.recv = ReassemblyState()
@@ -136,7 +118,7 @@ class Simulation:
         self.traces: List[TraceRecord] = []
         self.sends: List[Tuple[int, int]] = []
         self.arrivals: List[Tuple[int, int, int, int]] = []
-        self.detections: List[Detection] = []
+        self.detections: List[sp.SpuriousSnapshot] = []
         self.srtts: List[Tuple[float, int, float]] = []
         self._stop_ns = seconds_to_ns(cfg.stop_time)
         self._trace_ns = seconds_to_ns(cfg.trace_interval)
@@ -340,8 +322,6 @@ class Simulation:
             sf.rto_handle = self.kernel.push(due)
             return
         sf.rto_handle = sf.rto_due = None
-        if not sf.mappings:
-            return
         now = self.kernel.now
         m = sf.mappings[0]
         sp.on_retransmit_record(sf, m, now)
@@ -364,8 +344,9 @@ class Simulation:
             self._undo(sf, snap, sp.dsack_respond)
 
     def _undo(self, sf: Subflow, snap, respond) -> None:
-        """Act on a spurious verdict: restart the timer, record the
-        detection, then let the detector's `respond` restore the window."""
+        """Act on a spurious verdict: restart the timer, stamp the snapshot
+        and keep it as the detection, then let the detector's `respond`
+        restore the window."""
         # the timer that caused (or would repeat) the spurious retransmission
         # is too tight for the actual ACK latency: restart it conservatively
         est = sf.estimator
@@ -373,11 +354,9 @@ class Simulation:
         if sf.flight:
             self._arm_rto(sf)
         self._trace(sf, SPURIOUS_DETECTED)
-        self.detections.append(Detection(
-            time_s=self.kernel.now / NS_PER_S, subflow=sf.index + 1,
-            detector=self.detector, cwnd_before=snap.cwnd_before,
-            ssthresh_before=snap.ssthresh_before, cwnd_at_detection=sf.cwnd,
-            srtt=sf.rtt_for_coupling))
+        snap.time_s = self.kernel.now / NS_PER_S
+        snap.cwnd_at_detection = sf.cwnd
+        self.detections.append(snap)
         respond(sf, snap)
         self._trace(sf, RESTORE)
 
@@ -441,8 +420,7 @@ class Simulation:
             retx_sf=tuple(sf.retransmissions for sf in self.subflows),
             fast_retx=sum(sf.fast_retransmits for sf in self.subflows),
             rtos=sum(sf.rtos for sf in self.subflows),
-            spurious_detections=sum(sf.spurious_detections
-                                    for sf in self.subflows),
+            spurious_detections=len(self.detections),
             checksum_ok=checksum_ok, duplicate_bytes=self.duplicate_bytes,
             protocol_violations=self.protocol_violations)
         return RunResult(cfg=cfg, stats=stats, traces=self.traces,

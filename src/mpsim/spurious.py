@@ -12,7 +12,7 @@ through slow start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Tuple
 
@@ -28,13 +28,17 @@ class DetectorChoice(Enum):
 @dataclass
 class SpuriousSnapshot:
     """Sender state captured when a retransmission is decided, before the
-    associated window reduction."""
+    associated window reduction. A spurious verdict stamps it with its time
+    and the window then, and the run keeps it as that verdict's record."""
 
     cwnd_before: float
     ssthresh_before: float
     phase_before: str
-    retransmit_ts: int  # virtual ns
-    mapping: Mapping    # the resent segment
+    retransmit_ts: int                       # virtual ns
+    mapping: Mapping = field(compare=False)  # the resent segment
+    subflow: int                             # 1-based
+    time_s: Optional[float] = None             # of the spurious verdict
+    cwnd_at_detection: Optional[float] = None  # the window it found
 
 
 def on_retransmit_record(sf: Subflow, m: Mapping,
@@ -54,7 +58,8 @@ def on_retransmit_record(sf: Subflow, m: Mapping,
         # range): keep the pre-episode window values, refresh the stamp
         snap.retransmit_ts = now
         return snap
-    snap = SpuriousSnapshot(sf.cwnd, sf.ssthresh, sf.phase, now, m)
+    snap = SpuriousSnapshot(sf.cwnd, sf.ssthresh, sf.phase, now, m,
+                            sf.index + 1)
     sf.saved = snap
     return snap
 
@@ -72,7 +77,6 @@ def eifel_respond(sf: Subflow, snap: SpuriousSnapshot) -> None:
     sf.ssthresh = snap.ssthresh_before
     sf.phase = snap.phase_before
     sf.dup_ack_count = 0
-    sf.spurious_detections += 1
     sf.saved = None
 
 
@@ -98,5 +102,4 @@ def dsack_respond(sf: Subflow, snap: SpuriousSnapshot) -> None:
     else:
         sf.phase = CONGESTION_AVOIDANCE
     sf.dup_ack_count = 0
-    sf.spurious_detections += 1
     sf.saved = None

@@ -14,13 +14,6 @@ from collections import deque
 
 from .simkernel import NS_PER_S
 
-DEFAULT_MSS = 1400
-DEFAULT_RTO_FLOOR_S = 0.2
-DEFAULT_RTO_CEILING_S = 60.0
-DEFAULT_INITIAL_RTO_S = 1.0
-DEFAULT_INITIAL_SSTHRESH_MSS = 64.0
-DEFAULT_INITIAL_CWND_MSS = 2.0
-DEFAULT_INITIAL_RTT_S = 0.1
 ACK_SIZE_BYTES = 40
 
 
@@ -36,8 +29,7 @@ class RttEstimator:
 
     __slots__ = ("srtt", "rttvar", "rto", "floor", "ceiling")
 
-    def __init__(self, floor=DEFAULT_RTO_FLOOR_S, ceiling=DEFAULT_RTO_CEILING_S,
-                 initial_rto=DEFAULT_INITIAL_RTO_S):
+    def __init__(self, floor, ceiling, initial_rto):
         self.srtt = None
         self.rttvar = None
         self.floor = floor
@@ -75,21 +67,19 @@ class Mapping:
 class Subflow:
     """Sender-side state for one path of the connection."""
 
-    def __init__(self, index, initial_cwnd=DEFAULT_INITIAL_CWND_MSS,
-                 initial_ssthresh=DEFAULT_INITIAL_SSTHRESH_MSS,
-                 rto_floor=DEFAULT_RTO_FLOOR_S,
-                 rto_ceiling=DEFAULT_RTO_CEILING_S,
-                 initial_rto=DEFAULT_INITIAL_RTO_S,
-                 initial_rtt=DEFAULT_INITIAL_RTT_S):
+    def __init__(self, index, cfg):
+        """Subflow `index` (0-based), starting from the initial window,
+        threshold, RTO and RTT settings of the ScenarioConfig `cfg`."""
         self.index = index
         # floats whatever the caller gave, as every later assignment yields
-        self.cwnd = float(initial_cwnd)
-        self.ssthresh = float(initial_ssthresh)
+        self.cwnd = float(cfg.initial_cwnd)
+        self.ssthresh = float(cfg.initial_ssthresh)
         self.phase = SLOW_START
         self.flight = 0  # bytes mapped to this subflow and not yet acked
         self.dup_ack_count = 0
-        self.estimator = RttEstimator(rto_floor, rto_ceiling, initial_rto)
-        self.initial_rtt = initial_rtt
+        self.estimator = RttEstimator(cfg.rto_floor, cfg.rto_ceiling,
+                                      cfg.initial_rto)
+        self.initial_rtt = cfg.initial_rtt
         # Data-seq guard: no new fast retransmit until data_una passes it
         # (NewReno-style protection against back-to-back recoveries).
         self.recover_point = 0
@@ -105,7 +95,6 @@ class Subflow:
         self.retransmissions = 0
         self.fast_retransmits = 0
         self.rtos = 0
-        self.spurious_detections = 0
 
     @property
     def rtt_for_coupling(self) -> float:

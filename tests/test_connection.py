@@ -17,7 +17,7 @@ from mpsim.subflow import Subflow
 
 def make_pair(transfer=100_000, n=2):
     conn = ConnectionState(transfer, 1400, n)
-    return conn, [Subflow(i) for i in range(n)]
+    return conn, [Subflow(i, ScenarioConfig()) for i in range(n)]
 
 
 def test_round_robin_alternates_between_open_subflows():
@@ -119,7 +119,7 @@ def test_schedule_next_matches_reference(state):
     conn.data_snd_nxt = snd_nxt
     sfs = []
     for i, (cwnd, flight) in enumerate(zip(cwnds, flights)):
-        sf = Subflow(i)
+        sf = Subflow(i, ScenarioConfig())
         sf.cwnd, sf.flight = cwnd, flight
         sfs.append(sf)
     picks = schedule_next(conn, sfs)

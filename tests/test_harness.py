@@ -223,6 +223,11 @@ def values_id(values):
     {"initial_ssthresh": math.nan},
     {"initial_rtt": math.nan},
     {"link1.loss_rate": math.nan},
+    # an infinite initial_rtt made compute_alpha raise on lossy links, and
+    # an infinite initial_cwnd wrote nan or inf windows, which the trace
+    # reader rejects
+    {"initial_rtt": math.inf},
+    {"initial_cwnd": math.inf},
 ], ids=values_id)
 def test_non_finite_numbers_are_rejected(values):
     # the message names the first field set
@@ -256,6 +261,37 @@ def test_initial_cwnd_below_one_mss_is_rejected(cwnd):
     cfg = small_cfg(initial_cwnd=1)
     cfg.validate()
     assert run_scenario(cfg).stats.completed
+
+
+@pytest.mark.parametrize("initial_rtt", [1e-9, 1e9])
+def test_initial_rtt_at_its_bounds_runs(initial_rtt):
+    # compute_alpha reads initial_rtt for a path with no RTT sample yet
+    cfg = small_cfg(coupling=CouplingMode.LINKED_INCREASES,
+                    initial_ssthresh=1, initial_rtt=initial_rtt, seed=5,
+                    transfer_size=100_000,
+                    links=[LinkConfig(0.5e6, 0.010),
+                           LinkConfig(0.5e6, 0.010, loss_rate=0.3)])
+    stats = run_scenario(cfg).stats
+    assert stats.completed and stats.checksum_ok
+
+
+@pytest.mark.parametrize("rtt", [0, -1, 1e-300, 1e200])
+def test_initial_rtt_out_of_range_is_rejected(rtt):
+    # each passed validate(): 0, -1 and 1e-300 then made compute_alpha
+    # raise in the scenario above, and 1e200 did so with both links lossy,
+    # where rtt*rtt or the squared sum leaves float range
+    with pytest.raises(ScenarioError, match="initial_rtt: must be between"):
+        small_cfg(initial_rtt=rtt).validate()
+
+
+def test_readme_scenario_block_is_the_defaults():
+    # README's "Scenario files" block lists every key at its default
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Scenario files", 1)[1]
+    block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_scenario(block, "README.md")
+    assert dataclasses.replace(cfg, links=[]) == ScenarioConfig()
+    assert cfg.links == [LinkConfig(0.5e6, 0.010), LinkConfig(0.5e6, 0.320)]
 
 
 # -------------------------------------------------------------- simulation

@@ -295,6 +295,39 @@ def test_lost_ack_makes_the_retransmission_spurious():
     assert result.stats.spurious_detections > 0
 
 
+@pytest.mark.parametrize("detector", [DetectorChoice.EIFEL,
+                                      DetectorChoice.DSACK],
+                         ids=lambda d: d.value)
+def test_each_detection_is_the_snapshot_its_trace_row_shows(detector):
+    sim = Simulation(two_path_cfg(delay2_ms=320.0, transfer=400_000,
+                                  detector=detector))
+    result = sim.run()
+    rows = [r for r in result.traces if r.event == "SpuriousDetected"]
+    dets = result.detections
+    assert result.stats.spurious_detections == len(dets) == len(rows) > 0
+    assert ([(d.subflow, d.time_s, d.cwnd_at_detection) for d in dets]
+            == [(r.subflow, r.time_s, r.cwnd) for r in rows])
+    # a verdict consumes its snapshot: none is kept twice, and one still
+    # waiting for a verdict has no verdict time
+    assert len({id(d) for d in dets}) == len(dets)
+    assert all(sf.saved is None or sf.saved.time_s is None
+               for sf in sim.subflows)
+
+
+def test_an_ack_beyond_the_data_sent_is_a_protocol_violation():
+    # no receiver acks bytes never sent: such an ACK, injected into a
+    # running transfer, is counted and otherwise ignored
+    sim = Simulation(two_path_cfg())
+
+    def rogue_ack():
+        sim._on_ack(0, 0, sim.conn.data_snd_nxt + 1, None)
+
+    sim.kernel.schedule(seconds_to_ns(0.5), rogue_ack)
+    stats = sim.run().stats
+    assert stats.protocol_violations == 1
+    assert stats.completed and stats.checksum_ok
+
+
 def test_send_log_is_deterministic():
     cfg = two_path_cfg(delay2_ms=320.0, loss2=0.01, seed=11,
                        record_segments=True)

@@ -1,5 +1,6 @@
 """Spurious-retransmission detection: snapshots, Eifel and DSACK verdicts."""
 
+from mpsim.config import ScenarioConfig
 from mpsim.connection import ReassemblyState
 from mpsim.spurious import (dsack_respond, dsack_sender_check, eifel_check,
                             eifel_respond, on_retransmit_record)
@@ -8,7 +9,7 @@ from mpsim.subflow import (CONGESTION_AVOIDANCE, FAST_RECOVERY, SLOW_START,
 
 
 def make_subflow(cwnd=10.0, ssthresh=64.0, phase=SLOW_START):
-    sf = Subflow(0)
+    sf = Subflow(0, ScenarioConfig())
     sf.cwnd = cwnd
     sf.ssthresh = ssthresh
     sf.phase = phase
@@ -24,6 +25,9 @@ def test_snapshot_captures_pre_reduction_state():
     assert (snap.cwnd_before, snap.ssthresh_before) == (12.0, 30.0)
     assert snap.phase_before == CONGESTION_AVOIDANCE
     assert snap.mapping is m
+    assert snap.subflow == 1
+    # stamped only by a spurious verdict
+    assert snap.time_s is None and snap.cwnd_at_detection is None
     assert m.retransmits == 1
     assert sf.retransmissions == 1
     assert sf.saved is snap
@@ -73,7 +77,6 @@ def test_eifel_respond_restores_exact_state():
     assert (sf.cwnd, sf.ssthresh) == (24.0, 48.0)
     assert sf.phase == CONGESTION_AVOIDANCE
     assert sf.dup_ack_count == 0
-    assert sf.spurious_detections == 1
     assert sf.saved is None
 
 

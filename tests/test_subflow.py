@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mpsim.config import ScenarioConfig
 from mpsim.connection import ConnectionState, schedule_next
 from mpsim.simkernel import NS_PER_S
 from mpsim.subflow import SLOW_START, Mapping, RttEstimator, Subflow
@@ -11,7 +12,7 @@ from mpsim.subflow import SLOW_START, Mapping, RttEstimator, Subflow
 # ------------------------------------------------------------ RttEstimator
 
 def test_first_sample_initializes_estimator():
-    est = RttEstimator()
+    est = RttEstimator(0.2, 60.0, 1.0)
     assert est.srtt is None
     assert est.rto == 1.0  # initial RTO before any sample
     est.update(0.100)
@@ -22,7 +23,7 @@ def test_first_sample_initializes_estimator():
 
 
 def test_second_identical_sample_shrinks_variance():
-    est = RttEstimator()
+    est = RttEstimator(0.2, 60.0, 1.0)
     est.update(0.100)
     est.update(0.100)
     assert est.srtt == pytest.approx(0.100)
@@ -31,20 +32,20 @@ def test_second_identical_sample_shrinks_variance():
 
 
 def test_rto_floor_clamps_small_rtts():
-    est = RttEstimator()
+    est = RttEstimator(0.2, 60.0, 1.0)
     for _ in range(30):
         est.update(0.001)
     assert est.rto == 0.2
 
 
 def test_rto_ceiling_clamps_large_rtts():
-    est = RttEstimator(ceiling=60.0)
+    est = RttEstimator(0.2, 60.0, 1.0)
     est.update(100.0)
     assert est.rto == 60.0
 
 
 def test_backoff_doubles_up_to_ceiling():
-    est = RttEstimator()
+    est = RttEstimator(0.2, 60.0, 1.0)
     est.update(0.100)
     assert est.rto == pytest.approx(0.300)
     est.backoff()
@@ -55,7 +56,7 @@ def test_backoff_doubles_up_to_ceiling():
 
 
 def test_nonpositive_sample_rejected():
-    est = RttEstimator()
+    est = RttEstimator(0.2, 60.0, 1.0)
     with pytest.raises(ValueError):
         est.update(0.0)
 
@@ -100,7 +101,7 @@ def test_rtt_estimator_matches_rfc6298_reference(floor, extra, initial_rto,
 # ----------------------------------------------------------------- Subflow
 
 def make_subflow(**kw):
-    return Subflow(0, **kw)
+    return Subflow(0, ScenarioConfig(**kw))
 
 
 def test_can_send_respects_window():
