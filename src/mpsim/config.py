@@ -9,10 +9,11 @@ from dataclasses import dataclass, field, replace
 from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import List
+from typing import List, get_type_hints
 
 from .coupling import CouplingMode
-from .netmodel import DEFAULT_QUEUE_LIMIT, LinkConfig
+from .netmodel import (DEFAULT_QUEUE_LIMIT, LinkConfig, _check_fields,
+                       _type_error)
 from .spurious import DetectorChoice
 
 
@@ -50,14 +51,12 @@ class ScenarioConfig:
     def validate(self) -> None:
         if not self.links:
             raise ScenarioError("links: at least one link is required")
-        for i, link in enumerate(self.links, start=1):
-            try:
+        try:
+            _check_fields(self, _TYPES, "")
+            for i, link in enumerate(self.links, start=1):
                 link.validate("link%d" % i)
-            except ValueError as exc:
-                raise ScenarioError(str(exc)) from None
-        for key in _FLOAT_KEYS:
-            if math.isnan(getattr(self, key)):
-                raise ScenarioError("%s: must be a number, got nan" % key)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
         if self.transfer_size < 0:
             raise ScenarioError("transfer_size: must be >= 0")
         if self.mss <= 0:
@@ -90,43 +89,39 @@ class ScenarioConfig:
         return replace(self, links=[replace(l) for l in self.links])
 
 
+# every scalar field and its type, in field order, so validate() names the
+# first bad field; the scenario file keys are these but record_segments
+_TYPES = get_type_hints(ScenarioConfig)
+del _TYPES["links"]
+
 _BOOL_WORDS = {"true": True, "on": True, "yes": True, "1": True,
                "false": False, "off": False, "no": False, "0": False}
 
-_INT_KEYS = {"transfer_size", "mss", "seed"}
-# in field order, so validate() names the first NaN field
-_FLOAT_KEYS = ("trace_interval", "stop_time", "rto_floor", "rto_ceiling",
-               "initial_rto", "initial_cwnd", "initial_ssthresh", "initial_rtt")
-_BOOL_KEYS = {"ack_loss"}
 _LINK_KEYS = {"capacity_mbps", "delay_ms", "loss_rate", "queue_limit"}
 
 PRESET_NAMES = ("paper-base", "paper-reorder")
 
 
-def _parse_bool(key: str, raw: str, where: str) -> bool:
+def _parse_bool(name: str, raw: str) -> bool:
     try:
         return _BOOL_WORDS[raw.strip().lower()]
     except KeyError:
-        raise ScenarioError("%s: %s: expected a boolean, got %r"
-                            % (where, key, raw)) from None
+        raise ScenarioError(_type_error(name, bool, raw)) from None
 
 
-def _parse_num(key: str, raw, where: str, want_int: bool):
+def _parse_num(name: str, raw, tp: type):
     """A number from flat-file text or a JSON value. JSON true/false are not
     numbers, and an integer key takes no fraction: int() would truncate."""
     try:
         if isinstance(raw, bool):
             raise TypeError(raw)
-        if not want_int:
+        if tp is float:
             return float(raw)
         if isinstance(raw, float) and not raw.is_integer():
             raise ValueError(raw)
         return int(raw)
     except (TypeError, ValueError):
-        raise ScenarioError("%s: %s: expected %s, got %r"
-                            % (where, key,
-                               "an integer" if want_int else "a number",
-                               raw)) from None
+        raise ScenarioError(_type_error(name, tp, raw)) from None
 
 
 def _link_from_parts(parts: dict, name: str) -> LinkConfig:
@@ -136,44 +131,33 @@ def _link_from_parts(parts: dict, name: str) -> LinkConfig:
     if "capacity_mbps" not in parts or "delay_ms" not in parts:
         raise ScenarioError("%s: capacity_mbps and delay_ms are required" % name)
     return LinkConfig(
-        capacity_bps=_parse_num("capacity_mbps", parts["capacity_mbps"],
-                                name, False) * 1e6,
-        one_way_delay_s=_parse_num("delay_ms", parts["delay_ms"], name,
-                                   False) / 1e3,
-        loss_rate=_parse_num("loss_rate", parts.get("loss_rate", 0.0),
-                             name, False),
-        queue_limit=_parse_num("queue_limit",
+        capacity_bps=_parse_num(name + ": capacity_mbps",
+                                parts["capacity_mbps"], float) * 1e6,
+        one_way_delay_s=_parse_num(name + ": delay_ms", parts["delay_ms"],
+                                   float) / 1e3,
+        loss_rate=_parse_num(name + ": loss_rate",
+                             parts.get("loss_rate", 0.0), float),
+        queue_limit=_parse_num(name + ": queue_limit",
                                parts.get("queue_limit", DEFAULT_QUEUE_LIMIT),
-                               name, True),
+                               int),
     )
 
 
 def _apply_scalar(cfg: ScenarioConfig, key: str, raw, where: str) -> None:
-    if key in _INT_KEYS:
-        setattr(cfg, key, _parse_num(key, raw, where, True))
-    elif key in _FLOAT_KEYS:
-        setattr(cfg, key, _parse_num(key, raw, where, False))
-    elif key in _BOOL_KEYS:
-        value = raw if isinstance(raw, bool) else _parse_bool(key, str(raw), where)
-        setattr(cfg, key, value)
-    elif key == "coupling":
-        try:
-            cfg.coupling = CouplingMode(str(raw).strip().lower())
-        except ValueError:
-            raise ScenarioError("%s: coupling: unknown mode %r (expected one "
-                                "of %s)" % (where, raw,
-                                            [m.value for m in CouplingMode])
-                                ) from None
-    elif key == "detector":
-        try:
-            cfg.detector = DetectorChoice(str(raw).strip().lower())
-        except ValueError:
-            raise ScenarioError("%s: detector: unknown detector %r (expected "
-                                "one of %s)" % (where, raw,
-                                                [d.value for d in DetectorChoice])
-                                ) from None
-    else:
+    tp = _TYPES.get(key)
+    if tp is None or key == "record_segments":
         raise ScenarioError("%s: unknown key %r" % (where, key))
+    name = "%s: %s" % (where, key)
+    if tp is bool:
+        value = raw if isinstance(raw, bool) else _parse_bool(name, str(raw))
+    elif tp is int or tp is float:
+        value = _parse_num(name, raw, tp)
+    else:  # an Enum, named by its value; JSON null has no strip()
+        try:
+            value = tp(raw.strip().lower())
+        except (AttributeError, ValueError):
+            raise ScenarioError(_type_error(name, tp, raw)) from None
+    setattr(cfg, key, value)
 
 
 def _parse_flat(text: str, where: str) -> ScenarioConfig:

@@ -12,6 +12,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from typing import get_type_hints
 
 from .simkernel import NS_PER_S, RandomStream
 
@@ -31,10 +32,7 @@ class LinkConfig:
     queue_limit: int = DEFAULT_QUEUE_LIMIT
 
     def validate(self, name: str = "link") -> None:
-        for key in ("capacity_bps", "one_way_delay_s", "loss_rate"):
-            if math.isnan(getattr(self, key)):
-                raise ValueError("%s.%s must be a number, got nan"
-                                 % (name, key))
+        _check_fields(self, _LINK_TYPES, name + ".")
         if self.capacity_bps <= 0:
             raise ValueError("%s.capacity_bps must be > 0" % name)
         if self.one_way_delay_s < 0:
@@ -45,6 +43,27 @@ class LinkConfig:
             raise ValueError("%s.loss_rate must be in [0, 1]" % name)
         if self.queue_limit < 1:
             raise ValueError("%s.queue_limit must be >= 1" % name)
+
+
+_LINK_TYPES = get_type_hints(LinkConfig)
+_EXPECTED = {int: "an integer", float: "a number", bool: "a boolean"}
+
+
+def _type_error(name: str, tp: type, value) -> str:
+    # in the words of the scenario parser too; an Enum field takes a member
+    expected = _EXPECTED.get(tp) or "one of %s" % [m.value for m in tp]
+    return "%s: expected %s, got %r" % (name, expected, value)
+
+
+def _check_fields(obj, types: dict, prefix: str) -> None:
+    """Raise ValueError at the first field of `obj` that is not of its type
+    in `types`, or is NaN; an int is a float, but a bool is no number."""
+    for key, tp in types.items():
+        value = getattr(obj, key)
+        if (isinstance(value, bool) and tp is not bool
+                or not isinstance(value, (int, float) if tp is float else tp)
+                or tp is float and math.isnan(value)):
+            raise ValueError(_type_error(prefix + key, tp, value))
 
 
 class Link:

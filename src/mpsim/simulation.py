@@ -129,7 +129,7 @@ class Simulation:
         return [sf.cwnd for sf in self.subflows]
 
     def _rtts(self) -> List[float]:
-        # Subflow.rtt_for_coupling of each subflow, read without the property
+        # each subflow's smoothed RTT, or initial_rtt before its first sample
         rtts = []
         for sf in self.subflows:
             srtt = sf.estimator.srtt
@@ -383,8 +383,9 @@ class Simulation:
         for sf in self.subflows:
             append(TraceRecord(now_s, sf.index + 1, sf.cwnd, sf.ssthresh,
                                sf.phase, SAMPLE))
-            if self._record:
-                self.srtts.append((now_s, sf.index + 1, sf.rtt_for_coupling))
+        if self._record:
+            for i, rtt in enumerate(self._rtts(), start=1):
+                self.srtts.append((now_s, i, rtt))
         nxt = now + self._trace_ns
         if nxt <= self._stop_ns:
             self.kernel.schedule(nxt, self._on_trace_sample)

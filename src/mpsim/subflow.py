@@ -96,11 +96,6 @@ class Subflow:
         self.fast_retransmits = 0
         self.rtos = 0
 
-    @property
-    def rtt_for_coupling(self) -> float:
-        srtt = self.estimator.srtt
-        return srtt if srtt is not None else self.initial_rtt
-
     def ack_update(self, data_una: int, now_ns: int):
         """Pop the mappings cumulatively acked at data level and take their
         bytes out of flight.

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -12,9 +13,8 @@ from hypothesis import given, settings, strategies as st
 import mpsim
 from mpsim import harness
 from mpsim.cli import main
-from mpsim.config import (_BOOL_KEYS, _FLOAT_KEYS, _INT_KEYS, PRESET_NAMES,
-                          ScenarioConfig, ScenarioError, load_scenario,
-                          parse_scenario, preset_text)
+from mpsim.config import (PRESET_NAMES, ScenarioConfig, ScenarioError,
+                          load_scenario, parse_scenario, preset_text)
 from mpsim.coupling import CouplingMode
 from mpsim.harness import (SweepParameter, SweepSpec, emit_csv, emit_plot,
                            fmt, parse_trace_csv, run_scenario, run_sweep,
@@ -129,13 +129,49 @@ def test_scenario_requires_at_least_one_link():
         parse_scenario("transfer_size = 1000\n")
 
 
-def test_scenario_keys_are_the_config_fields():
+# a value other than the default for every scenario key, of the key's type
+NON_DEFAULT = {
+    "transfer_size": 123_456, "mss": 1000,
+    "coupling": CouplingMode.UNCOUPLED, "detector": DetectorChoice.DSACK,
+    "seed": 7, "trace_interval": 0.25, "stop_time": 30.5, "ack_loss": False,
+    "rto_floor": 0.25, "rto_ceiling": 30.5, "initial_rto": 1.5,
+    "initial_cwnd": 3.5, "initial_ssthresh": 16.5, "initial_rtt": 0.15,
+}
+
+
+def test_every_scenario_key_round_trips_in_both_formats():
     # a field no scenario file can set is a switch with one reachable side;
     # links have their own keys, and the per-segment logs are a caller's
     # choice, not part of a scenario
-    accepted = {*_INT_KEYS, *_FLOAT_KEYS, *_BOOL_KEYS, "coupling", "detector"}
-    fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    assert accepted == fields - {"links", "record_segments"}
+    names = [f.name for f in dataclasses.fields(ScenarioConfig)]
+    assert sorted(NON_DEFAULT) == sorted(set(names)
+                                         - {"links", "record_segments"})
+    flat_link = "link1.capacity_mbps = 1\nlink1.delay_ms = 10\n"
+    for name, value in NON_DEFAULT.items():
+        assert value != getattr(ScenarioConfig(), name), name
+        plain = value.value if isinstance(value, Enum) else value
+        flat = parse_scenario(flat_link + "%s = %s\n" % (name, plain))
+        parsed = parse_scenario(json.dumps({"links": [JSON_LINK],
+                                            name: plain}))
+        for cfg in (flat, parsed):
+            got = getattr(cfg, name)
+            assert (got, type(got)) == (value, type(value)), name
+    for text in (flat_link + "record_segments = true\n",
+                 json.dumps({"links": [JSON_LINK], "record_segments": True})):
+        with pytest.raises(ScenarioError,
+                           match="unknown key 'record_segments'"):
+            parse_scenario(text)
+
+
+@pytest.mark.parametrize("key", ["coupling", "detector"])
+def test_json_null_is_no_enum_member(key):
+    # str(None).lower() is "none", which read as the detector `none`
+    with pytest.raises(ScenarioError, match="%s: expected one of .*, got "
+                                            "None$" % key):
+        parse_scenario(json.dumps({"links": [JSON_LINK], key: None}))
+    cfg = parse_scenario("link1.capacity_mbps=1\nlink1.delay_ms=1\n"
+                         "detector = None\n")  # the name of a value
+    assert cfg.detector is DetectorChoice.NONE
 
 
 @pytest.mark.parametrize("text", [
@@ -240,6 +276,31 @@ def test_non_finite_numbers_are_rejected_when_parsed():
         parse_scenario(FLAT.replace("delay_ms = 320", "delay_ms = inf"))
     with pytest.raises(ScenarioError, match="trace_interval"):
         parse_scenario(FLAT + "trace_interval = nan\n")
+
+
+WRONG_TYPES = [
+    # the first two ran with no detector and with rtt_compensator, and a
+    # fractional seed raised inside RandomStream
+    ({"detector": "eifel"},
+     "detector: expected one of ['none', 'eifel', 'dsack'], got 'eifel'"),
+    ({"coupling": "uncoupled"}, "coupling: expected one of ["),
+    ({"ack_loss": "no"}, "ack_loss: expected a boolean, got 'no'"),
+    ({"record_segments": 1}, "record_segments: expected a boolean, got 1"),
+    ({"mss": 1400.5}, "mss: expected an integer, got 1400.5"),
+    ({"seed": 1.5}, "seed: expected an integer, got 1.5"),
+    ({"seed": True}, "seed: expected an integer, got True"),
+    ({"stop_time": False}, "stop_time: expected a number, got False"),
+    ({"link2.queue_limit": 2.5},
+     "link2.queue_limit: expected an integer, got 2.5"),
+]
+
+
+@pytest.mark.parametrize("values, message", WRONG_TYPES,
+                         ids=[values_id(values) for values, _ in WRONG_TYPES])
+def test_wrongly_typed_fields_are_rejected(values, message):
+    # a config built in Python gets the type check the file parser makes
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        with_values(small_cfg(), values).validate()
 
 
 @pytest.mark.parametrize("values", [

@@ -1,6 +1,7 @@
 """Link model: serialization timing, FIFO queue, drop-tail, random loss."""
 
 import math
+import re
 from collections import deque
 
 import pytest
@@ -119,6 +120,18 @@ def test_config_validation_messages_name_the_field():
     with pytest.raises(ValueError, match="queue_limit"):
         LinkConfig(capacity_bps=1e6, one_way_delay_s=0.01,
                    queue_limit=0).validate()
+
+
+@pytest.mark.parametrize("kw, message", [
+    # a string capacity made validate() raise TypeError at its first compare
+    (dict(capacity_bps="1e6"),
+     "link.capacity_bps: expected a number, got '1e6'"),
+    (dict(loss_rate=True), "link.loss_rate: expected a number, got True"),
+], ids=["string", "boolean"])
+def test_config_rejects_wrongly_typed_fields(kw, message):
+    cfg = LinkConfig(**{"capacity_bps": 1e6, "one_way_delay_s": 0.01, **kw})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cfg.validate()
 
 
 def test_segment_size_must_be_positive():

@@ -34,6 +34,14 @@ def run(cfg):
     return Simulation(cfg.copy()).run()
 
 
+def test_rtts_fall_back_to_initial_rtt():
+    # the coupling reads a subflow's initial_rtt until its first RTT sample
+    sim = Simulation(two_path_cfg(initial_rtt=0.25))
+    assert sim._rtts() == [0.25, 0.25]
+    sim.subflows[1].estimator.update(0.5)
+    assert sim._rtts() == [0.25, 0.5]
+
+
 def test_lossless_symmetric_run_is_clean():
     result = run(two_path_cfg())
     s = result.stats

@@ -130,13 +130,6 @@ def test_flight_is_unacked_bytes():
     assert sf.flight == 0
 
 
-def test_rtt_for_coupling_falls_back_to_initial():
-    sf = make_subflow(initial_rtt=0.25)
-    assert sf.rtt_for_coupling == 0.25
-    sf.estimator.update(0.5)
-    assert sf.rtt_for_coupling == 0.5
-
-
 def add_mapping(sf, data_start, size=1400, sent_s=0.0):
     m = Mapping(data_start, data_start + size)
     m.sent_ns = int(sent_s * NS_PER_S)
