@@ -49,11 +49,17 @@ class ScenarioConfig:
     record_segments: bool = False
 
     def validate(self) -> None:
+        if not isinstance(self.links, list):
+            raise ScenarioError("links: expected a list of LinkConfig, got %r"
+                                % (self.links,))
         if not self.links:
             raise ScenarioError("links: at least one link is required")
         try:
             _check_fields(self, _TYPES, "")
             for i, link in enumerate(self.links, start=1):
+                if not isinstance(link, LinkConfig):
+                    raise ValueError("link%d: expected a LinkConfig, got %r"
+                                     % (i, link))
                 link.validate("link%d" % i)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from None
@@ -61,8 +67,9 @@ class ScenarioConfig:
             raise ScenarioError("transfer_size: must be >= 0")
         if self.mss <= 0:
             raise ScenarioError("mss: must be > 0")
-        if self.trace_interval <= 0:
-            raise ScenarioError("trace_interval: must be > 0")
+        if self.trace_interval < 1e-9:
+            # a shorter interval rounds to 0 ns: samples without end at t=0
+            raise ScenarioError("trace_interval: must be >= 1e-9 s (1 ns)")
         if self.trace_interval == math.inf:
             raise ScenarioError("trace_interval: must be finite")
         if self.stop_time <= 0:

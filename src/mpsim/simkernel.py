@@ -8,6 +8,7 @@ insertion order (monotone ordinal tie-break).
 from __future__ import annotations
 
 import heapq
+import math
 
 NS_PER_S = 1_000_000_000
 
@@ -72,6 +73,12 @@ class SimKernel:
     the queued one would fire later than it or comes due before it. So
     every timer firing keeps the (time, ordinal) it would have had with
     one queued entry per re-arm.
+
+    `run_until_idle` can run in slices. With `scheduled_before=True`, a
+    slice ending at t leaves the events at t that were scheduled during
+    it, so work done between two slices (the simulation's trace samples)
+    takes the place of an event scheduled as the earlier slice began,
+    without taking an ordinal or a heap entry.
     """
 
     def __init__(self):
@@ -109,12 +116,21 @@ class SimKernel:
         """Stop processing; run_until_idle returns after the current event."""
         self._stopped = True
 
-    def run_until_idle(self, stop_time: int) -> int:
-        """Process every event with fire_time <= stop_time, in order."""
+    def run_until_idle(self, stop_time: int,
+                       scheduled_before: bool = False) -> int:
+        """Process every event with fire_time <= stop_time, in order.
+
+        With `scheduled_before`, an event at stop_time itself fires only if
+        it was scheduled before this call, so a caller that acts between
+        two calls takes its place among the events at stop_time as an
+        event scheduled at the call's start would have."""
         queue = self._queue
         pop = heapq.heappop
+        last = self._ordinal if scheduled_before else math.inf
         while queue and not self._stopped:
-            if queue[0][0] > stop_time:
+            head = queue[0]
+            if head[0] >= stop_time and (head[0] > stop_time
+                                         or head[1] > last):
                 break
             fire_time, _, fn = pop(queue)
             if fn is not None:

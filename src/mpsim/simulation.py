@@ -376,8 +376,7 @@ class Simulation:
 
     # -------------------------------------------------------------- driver
 
-    def _on_trace_sample(self) -> None:
-        now = self.kernel.now
+    def _on_trace_sample(self, now: int) -> None:
         now_s = now / NS_PER_S  # one float shared by all of the sample's rows
         append = self.traces.append
         for sf in self.subflows:
@@ -386,18 +385,28 @@ class Simulation:
         if self._record:
             for i, rtt in enumerate(self._rtts(), start=1):
                 self.srtts.append((now_s, i, rtt))
-        nxt = now + self._trace_ns
-        if nxt <= self._stop_ns:
-            self.kernel.schedule(nxt, self._on_trace_sample)
 
     def run(self) -> RunResult:
         if self.cfg.transfer_size == 0:
             self.completed_ns = 0
             return self._result()
-        self.kernel.schedule(0, self._on_trace_sample)
-        self.kernel.schedule(self._stop_ns, self.kernel.stop)
+        kernel = self.kernel
+        stop_ns, step = self._stop_ns, self._trace_ns
+        kernel.schedule(stop_ns, kernel.stop)
         self._pump()
-        self.kernel.run_until_idle(self._stop_ns)
+        # Samples are taken between slices of the kernel loop, not as kernel
+        # events. A slice ends at the next sample time and fires there only
+        # the events scheduled before it began, so each sample keeps the
+        # place an event queued at the previous sample would have had.
+        self._on_trace_sample(0)  # sending changed no sampled value
+        t = step
+        while t < stop_ns:
+            kernel.run_until_idle(t, scheduled_before=True)
+            if self.completed_ns is not None:
+                break
+            self._on_trace_sample(t)
+            t += step
+        kernel.run_until_idle(stop_ns)
         return self._result()
 
     def _result(self) -> RunResult:

@@ -8,7 +8,7 @@ from enum import Enum
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mpsim
 from mpsim import harness
@@ -225,6 +225,16 @@ def test_trace_sample_count_is_bounded():
     small_cfg(stop_time=1.0, trace_interval=1e-6).validate()  # at the limit
 
 
+def test_trace_interval_below_one_clock_tick_is_rejected():
+    # 1e-10 s rounds to a 0 ns step: the run sampled t=0 without end, within
+    # the sample bound, growing its trace until memory ran out
+    with pytest.raises(ScenarioError,
+                       match=re.escape("trace_interval: must be >= 1e-9 s")):
+        small_cfg(stop_time=1e-5, trace_interval=1e-10).validate()
+    result = run_scenario(small_cfg(stop_time=1e-5, trace_interval=1e-9))
+    assert len(result.traces) == 2 * 10_000  # one tick, and 2 subflows
+
+
 def with_values(cfg, values):
     """Set `field` or `linkN.field` entries of `values` on cfg."""
     for key, value in values.items():
@@ -301,6 +311,19 @@ def test_wrongly_typed_fields_are_rejected(values, message):
     # a config built in Python gets the type check the file parser makes
     with pytest.raises(ScenarioError, match=re.escape(message)):
         with_values(small_cfg(), values).validate()
+
+
+@pytest.mark.parametrize("links, message", [
+    ([{"capacity_bps": 1e6}],
+     "link1: expected a LinkConfig, got {'capacity_bps': 1000000.0}"),
+    ([LinkConfig(1e6, 0.01), None], "link2: expected a LinkConfig, got None"),
+    ((LinkConfig(1e6, 0.01),), "links: expected a list of LinkConfig, got ("),
+    ("link", "links: expected a list of LinkConfig, got 'link'"),
+], ids=["dict", "none", "tuple", "str"])
+def test_links_of_the_wrong_type_are_rejected(links, message):
+    # a dict entry used to escape validate() as an AttributeError
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        ScenarioConfig(links=links).validate()
 
 
 @pytest.mark.parametrize("values", [
@@ -478,11 +501,27 @@ _floats = st.one_of(
                      999999.5, 1e6, math.inf, -math.inf, math.nan]))
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(st.lists(st.builds(
-    TraceRecord, time_s=_floats, subflow=st.integers(min_value=1),
-    cwnd=_floats, ssthresh=_floats, phase=st.sampled_from(PHASES),
-    event=st.sampled_from(EVENTS)), max_size=8))
+@st.composite
+def _records(draw):
+    # besides fresh floats, a few objects that rows share, as a sample's
+    # rows share a time and a subflow's rows an unchanged window; 0.0 and
+    # -0.0 are equal but distinct objects, and are written differently
+    pool = draw(st.lists(_floats, max_size=3)) + [0.0, -0.0]
+    value = st.one_of(_floats, st.sampled_from(pool))
+    return draw(st.lists(st.builds(
+        TraceRecord, time_s=value,
+        subflow=st.one_of(st.integers(1, 2), st.integers(min_value=1)),
+        cwnd=value, ssthresh=value, phase=st.sampled_from(PHASES),
+        event=st.sampled_from(EVENTS)), max_size=12))
+
+
+_ZERO, _NEG_ZERO, _SHARED = 0.0, -0.0, 1.5
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_records())
+@example([TraceRecord(t, 1, w, _SHARED, PHASES[0], EVENTS[0])
+          for t in (_ZERO, _NEG_ZERO) for w in (_SHARED, _ZERO, _NEG_ZERO)])
 def test_trace_rows_match_the_fmt_renderer(records):
     lines = trace_csv_lines(records)
     assert lines[0] == ",".join(harness.TRACE_CSV_COLUMNS)

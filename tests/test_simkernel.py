@@ -84,6 +84,23 @@ def test_events_beyond_stop_time_are_left_queued():
     assert fired == [10]
 
 
+def test_stop_time_fires_only_what_was_queued_before_the_call():
+    kernel = SimKernel()
+    fired = []
+
+    def first():
+        fired.append("first")
+        kernel.schedule(50, lambda: fired.append("later"))
+
+    kernel.schedule(50, first)
+    kernel.schedule(40, lambda: kernel.schedule(
+        50, lambda: fired.append("during")))
+    assert kernel.run_until_idle(50, scheduled_before=True) == 50
+    assert fired == ["first"]  # both at 50, scheduled during the call
+    kernel.run_until_idle(50)
+    assert fired == ["first", "during", "later"]
+
+
 def test_stop_halts_processing():
     kernel = SimKernel()
     fired = []

@@ -5,7 +5,7 @@ import tracemalloc
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mpsim import spurious as sp
 from mpsim.config import ScenarioConfig, load_scenario
@@ -221,6 +221,90 @@ def test_lazy_rto_timer_fires_as_the_eager_one(n, ops):
     assert lazy == drive_timers(EagerTimers(n), ops, n)
 
 
+# ----------------------------------------------------------- trace samples
+
+def event_sampled_run(sim):
+    """Reference driver: each trace sample is a kernel event that schedules
+    the next, as the simulator once sampled."""
+    kernel = sim.kernel
+
+    def sample():
+        sim._on_trace_sample(kernel.now)
+        nxt = kernel.now + sim._trace_ns
+        if nxt <= sim._stop_ns:
+            kernel.schedule(nxt, sample)
+
+    kernel.schedule(0, sample)
+    kernel.schedule(sim._stop_ns, kernel.stop)
+    sim._pump()
+    kernel.run_until_idle(sim._stop_ns)
+
+
+SAMPLE_OP = st.one_of(
+    st.tuples(st.just("event"), st.integers(0, 8)),
+    st.tuples(st.just("advance"), st.integers(0, 4)),
+    st.tuples(st.just("complete"), st.just(0)))
+
+
+def sample_order(driver, ops, interval, stop):
+    """Run `ops` from kernel events, with a sample every `interval` ticks
+    until `stop`: "event" schedules an event `ticks` later, "advance"
+    continues with the next op `ticks` later, and "complete" ends the run
+    as a completed transfer does. Returns the (time, what) of each sample
+    and event in the order they happened, and the kernel's end time."""
+    sim = Simulation(ScenarioConfig(links=[LinkConfig(1e6, 0.01)]))
+    kernel = sim.kernel
+    sim._trace_ns, sim._stop_ns = interval * TICK_NS, stop * TICK_NS
+    log = []
+    ops = iter(enumerate(ops))
+
+    def step(pump=False):
+        for n, (kind, ticks) in ops:
+            if kind == "event":
+                kernel.schedule(kernel.now + ticks * TICK_NS,
+                                lambda n=n: log.append((kernel.now, n)))
+            elif kind == "advance":
+                kernel.schedule(kernel.now + ticks * TICK_NS, step)
+                return
+            elif not pump:  # the first sends complete no transfer
+                sim.completed_ns = kernel.now
+                kernel.stop()
+                return
+
+    sim._pump = partial(step, pump=True)
+    sim._on_trace_sample = lambda now: log.append((now, "sample"))
+    sim._result = lambda: None
+    driver(sim)
+    return log, kernel.now
+
+
+# samples at 0, 3 and 6 and the stop at 8: events at 3 and 6 scheduled
+# before and after the sample before them, events in the last interval, at
+# the stop and past it
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(st.lists(SAMPLE_OP, max_size=40), st.integers(1, 5),
+       st.integers(1, 30))
+@example([("event", 3), ("event", 8), ("advance", 4), ("event", 2),
+          ("event", 4), ("event", 8), ("advance", 3), ("event", 0),
+          ("event", 1), ("advance", 0), ("event", 0)], 3, 8)
+def test_sliced_sampler_keeps_the_event_sampler_order(ops, interval, stop):
+    sliced = sample_order(Simulation.run, ops, interval, stop)
+    assert sliced == sample_order(event_sampled_run, ops, interval, stop)
+
+
+def test_sample_follows_only_the_events_queued_before_the_last_one():
+    # the first ACKs land exactly on the 10 ms sample: those scheduled
+    # before the 0 s sample come first, and the window they grow is not
+    # yet in the sample's row
+    cfg = ScenarioConfig(
+        links=[LinkConfig(1e6, 0.00084), LinkConfig(1e6, 0.00084)],
+        mss=1000, trace_interval=0.01, transfer_size=100_000,
+        ack_loss=False)
+    lines = trace_csv_lines(run(cfg).traces)
+    assert lines[3:5] == ["0.01,1,2,64,slow_start,Sample",
+                          "0.01,2,2,64,slow_start,Sample"]
+
+
 def test_delay_asymmetry_triggers_spurious_fast_retransmit():
     # a lossless run, so every fast retransmit is caused by reordering
     result = run(two_path_cfg(delay2_ms=320.0))
@@ -383,10 +467,13 @@ def test_integrity_check_fails_on_injected_fault(fault, monkeypatch):
     sim = Simulation(two_path_cfg(loss2=0.01, seed=3))
     if fault == "stray_mapping":
         loop = sim.kernel.run_until_idle
+        left = []
 
-        def loop_then_leave_a_mapping(stop_time):
-            end = loop(stop_time)
-            sim.subflows[0].mappings.append(Mapping(0, 1400))
+        def loop_then_leave_a_mapping(stop_time, scheduled_before=False):
+            end = loop(stop_time, scheduled_before)
+            if not scheduled_before:  # the run's final call
+                sim.subflows[0].mappings.append(Mapping(0, 1400))
+                left.append(stop_time)
             return end
 
         monkeypatch.setattr(sim.kernel, "run_until_idle",
@@ -397,6 +484,9 @@ def test_integrity_check_fails_on_injected_fault(fault, monkeypatch):
     stats = sim.run().stats
     assert stats.completed
     assert not stats.checksum_ok
+    if fault == "stray_mapping":
+        # left once, after the slices, by the call that ends at stop_time
+        assert left == [seconds_to_ns(sim.cfg.stop_time)]
 
 
 # ------------------------------------------------------------ flight ledger
