@@ -1,12 +1,12 @@
 """mpsim: deterministic discrete-event simulator of multipath TCP with
 coupled congestion control and spurious-retransmission detection."""
 
-from .config import ScenarioConfig, ScenarioError, load_scenario
+from .config import LinkConfig, ScenarioConfig, ScenarioError, load_scenario
 from .coupling import (CouplingMode, compute_alpha, on_ack_increase,
                        on_loss_decrease)
-from .harness import (SweepParameter, SweepSpec, emit_csv, emit_plot,
-                      run_scenario, run_sweep)
-from .netmodel import DropReason, Link, LinkConfig
+from .harness import (SWEEP_PARAMETERS, emit_csv, emit_plot, run_scenario,
+                      run_sweep)
+from .netmodel import DropReason, Link
 from .simkernel import RandomStream, SimKernel, mix_seed
 from .simulation import RunResult, Simulation, SummaryStats, TraceRecord
 from .spurious import DetectorChoice
@@ -14,10 +14,9 @@ from .spurious import DetectorChoice
 __version__ = "0.1.0"
 
 __all__ = [
-    "CouplingMode", "DetectorChoice", "DropReason", "Link", "LinkConfig",
-    "RandomStream", "RunResult", "ScenarioConfig", "ScenarioError",
-    "SimKernel", "Simulation", "SummaryStats", "SweepParameter", "SweepSpec",
-    "TraceRecord", "compute_alpha", "emit_csv", "emit_plot", "load_scenario",
-    "mix_seed", "on_ack_increase", "on_loss_decrease", "run_scenario",
-    "run_sweep",
+    "SWEEP_PARAMETERS", "CouplingMode", "DetectorChoice", "DropReason",
+    "Link", "LinkConfig", "RandomStream", "RunResult", "ScenarioConfig",
+    "ScenarioError", "SimKernel", "Simulation", "SummaryStats", "TraceRecord",
+    "compute_alpha", "emit_csv", "emit_plot", "load_scenario", "mix_seed",
+    "on_ack_increase", "on_loss_decrease", "run_scenario", "run_sweep",
 ]

@@ -8,8 +8,8 @@ import sys
 from pathlib import Path
 
 from .config import ScenarioError, load_scenario
-from .harness import (SweepParameter, SweepSpec, emit_csv, emit_plot,
-                      parse_trace_csv, run_scenario, run_sweep)
+from .harness import (SWEEP_PARAMETERS, emit_csv, emit_plot, parse_trace_csv,
+                      run_scenario, run_sweep)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -28,7 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="sweep one link parameter")
     sweep_p.add_argument("scenario", help="base scenario file or preset name")
     sweep_p.add_argument("--param", required=True,
-                         choices=[p.value for p in SweepParameter],
+                         choices=SWEEP_PARAMETERS,
                          help="capacity [Mbps], latency [ms] or loss [0..1]")
     sweep_p.add_argument("--link", required=True, type=int,
                          help="1-based link index to vary")
@@ -74,9 +74,7 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         raise ScenarioError("--values: expected comma-separated numbers, "
                             "got %r" % args.values) from None
-    spec = SweepSpec(parameter=SweepParameter(args.param),
-                     link_index=args.link - 1, values=values)
-    rows = run_sweep(cfg, spec)
+    rows = run_sweep(cfg, args.param, args.link, values)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sweep_path = out / ("sweep_%s_link%d.csv" % (args.param, args.link))

@@ -1,5 +1,6 @@
-"""Scenario configuration: dataclass, file loading (flat key=value or JSON)
-and bundled presets."""
+"""Scenario configuration: the scenario and link dataclasses, their checks,
+file loading (flat key=value or JSON) and bundled presets. Every fault in
+scenario input is a ScenarioError that names the field."""
 
 from __future__ import annotations
 
@@ -12,10 +13,9 @@ from pathlib import Path
 from typing import List, get_type_hints
 
 from .coupling import CouplingMode
-from .netmodel import (DEFAULT_QUEUE_LIMIT, LinkConfig, _check_fields,
-                       _type_error)
 from .spurious import DetectorChoice
 
+DEFAULT_QUEUE_LIMIT = 100  # packets; NS-3 point-to-point magnitude
 
 # Trace samples a run may take (stop_time / trace_interval): each one holds
 # a row per subflow for the whole run, so an interval far below the run
@@ -25,6 +25,50 @@ MAX_TRACE_SAMPLES = 1_000_000
 
 class ScenarioError(ValueError):
     """Malformed or invalid scenario input; message names the field."""
+
+
+_EXPECTED = {int: "an integer", float: "a number", bool: "a boolean"}
+
+
+def _type_error(name: str, tp: type, value) -> str:
+    # in the words of the scenario parser too; an Enum field takes a member
+    expected = _EXPECTED.get(tp) or "one of %s" % [m.value for m in tp]
+    return "%s: expected %s, got %r" % (name, expected, value)
+
+
+def _check_fields(obj, types: dict, prefix: str) -> None:
+    """Raise ScenarioError at the first field of `obj` that is not of its
+    type in `types`, or is NaN; an int is a float, but a bool is no number."""
+    for key, tp in types.items():
+        value = getattr(obj, key)
+        if (isinstance(value, bool) and tp is not bool
+                or not isinstance(value, (int, float) if tp is float else tp)
+                or tp is float and math.isnan(value)):
+            raise ScenarioError(_type_error(prefix + key, tp, value))
+
+
+@dataclass
+class LinkConfig:
+    capacity_bps: float
+    one_way_delay_s: float
+    loss_rate: float = 0.0
+    queue_limit: int = DEFAULT_QUEUE_LIMIT
+
+    def validate(self, name: str = "link") -> None:
+        _check_fields(self, _LINK_TYPES, name + ".")
+        if self.capacity_bps <= 0:
+            raise ScenarioError("%s.capacity_bps must be > 0" % name)
+        if self.one_way_delay_s < 0:
+            raise ScenarioError("%s.one_way_delay_s must be >= 0" % name)
+        if self.one_way_delay_s == math.inf:
+            raise ScenarioError("%s.one_way_delay_s must be finite" % name)
+        if not 0.0 <= self.loss_rate <= 1.0:
+            raise ScenarioError("%s.loss_rate must be in [0, 1]" % name)
+        if self.queue_limit < 1:
+            raise ScenarioError("%s.queue_limit must be >= 1" % name)
+
+
+_LINK_TYPES = get_type_hints(LinkConfig)
 
 
 @dataclass
@@ -54,15 +98,12 @@ class ScenarioConfig:
                                 % (self.links,))
         if not self.links:
             raise ScenarioError("links: at least one link is required")
-        try:
-            _check_fields(self, _TYPES, "")
-            for i, link in enumerate(self.links, start=1):
-                if not isinstance(link, LinkConfig):
-                    raise ValueError("link%d: expected a LinkConfig, got %r"
-                                     % (i, link))
-                link.validate("link%d" % i)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from None
+        _check_fields(self, _TYPES, "")
+        for i, link in enumerate(self.links, start=1):
+            if not isinstance(link, LinkConfig):
+                raise ScenarioError("link%d: expected a LinkConfig, got %r"
+                                    % (i, link))
+            link.validate("link%d" % i)
         if self.transfer_size < 0:
             raise ScenarioError("transfer_size: must be >= 0")
         if self.mss <= 0:
@@ -131,20 +172,27 @@ def _parse_num(name: str, raw, tp: type):
         raise ScenarioError(_type_error(name, tp, raw)) from None
 
 
-def _link_from_parts(parts: dict, name: str) -> LinkConfig:
-    unknown = set(parts) - _LINK_KEYS
+def _link_from_parts(parts: dict, lines: dict, name: str,
+                     where: str) -> LinkConfig:
+    """Link `name` from its keys in file `where`; `lines` gives the path:line
+    of each key in a flat file, and is empty for JSON."""
+    def at(key):
+        return "%s: %s: %s" % (lines.get(key, where), name, key)
+    unknown = sorted(set(parts) - _LINK_KEYS)
     if unknown:
-        raise ScenarioError("%s: unknown key(s) %s" % (name, sorted(unknown)))
+        raise ScenarioError("%s: %s: unknown key(s) %s"
+                            % (lines.get(unknown[0], where), name, unknown))
     if "capacity_mbps" not in parts or "delay_ms" not in parts:
-        raise ScenarioError("%s: capacity_mbps and delay_ms are required" % name)
+        raise ScenarioError("%s: %s: capacity_mbps and delay_ms are required"
+                            % (where, name))
     return LinkConfig(
-        capacity_bps=_parse_num(name + ": capacity_mbps",
-                                parts["capacity_mbps"], float) * 1e6,
-        one_way_delay_s=_parse_num(name + ": delay_ms", parts["delay_ms"],
+        capacity_bps=_parse_num(at("capacity_mbps"), parts["capacity_mbps"],
+                                float) * 1e6,
+        one_way_delay_s=_parse_num(at("delay_ms"), parts["delay_ms"],
                                    float) / 1e3,
-        loss_rate=_parse_num(name + ": loss_rate",
-                             parts.get("loss_rate", 0.0), float),
-        queue_limit=_parse_num(name + ": queue_limit",
+        loss_rate=_parse_num(at("loss_rate"), parts.get("loss_rate", 0.0),
+                             float),
+        queue_limit=_parse_num(at("queue_limit"),
                                parts.get("queue_limit", DEFAULT_QUEUE_LIMIT),
                                int),
     )
@@ -187,7 +235,8 @@ def _parse_flat(text: str, where: str) -> ScenarioConfig:
                 raise ScenarioError("%s: bad link key %r" % (loc, key)) from None
             if idx < 1:
                 raise ScenarioError("%s: link index must be >= 1" % loc)
-            link_parts.setdefault(idx, {})[sub] = raw
+            parts, lines = link_parts.setdefault(idx, ({}, {}))
+            parts[sub], lines[sub] = raw, loc
         else:
             _apply_scalar(cfg, key, raw, loc)
     if link_parts:
@@ -195,7 +244,7 @@ def _parse_flat(text: str, where: str) -> ScenarioConfig:
         if indices != list(range(1, len(indices) + 1)):
             raise ScenarioError("%s: link indices must be 1..n without gaps"
                                 % where)
-        cfg.links = [_link_from_parts(link_parts[i], "link%d" % i)
+        cfg.links = [_link_from_parts(*link_parts[i], "link%d" % i, where)
                      for i in indices]
     return cfg
 
@@ -211,7 +260,8 @@ def _parse_json(data: dict, where: str) -> ScenarioConfig:
                 if not isinstance(entry, dict):
                     raise ScenarioError("%s: link%d: expected an object, got "
                                         "%r" % (where, i, entry))
-                cfg.links.append(_link_from_parts(entry, "link%d" % i))
+                cfg.links.append(_link_from_parts(entry, {}, "link%d" % i,
+                                                  where))
         else:
             _apply_scalar(cfg, key, raw, where)
     return cfg

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import List, Optional, Sequence
 
 from .config import ScenarioConfig, ScenarioError, load_scenario  # noqa: F401
@@ -17,25 +16,7 @@ TRACE_CSV_COLUMNS = ("time_s", "subflow", "cwnd_mss", "ssthresh_mss",
                      "phase", "event")
 
 
-class SweepParameter(Enum):
-    CAPACITY = "capacity"    # values in Mbps
-    LATENCY = "latency"      # values in ms
-    LOSS_RATE = "loss"       # values as probabilities
-
-
-@dataclass
-class SweepSpec:
-    parameter: SweepParameter
-    link_index: int          # 0-based index into cfg.links
-    values: Sequence[float]
-
-    def validate(self, cfg: ScenarioConfig) -> None:
-        if not self.values:
-            raise ScenarioError("sweep values: must be non-empty")
-        if not 0 <= self.link_index < len(cfg.links):
-            raise ScenarioError("sweep link: index %d out of range (scenario "
-                                "has %d links)"
-                                % (self.link_index + 1, len(cfg.links)))
+SWEEP_PARAMETERS = ("capacity", "latency", "loss")  # Mbps, ms, probability
 
 
 @dataclass
@@ -50,25 +31,28 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     return Simulation(cfg.copy()).run()
 
 
-def apply_sweep_point(cfg: ScenarioConfig, sweep: SweepSpec,
-                      value: float) -> ScenarioConfig:
-    point = cfg.copy()
-    link = point.links[sweep.link_index]
-    if sweep.parameter is SweepParameter.CAPACITY:
-        link.capacity_bps = value * 1e6
-    elif sweep.parameter is SweepParameter.LATENCY:
-        link.one_way_delay_s = value / 1e3
-    else:
-        link.loss_rate = value
-    return point
-
-
-def run_sweep(base: ScenarioConfig, sweep: SweepSpec) -> List[SweepRow]:
-    """One run per sweep value; point i uses seed mix_seed(base.seed, i)."""
-    sweep.validate(base)
+def run_sweep(base: ScenarioConfig, parameter: str, link: int,
+              values: Sequence[float]) -> List[SweepRow]:
+    """One run per value of `parameter` on link `link` (1-based); point i
+    uses seed mix_seed(base.seed, i)."""
+    if parameter not in SWEEP_PARAMETERS:
+        raise ScenarioError("sweep parameter: expected one of %s, got %r"
+                            % (list(SWEEP_PARAMETERS), parameter))
+    if not values:
+        raise ScenarioError("sweep values: must be non-empty")
+    if not 1 <= link <= len(base.links):
+        raise ScenarioError("sweep link: index %d out of range (scenario "
+                            "has %d links)" % (link, len(base.links)))
     rows = []
-    for i, value in enumerate(sweep.values):
-        point = apply_sweep_point(base, sweep, value)
+    for i, value in enumerate(values):
+        point = base.copy()
+        lc = point.links[link - 1]
+        if parameter == "capacity":
+            lc.capacity_bps = value * 1e6
+        elif parameter == "latency":
+            lc.one_way_delay_s = value / 1e3
+        else:
+            lc.loss_rate = value
         point.seed = mix_seed(base.seed, i)
         try:
             result = run_scenario(point)

@@ -8,62 +8,16 @@ the system only arises across links.
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
-from typing import get_type_hints
 
+from .config import LinkConfig
 from .simkernel import NS_PER_S, RandomStream
-
-DEFAULT_QUEUE_LIMIT = 100  # packets; NS-3 point-to-point magnitude
 
 
 class DropReason(Enum):
     QUEUE_OVERFLOW = "QueueOverflow"
     RANDOM_LOSS = "RandomLoss"
-
-
-@dataclass
-class LinkConfig:
-    capacity_bps: float
-    one_way_delay_s: float
-    loss_rate: float = 0.0
-    queue_limit: int = DEFAULT_QUEUE_LIMIT
-
-    def validate(self, name: str = "link") -> None:
-        _check_fields(self, _LINK_TYPES, name + ".")
-        if self.capacity_bps <= 0:
-            raise ValueError("%s.capacity_bps must be > 0" % name)
-        if self.one_way_delay_s < 0:
-            raise ValueError("%s.one_way_delay_s must be >= 0" % name)
-        if self.one_way_delay_s == math.inf:
-            raise ValueError("%s.one_way_delay_s must be finite" % name)
-        if not 0.0 <= self.loss_rate <= 1.0:
-            raise ValueError("%s.loss_rate must be in [0, 1]" % name)
-        if self.queue_limit < 1:
-            raise ValueError("%s.queue_limit must be >= 1" % name)
-
-
-_LINK_TYPES = get_type_hints(LinkConfig)
-_EXPECTED = {int: "an integer", float: "a number", bool: "a boolean"}
-
-
-def _type_error(name: str, tp: type, value) -> str:
-    # in the words of the scenario parser too; an Enum field takes a member
-    expected = _EXPECTED.get(tp) or "one of %s" % [m.value for m in tp]
-    return "%s: expected %s, got %r" % (name, expected, value)
-
-
-def _check_fields(obj, types: dict, prefix: str) -> None:
-    """Raise ValueError at the first field of `obj` that is not of its type
-    in `types`, or is NaN; an int is a float, but a bool is no number."""
-    for key, tp in types.items():
-        value = getattr(obj, key)
-        if (isinstance(value, bool) and tp is not bool
-                or not isinstance(value, (int, float) if tp is float else tp)
-                or tp is float and math.isnan(value)):
-            raise ValueError(_type_error(prefix + key, tp, value))
 
 
 class Link:

@@ -8,7 +8,6 @@ insertion order (monotone ordinal tie-break).
 from __future__ import annotations
 
 import heapq
-import math
 
 NS_PER_S = 1_000_000_000
 
@@ -74,11 +73,11 @@ class SimKernel:
     every timer firing keeps the (time, ordinal) it would have had with
     one queued entry per re-arm.
 
-    `run_until_idle` can run in slices. With `scheduled_before=True`, a
-    slice ending at t leaves the events at t that were scheduled during
-    it, so work done between two slices (the simulation's trace samples)
-    takes the place of an event scheduled as the earlier slice began,
-    without taking an ordinal or a heap entry.
+    `run_until_idle` can run in slices. A slice ending at t leaves the
+    events at t that were scheduled during it, so work done between two
+    slices (the simulation's trace samples) takes the place of an event
+    scheduled as the earlier slice began, without taking an ordinal or a
+    heap entry.
     """
 
     def __init__(self):
@@ -116,17 +115,16 @@ class SimKernel:
         """Stop processing; run_until_idle returns after the current event."""
         self._stopped = True
 
-    def run_until_idle(self, stop_time: int,
-                       scheduled_before: bool = False) -> int:
+    def run_until_idle(self, stop_time: int) -> int:
         """Process every event with fire_time <= stop_time, in order.
 
-        With `scheduled_before`, an event at stop_time itself fires only if
-        it was scheduled before this call, so a caller that acts between
-        two calls takes its place among the events at stop_time as an
-        event scheduled at the call's start would have."""
+        An event at stop_time itself fires only if it was scheduled before
+        this call, so a caller that acts between two calls takes its place
+        among the events at stop_time as an event scheduled at the call's
+        start would have."""
         queue = self._queue
         pop = heapq.heappop
-        last = self._ordinal if scheduled_before else math.inf
+        last = self._ordinal
         while queue and not self._stopped:
             head = queue[0]
             if head[0] >= stop_time and (head[0] > stop_time

@@ -10,7 +10,7 @@ sender reacts with (spurious) fast retransmits unless a detector undoes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import List, Optional, Tuple
 
@@ -90,7 +90,8 @@ class Simulation:
         self.mss = cfg.mss
         self.coupling_mode = cfg.coupling
         self.links_fwd = [Link(lc) for lc in cfg.links]
-        rev_cfgs = [lc if cfg.ack_loss else _lossless(lc) for lc in cfg.links]
+        rev_cfgs = [lc if cfg.ack_loss else replace(lc, loss_rate=0.0)
+                    for lc in cfg.links]
         self.links_rev = [Link(lc) for lc in rev_cfgs]
         self.subflows = [Subflow(i, cfg) for i in range(len(cfg.links))]
         self.conn = ConnectionState(cfg.transfer_size, cfg.mss,
@@ -401,11 +402,12 @@ class Simulation:
         self._on_trace_sample(0)  # sending changed no sampled value
         t = step
         while t < stop_ns:
-            kernel.run_until_idle(t, scheduled_before=True)
+            kernel.run_until_idle(t)
             if self.completed_ns is not None:
                 break
             self._on_trace_sample(t)
             t += step
+        # the stop event, the run's first, fires first at stop_ns
         kernel.run_until_idle(stop_ns)
         return self._result()
 
@@ -437,8 +439,3 @@ class Simulation:
                          sends=self.sends, arrivals=self.arrivals,
                          srtts=self.srtts,
                          detections=self.detections)
-
-
-def _lossless(link_cfg):
-    from dataclasses import replace
-    return replace(link_cfg, loss_rate=0.0)

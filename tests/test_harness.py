@@ -16,10 +16,10 @@ from mpsim.cli import main
 from mpsim.config import (PRESET_NAMES, ScenarioConfig, ScenarioError,
                           load_scenario, parse_scenario, preset_text)
 from mpsim.coupling import CouplingMode
-from mpsim.harness import (SweepParameter, SweepSpec, emit_csv, emit_plot,
-                           fmt, parse_trace_csv, run_scenario, run_sweep,
-                           sweep_csv_lines, trace_csv_lines)
-from mpsim.netmodel import LinkConfig
+from mpsim.harness import (emit_csv, emit_plot, fmt, parse_trace_csv,
+                           run_scenario, run_sweep, sweep_csv_lines,
+                           trace_csv_lines)
+from mpsim.netmodel import Link, LinkConfig
 from mpsim.simkernel import mix_seed
 from mpsim.simulation import EVENTS, TraceRecord
 from mpsim.spurious import DetectorChoice
@@ -116,6 +116,25 @@ def test_parse_errors_name_field_and_line():
     with pytest.raises(ScenarioError, match="loss_rate"):
         parse_scenario("link1.capacity_mbps=1\nlink1.delay_ms=1\n"
                        "link1.loss_rate=2\n")
+
+
+LINK_1 = "link1.capacity_mbps = 1\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (LINK_1 + "link1.delay_ms = ten\n",
+     "my.scn:2: link1: delay_ms: expected a number, got 'ten'"),
+    (LINK_1 + "link1.delay_ms = 10\nlink1.speed = 3\n",
+     "my.scn:3: link1: unknown key(s) ['speed']"),
+    (LINK_1, "my.scn: link1: capacity_mbps and delay_ms are required"),
+    (json.dumps({"links": [{"capacity_mbps": 1, "delay_ms": "ten"}]}),
+     "my.scn: link1: delay_ms: expected a number, got 'ten'"),
+], ids=["bad-value", "unknown-key", "missing-key", "json-bad-value"])
+def test_link_parse_errors_name_the_file(text, message):
+    # as a scalar key's error does; in a flat file with the key's line
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(text, "my.scn")
+    assert str(info.value) == message
 
 
 def test_link_indices_must_be_contiguous():
@@ -326,6 +345,23 @@ def test_links_of_the_wrong_type_are_rejected(links, message):
         ScenarioConfig(links=links).validate()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: LinkConfig(0, 0.01).validate(),
+     "link.capacity_bps must be > 0"),
+    (lambda: Link(LinkConfig(1e6, 0.01, loss_rate=1.5)),
+     "link.loss_rate must be in [0, 1]"),
+    (lambda: run_sweep(small_cfg(), "warp", 2, (1.0,)),
+     "sweep parameter: expected one of ['capacity', 'latency', 'loss'], "
+     "got 'warp'"),
+    (lambda: run_sweep(small_cfg(), "loss", 3, (0.1,)),
+     "sweep link: index 3 out of range (scenario has 2 links)"),
+], ids=["link-validate", "link", "sweep-parameter", "sweep-link"])
+def test_every_scenario_input_failure_is_a_scenario_error(call, message):
+    with pytest.raises(ScenarioError) as info:
+        call()
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("values", [
     {"initial_ssthresh": math.inf}, {"link2.capacity_bps": math.inf}],
     ids=values_id)
@@ -431,9 +467,7 @@ def test_run_does_not_mutate_caller_config():
 
 def test_sweep_runs_one_point_per_value_with_derived_seeds():
     cfg = small_cfg()
-    spec = SweepSpec(SweepParameter.LATENCY, link_index=1,
-                     values=(10.0, 160.0))
-    rows = run_sweep(cfg, spec)
+    rows = run_sweep(cfg, "latency", 2, (10.0, 160.0))
     assert [r.param_value for r in rows] == [10.0, 160.0]
     assert all(r.stats.completed for r in rows)
     # per-point seed must match the documented derivation
@@ -446,12 +480,11 @@ def test_sweep_runs_one_point_per_value_with_derived_seeds():
 
 def test_sweep_validates_link_index():
     with pytest.raises(ScenarioError, match="out of range"):
-        run_sweep(small_cfg(), SweepSpec(SweepParameter.CAPACITY, 5, (1.0,)))
+        run_sweep(small_cfg(), "capacity", 6, (1.0,))
 
 
 def test_sweep_invalid_value_yields_error_row_not_abort():
-    rows = run_sweep(small_cfg(),
-                     SweepSpec(SweepParameter.LOSS_RATE, 1, (0.0, 2.0)))
+    rows = run_sweep(small_cfg(), "loss", 2, (0.0, 2.0))
     assert rows[0].stats.completed and rows[0].error is None
     assert not rows[1].stats.completed
     assert "loss_rate" in rows[1].error
@@ -556,8 +589,7 @@ def test_parse_trace_csv_names_the_bad_line(tmp_path, capsys, row, message):
 
 
 def test_sweep_csv_has_expected_header_and_rows():
-    rows = run_sweep(small_cfg(),
-                     SweepSpec(SweepParameter.CAPACITY, 1, (0.5, 4.0)))
+    rows = run_sweep(small_cfg(), "capacity", 2, (0.5, 4.0))
     lines = sweep_csv_lines(rows)
     assert lines[0].startswith("param_value,completion_time_s,goodput_bps")
     assert len(lines) == 3
@@ -566,7 +598,7 @@ def test_sweep_csv_has_expected_header_and_rows():
 def test_sweep_csv_keeps_every_subflow_and_error_messages():
     cfg = small_cfg()
     cfg.links.append(LinkConfig(4e6, 0.010))
-    rows = run_sweep(cfg, SweepSpec(SweepParameter.LOSS_RATE, 2, (0.0, 2.0)))
+    rows = run_sweep(cfg, "loss", 3, (0.0, 2.0))
     lines = sweep_csv_lines(rows)
     header = lines[0].split(",")
     assert header[3:9] == ["bytes_sf1", "bytes_sf2", "bytes_sf3",

@@ -95,7 +95,7 @@ def test_stop_time_fires_only_what_was_queued_before_the_call():
     kernel.schedule(50, first)
     kernel.schedule(40, lambda: kernel.schedule(
         50, lambda: fired.append("during")))
-    assert kernel.run_until_idle(50, scheduled_before=True) == 50
+    assert kernel.run_until_idle(50) == 50
     assert fired == ["first"]  # both at 50, scheduled during the call
     kernel.run_until_idle(50)
     assert fired == ["first", "during", "later"]

@@ -469,9 +469,10 @@ def test_integrity_check_fails_on_injected_fault(fault, monkeypatch):
         loop = sim.kernel.run_until_idle
         left = []
 
-        def loop_then_leave_a_mapping(stop_time, scheduled_before=False):
-            end = loop(stop_time, scheduled_before)
-            if not scheduled_before:  # the run's final call
+        def loop_then_leave_a_mapping(stop_time):
+            end = loop(stop_time)
+            # the run's final call: every slice ends before stop_time
+            if stop_time == sim._stop_ns:
                 sim.subflows[0].mappings.append(Mapping(0, 1400))
                 left.append(stop_time)
             return end
