@@ -17,6 +17,8 @@ from .spurious import DetectorChoice
 
 DEFAULT_QUEUE_LIMIT = 100  # packets; NS-3 point-to-point magnitude
 
+MAX_SECONDS = 1e9  # longest time in a scenario: its ns count stays finite
+
 # Trace samples a run may take (stop_time / trace_interval): each one holds
 # a row per subflow for the whole run, so an interval far below the run
 # length would exhaust memory before the transfer ends.
@@ -60,8 +62,8 @@ class LinkConfig:
             raise ScenarioError("%s.capacity_bps must be > 0" % name)
         if self.one_way_delay_s < 0:
             raise ScenarioError("%s.one_way_delay_s must be >= 0" % name)
-        if self.one_way_delay_s == math.inf:
-            raise ScenarioError("%s.one_way_delay_s must be finite" % name)
+        if self.one_way_delay_s > MAX_SECONDS:
+            raise ScenarioError("%s.one_way_delay_s must be <= 1e9 s" % name)
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ScenarioError("%s.loss_rate must be in [0, 1]" % name)
         if self.queue_limit < 1:
@@ -99,38 +101,39 @@ class ScenarioConfig:
         if not self.links:
             raise ScenarioError("links: at least one link is required")
         _check_fields(self, _TYPES, "")
+        if self.mss <= 0:
+            raise ScenarioError("mss: must be > 0")
         for i, link in enumerate(self.links, start=1):
             if not isinstance(link, LinkConfig):
                 raise ScenarioError("link%d: expected a LinkConfig, got %r"
                                     % (i, link))
             link.validate("link%d" % i)
+            if self.mss * 8 > link.capacity_bps * MAX_SECONDS:
+                raise ScenarioError("link%d.capacity_bps: one MSS must take "
+                                    "<= 1e9 s to send" % i)
         if self.transfer_size < 0:
             raise ScenarioError("transfer_size: must be >= 0")
-        if self.mss <= 0:
-            raise ScenarioError("mss: must be > 0")
-        if self.trace_interval < 1e-9:
-            # a shorter interval rounds to 0 ns: samples without end at t=0
-            raise ScenarioError("trace_interval: must be >= 1e-9 s (1 ns)")
-        if self.trace_interval == math.inf:
-            raise ScenarioError("trace_interval: must be finite")
-        if self.stop_time <= 0:
-            raise ScenarioError("stop_time: must be > 0")
+        if not 0 < self.stop_time <= MAX_SECONDS:
+            raise ScenarioError("stop_time: must be > 0 and <= 1e9 s")
+        # a shorter interval rounds to 0 ns: samples without end at t=0
+        if not 1e-9 <= self.trace_interval <= MAX_SECONDS:
+            raise ScenarioError("trace_interval: must be >= 1e-9 s (1 ns) "
+                                "and <= 1e9 s")
         if self.stop_time / self.trace_interval > MAX_TRACE_SAMPLES:
             raise ScenarioError(
                 "stop_time/trace_interval: at most %d trace samples per "
                 "run, got stop_time=%g with trace_interval=%g"
                 % (MAX_TRACE_SAMPLES, self.stop_time, self.trace_interval))
-        if self.rto_floor <= 0 or self.rto_ceiling < self.rto_floor:
-            raise ScenarioError("rto_floor/rto_ceiling: need 0 < floor <= ceiling")
-        if self.rto_ceiling == math.inf:
-            raise ScenarioError("rto_ceiling: must be finite")
+        if not 0 < self.rto_floor <= self.rto_ceiling <= MAX_SECONDS:
+            raise ScenarioError("rto_floor/rto_ceiling: need 0 < floor <= "
+                                "ceiling <= 1e9 s")
         if self.initial_cwnd < 1:
             raise ScenarioError("initial_cwnd: must be >= 1 (one MSS)")
         if self.initial_cwnd == math.inf:
             raise ScenarioError("initial_cwnd: must be finite")
         # one clock tick up to a bound that keeps the coupling's rtt**2 terms
         # within float range
-        if not 1e-9 <= self.initial_rtt <= 1e9:
+        if not 1e-9 <= self.initial_rtt <= MAX_SECONDS:
             raise ScenarioError("initial_rtt: must be between 1e-9 and 1e9 s")
 
     def copy(self) -> "ScenarioConfig":

@@ -55,13 +55,10 @@ def run_sweep(base: ScenarioConfig, parameter: str, link: int,
             lc.loss_rate = value
         point.seed = mix_seed(base.seed, i)
         try:
-            result = run_scenario(point)
+            stats, error = run_scenario(point).stats, None
         except ScenarioError as exc:
-            rows.append(SweepRow(param_value=value,
-                                 stats=_empty_stats(len(point.links)),
-                                 error=str(exc)))
-            continue
-        rows.append(SweepRow(param_value=value, stats=result.stats))
+            stats, error = _empty_stats(len(point.links)), str(exc)
+        rows.append(SweepRow(param_value=value, stats=stats, error=error))
     return rows
 
 

@@ -61,9 +61,10 @@ def mix_seed(seed: int, index: int) -> int:
 class SimKernel:
     """Single-threaded event loop over (fire_time, ordinal)-ordered events.
 
-    A queue entry is the list [fire_time, ordinal, fn]; the unique ordinal
-    means fn is never compared. `schedule` returns the entry as the
-    event's handle, and `cancel` clears its fn so the loop skips it.
+    A queue entry is the list [fire_time, ordinal, fn, args]; the loop
+    calls fn(*args), and the unique ordinal means fn is never compared.
+    `schedule` returns the entry as the event's handle, and `cancel`
+    clears its fn so the loop skips it.
 
     `schedule(fire_time, fn, queue=False)` takes the ordinal and makes
     the entry but leaves it out of the queue; `push(entry)` queues it
@@ -86,14 +87,15 @@ class SimKernel:
         self.now = 0
         self._stopped = False
 
-    def schedule(self, fire_time: int, fn, queue: bool = True) -> list:
+    def schedule(self, fire_time: int, fn, queue: bool = True,
+                 args: tuple = ()) -> list:
         if fire_time < self.now:
             raise ValueError(
                 "cannot schedule event at t=%d ns before current time %d ns"
                 % (fire_time, self.now)
             )
         self._ordinal += 1
-        entry = [fire_time, self._ordinal, fn]
+        entry = [fire_time, self._ordinal, fn, args]
         if queue:
             heapq.heappush(self._queue, entry)
         return entry
@@ -130,8 +132,8 @@ class SimKernel:
             if head[0] >= stop_time and (head[0] > stop_time
                                          or head[1] > last):
                 break
-            fire_time, _, fn = pop(queue)
+            fire_time, _, fn, args = pop(queue)
             if fn is not None:
                 self.now = fire_time
-                fn()
+                fn(*args)
         return self.now

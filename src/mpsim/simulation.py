@@ -11,7 +11,6 @@ sender reacts with (spurious) fast retransmits unless a detector undoes it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import List, Optional, Tuple
 
 from . import spurious as sp
@@ -101,12 +100,11 @@ class Simulation:
         # per-run switches, read once here instead of per ACK
         self._dsack = cfg.detector is DetectorChoice.DSACK
         self._eifel = cfg.detector is DetectorChoice.EIFEL
-        # the data and ACK callbacks of every packet event, bound once: each
+        # the data, ACK and RTO callbacks of every event, bound once: each
         # read of `self._on_data` would build a new bound method
         self._data_fn = self._on_data
         self._ack_fn = self._on_ack
-        # one RTO callback per subflow, shared by all its timer events
-        self._rto_fns = [partial(self._on_rto, sf) for sf in self.subflows]
+        self._rto_fn = self._on_rto
         # end of the bytes handed to the application, and the deliveries
         # that did not start there (a byte repeated or skipped)
         self.app_next = 0
@@ -149,7 +147,7 @@ class Simulation:
         kept, and `_on_rto` queues the due entry when it comes due."""
         kernel = self.kernel
         due = kernel.schedule(kernel.now + seconds_to_ns(sf.estimator.rto),
-                              self._rto_fns[sf.index], queue=False)
+                              self._rto_fn, queue=False, args=(sf,))
         sf.rto_due = due
         queued = sf.rto_handle
         if queued is not None:
@@ -181,8 +179,8 @@ class Simulation:
         size = m.data_end - m.data_start
         out = self.links_fwd[sf.index].transmit(size, now, self.rng)
         if isinstance(out, int):
-            self.kernel.schedule(out, partial(self._data_fn, sf.index,
-                                              m.data_start, size, now))
+            self.kernel.schedule(out, self._data_fn,
+                                 args=(sf.index, m.data_start, size, now))
         if sf.rto_due is None:
             self._arm_rto(sf)
 
@@ -213,8 +211,8 @@ class Simulation:
             self.duplicate_bytes += dup[1] - dup[0]
         out = self.links_rev[sf_id].transmit(ACK_SIZE_BYTES, now, self.rng)
         if isinstance(out, int):
-            self.kernel.schedule(out, partial(
-                self._ack_fn, sf_id, self._ts_recent, data_ack,
+            self.kernel.schedule(out, self._ack_fn, args=(
+                sf_id, self._ts_recent, data_ack,
                 dup if self._dsack else None))
 
     # --------------------------------------------------------- ACK intake

@@ -404,6 +404,29 @@ def test_initial_rtt_out_of_range_is_rejected(rtt):
         small_cfg(initial_rtt=rtt).validate()
 
 
+@pytest.mark.parametrize("values", [
+    # each passed validate() and then raised OverflowError in the run: the
+    # time, or one MSS's serialization time, came out infinite in ns
+    {"link1.capacity_bps": 1e-300},
+    {"link1.one_way_delay_s": 1e300},
+    {"stop_time": 1e300, "trace_interval": 1e295},
+    {"trace_interval": 1e300},
+    {"rto_ceiling": 1e300, "initial_rto": 1e300},
+], ids=values_id)
+def test_times_beyond_1e9_s_are_rejected(values):
+    # the message names the first field set
+    with pytest.raises(ScenarioError, match=re.escape(next(iter(values)))):
+        with_values(small_cfg(), values).validate()
+
+
+def test_times_at_1e9_s_run():
+    # one MSS takes 1e9 s to send: nothing arrives, and the run ends
+    cfg = small_cfg(links=[LinkConfig(1400 * 8 / 1e9, 1e9)], mss=1400,
+                    stop_time=1e9, trace_interval=1e9, rto_ceiling=1e9)
+    stats = run_scenario(cfg).stats
+    assert not stats.completed and stats.delivered_bytes == 0
+
+
 def test_readme_scenario_block_is_the_defaults():
     # README's "Scenario files" block lists every key at its default
     readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -723,7 +746,7 @@ def test_cli_sweep_with_an_infinite_value_writes_an_error_row(tmp_path):
     assert len(lines) == 3
     assert lines[1].startswith("10,") and lines[1].endswith(",")
     assert lines[2].startswith("inf,")
-    assert lines[2].endswith("link2.one_way_delay_s must be finite")
+    assert lines[2].endswith("link2.one_way_delay_s must be <= 1e9 s")
 
 
 def test_cli_errors_exit_2(tmp_path, capsys):
@@ -732,6 +755,16 @@ def test_cli_errors_exit_2(tmp_path, capsys):
     assert main(["sweep", "paper-base", "--param", "loss", "--link", "2",
                  "--values", "abc"]) == 2
     assert main(["plot", str(tmp_path / "missing.csv")]) == 2
+
+
+def test_cli_run_of_a_link_beyond_1e9_s_exits_2(tmp_path, capsys):
+    # the delay passed validate() and the run raised OverflowError
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"links": [{"capacity_mbps": 1,
+                                           "delay_ms": 1e303}]}))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: link1.one_way_delay_s must be <= 1e9 s\n")
 
 
 def test_star_import_resolves_every_public_name():

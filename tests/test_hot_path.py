@@ -1,4 +1,5 @@
-"""The per-packet handlers read plain values and run-bound flags, not Enums.
+"""The per-packet handlers read plain values and run-bound flags, not Enums,
+and schedule their events without building a callable per packet.
 
 `CouplingMode.UNCOUPLED` is a global lookup plus a class-attribute lookup
 on every call; the handlers compare against module-level aliases,
@@ -27,3 +28,18 @@ def test_hot_path_loads_no_enum_class(fn):
     loaded = {instr.argval for instr in dis.get_instructions(fn)
               if instr.opname in ("LOAD_GLOBAL", "LOAD_NAME")}
     assert not loaded & ENUMS
+
+
+# An event's arguments travel in its kernel entry as a plain tuple: a
+# functools.partial per segment, ACK or timer re-arm would add a partial
+# object and a kwargs dict to every event.
+SCHEDULERS = [getattr(Simulation, name) for name in (
+    "_send_mapping", "_on_data", "_arm_rto")]
+
+
+@pytest.mark.parametrize("fn", SCHEDULERS, ids=lambda fn: fn.__qualname__)
+def test_packet_events_build_no_partial(fn):
+    loaded = {instr.argval for instr in dis.get_instructions(fn)
+              if instr.opname in ("LOAD_GLOBAL", "LOAD_NAME", "LOAD_ATTR",
+                                  "LOAD_METHOD")}
+    assert "partial" not in loaded

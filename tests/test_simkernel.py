@@ -131,3 +131,62 @@ def test_mix_seed_varies_with_index():
     assert len(seeds) == 100
     assert mix_seed(1, 3) == mix_seed(1, 3)
     assert mix_seed(1, 3) != mix_seed(2, 3)
+
+
+# ------------------------------------------------- the entry's argument slot
+
+def test_events_with_args_fire_with_those_args_in_order():
+    kernel = SimKernel()
+    fired = []
+
+    def record(*args):
+        fired.append(args)
+
+    kernel.schedule(20, record, args=("late", 2))
+    kernel.schedule(10, record, args=("a", 1, None))
+    kernel.schedule(10, lambda: fired.append("no-args"))
+    kernel.schedule(10, record, args=((5, 6),))
+    kernel.schedule(10, record)  # args default to ()
+    kernel.run_until_idle(100)
+    assert fired == [("a", 1, None), "no-args", ((5, 6),), (), ("late", 2)]
+
+
+def test_cancelled_entry_with_args_does_not_fire():
+    kernel = SimKernel()
+    fired = []
+    handle = kernel.schedule(10, fired.append, args=("rto",))
+    kernel.schedule(5, fired.append, args=("ok",))
+    kernel.cancel(handle)
+    kernel.run_until_idle(100)
+    assert fired == ["ok"]
+
+
+def test_unqueued_entry_keeps_its_args_through_push():
+    kernel = SimKernel()
+    fired = []
+    entry = kernel.schedule(42, fired.append, queue=False, args=("pushed",))
+    kernel.schedule(42, fired.append, args=("after",))
+    assert entry[3] == ("pushed",)
+    kernel.run_until_idle(41)
+    kernel.push(entry)
+    kernel.run_until_idle(100)
+    assert fired == ["pushed", "after"]
+
+
+def test_slice_leaves_args_events_scheduled_during_it():
+    kernel = SimKernel()
+    fired = []
+
+    def first(tag):
+        fired.append(tag)
+        kernel.schedule(50, fired.append, args=("later",))
+
+    def during(tag):
+        kernel.schedule(50, fired.append, args=(tag,))
+
+    kernel.schedule(50, first, args=("first",))
+    kernel.schedule(40, during, args=("during",))
+    assert kernel.run_until_idle(50) == 50
+    assert fired == ["first"]  # both at 50, scheduled during the slice
+    kernel.run_until_idle(50)
+    assert fired == ["first", "during", "later"]

@@ -163,7 +163,7 @@ class LazyTimers:
         sim._pump = lambda: None
         for sf in sim.subflows:
             sf.mappings.append(Mapping(0, 1400))
-        sim._rto_fns = [partial(self._fire, sf) for sf in sim.subflows]
+        sim._rto_fn = self._fire  # each timer entry's args are (sf,)
         self.kernel = sim.kernel
         self.fired = []
 
