@@ -6,7 +6,9 @@ its hot path was reworked; a change that alters any of them changes
 behaviour and must say why.
 
 The points cover every coupling mode x detector pair once, each loss rate
-on link 2 four times, and both presets at 2 MB.
+on link 2 four times, and both presets at 2 MB. Four more run 3 and 4 lossy
+links at 1 MB, so the coupled rules are pinned over more than two subflows:
+linked increases, the RTT compensator and the fully coupled loss decrease.
 
 Each point also pins the events the kernel scheduled and the data segments
 sent. A change can keep the trace and stats byte-identical while it adds or
@@ -18,7 +20,7 @@ import hashlib
 
 import pytest
 
-from mpsim.config import load_scenario
+from mpsim.config import LinkConfig, load_scenario
 from mpsim.coupling import CouplingMode as C
 from mpsim.harness import trace_csv_lines
 from mpsim.simulation import Simulation
@@ -82,6 +84,27 @@ PRESET_COUNTS = {
     "paper-reorder": (4025, 1431),
 }
 
+# ((Mbps, one-way ms, loss) per link, coupling, detector)
+#   -> (digest, events scheduled, data segments sent)
+MULTI_LINK = {
+    (((2.0, 10.0, 0.01), (4.0, 40.0, 0.02), (1.0, 80.0, 0.01)),
+     C.LINKED_INCREASES, D.EIFEL):
+        ("7a5a2e0f9459cb76b05ba21f6c750883dc45b39f33675ee7502c9a9bf8d726ff",
+         1786, 746),
+    (((4.0, 20.0, 0.02), (2.0, 60.0, 0.01), (8.0, 120.0, 0.01),
+      (1.0, 30.0, 0.03)), C.RTT_COMPENSATOR, D.DSACK):
+        ("af0802cceb2d603f5d07cb995e4bde7b658bae47d7508e1d5f23b5a2589241db",
+         1895, 818),
+    (((2.0, 15.0, 0.02), (4.0, 50.0, 0.01), (2.0, 100.0, 0.02),
+      (8.0, 25.0, 0.01)), C.FULLY_COUPLED, D.NONE):
+        ("b9b1d265505b5e1b72b2b98a588dc2f5d27a0307218a80eeba38e6b394780191",
+         2097, 776),
+    (((1.0, 10.0, 0.02), (2.0, 40.0, 0.01), (4.0, 160.0, 0.02)),
+     C.FULLY_COUPLED, D.EIFEL):
+        ("fdb2326f815eefe1847552c6ce97a200345d45c38fee7fea3803ed35b48f2129",
+         2078, 773),
+}
+
 
 def fingerprint(cfg):
     """(digest, events scheduled, data segments sent) of one run."""
@@ -132,3 +155,24 @@ def test_preset_fingerprint(name):
     cfg = load_scenario(name)
     cfg.transfer_size = 2 * MB
     assert fingerprint(cfg) == (PRESET_DIGESTS[name], *PRESET_COUNTS[name])
+
+
+def multi_link_cfg(links, coupling, detector):
+    cfg = load_scenario("paper-base")
+    cfg.links = [LinkConfig(mbps * 1e6, ms / 1e3, loss)
+                 for mbps, ms, loss in links]
+    cfg.transfer_size = 1 * MB
+    cfg.coupling = coupling
+    cfg.detector = detector
+    cfg.trace_interval = 1.0
+    return cfg
+
+
+def multi_link_id(point):
+    links, coupling, detector = point
+    return "%s-%s-%dlinks" % (coupling.value, detector.value, len(links))
+
+
+@pytest.mark.parametrize("point", list(MULTI_LINK), ids=multi_link_id)
+def test_multi_link_fingerprint(point):
+    assert fingerprint(multi_link_cfg(*point)) == MULTI_LINK[point]
