@@ -19,6 +19,10 @@ DEFAULT_QUEUE_LIMIT = 100  # packets; NS-3 point-to-point magnitude
 
 MAX_SECONDS = 1e9  # longest time in a scenario: its ns count stays finite
 
+# largest segment: `cwnd * mss` must stay a float even where a link's
+# infinite capacity puts no bound on its serialization time
+MAX_MSS = 10**9  # bytes
+
 # Trace samples a run may take (stop_time / trace_interval): each one holds
 # a row per subflow for the whole run, so an interval far below the run
 # length would exhaust memory before the transfer ends.
@@ -101,8 +105,8 @@ class ScenarioConfig:
         if not self.links:
             raise ScenarioError("links: at least one link is required")
         _check_fields(self, _TYPES, "")
-        if self.mss <= 0:
-            raise ScenarioError("mss: must be > 0")
+        if not 0 < self.mss <= MAX_MSS:
+            raise ScenarioError("mss: must be > 0 and <= 1e9 bytes")
         for i, link in enumerate(self.links, start=1):
             if not isinstance(link, LinkConfig):
                 raise ScenarioError("link%d: expected a LinkConfig, got %r"

@@ -419,6 +419,22 @@ def test_times_beyond_1e9_s_are_rejected(values):
         with_values(small_cfg(), values).validate()
 
 
+@pytest.mark.parametrize("mss", [10**9 + 1, 10**400], ids=["1e9+1", "1e400"])
+def test_mss_beyond_1e9_bytes_is_rejected(mss):
+    # 10**400 passed validate() on an infinite link, where no MSS takes
+    # long to send, and the run raised OverflowError in `cwnd * mss`
+    cfg = small_cfg(links=[LinkConfig(math.inf, 0.01)], mss=mss)
+    with pytest.raises(ScenarioError, match="mss: must be > 0 and <= 1e9"):
+        cfg.validate()
+
+
+def test_mss_of_1e9_bytes_runs():
+    cfg = small_cfg(links=[LinkConfig(math.inf, 0.01)], mss=10**9,
+                    transfer_size=2 * 10**9)
+    stats = run_scenario(cfg).stats
+    assert stats.completed and stats.checksum_ok
+
+
 def test_times_at_1e9_s_run():
     # one MSS takes 1e9 s to send: nothing arrives, and the run ends
     cfg = small_cfg(links=[LinkConfig(1400 * 8 / 1e9, 1e9)], mss=1400,
@@ -765,6 +781,16 @@ def test_cli_run_of_a_link_beyond_1e9_s_exits_2(tmp_path, capsys):
     assert main(["run", str(path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
         "error: link1.one_way_delay_s must be <= 1e9 s\n")
+
+
+def test_cli_run_of_an_mss_beyond_1e9_bytes_exits_2(tmp_path, capsys):
+    # JSON and the flat format take an integer of any size
+    path = tmp_path / "huge.json"
+    path.write_text('{"links": [{"capacity_mbps": Infinity, "delay_ms": 10}],'
+                    ' "mss": 1%s}' % ("0" * 400))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: mss: must be > 0 and <= 1e9 bytes\n")
 
 
 def test_star_import_resolves_every_public_name():
