@@ -18,10 +18,7 @@ from .spurious import DetectorChoice
 DEFAULT_QUEUE_LIMIT = 100  # packets; NS-3 point-to-point magnitude
 
 MAX_SECONDS = 1e9  # longest time in a scenario: its ns count stays finite
-
-# largest segment: `cwnd * mss` must stay a float even where a link's
-# infinite capacity puts no bound on its serialization time
-MAX_MSS = 10**9  # bytes
+MAX_MSS = 10**9  # largest segment in bytes: `cwnd * mss` stays a float
 
 # Trace samples a run may take (stop_time / trace_interval): each one holds
 # a row per subflow for the whole run, so an interval far below the run
@@ -105,6 +102,7 @@ class ScenarioConfig:
         if not self.links:
             raise ScenarioError("links: at least one link is required")
         _check_fields(self, _TYPES, "")
+        # bounded apart from the links: an infinite capacity bounds no MSS
         if not 0 < self.mss <= MAX_MSS:
             raise ScenarioError("mss: must be > 0 and <= 1e9 bytes")
         for i, link in enumerate(self.links, start=1):

@@ -124,17 +124,6 @@ class Simulation:
 
     # ------------------------------------------------------------ helpers
 
-    def _windows(self) -> List[float]:
-        return [sf.cwnd for sf in self.subflows]
-
-    def _rtts(self) -> List[float]:
-        # each subflow's smoothed RTT, or initial_rtt before its first sample
-        rtts = []
-        for sf in self.subflows:
-            srtt = sf.estimator.srtt
-            rtts.append(srtt if srtt is not None else sf.initial_rtt)
-        return rtts
-
     def _trace(self, sf: Subflow, event: str) -> None:
         self.traces.append(TraceRecord(
             self.kernel.now / NS_PER_S, sf.index + 1, sf.cwnd, sf.ssthresh,
@@ -305,8 +294,7 @@ class Simulation:
         sp.on_retransmit_record(sf, m, now)
         sf.fast_retransmits += 1
         self._trace(sf, FAST_RETRANSMIT)
-        w, ss = on_loss_decrease(self.coupling_mode, sf.index,
-                                 self._windows())
+        w, ss = on_loss_decrease(self.coupling_mode, sf.index, self.subflows)
         sf.ssthresh = ss
         sf.cwnd = w
         sf.phase = FAST_RECOVERY
@@ -369,8 +357,7 @@ class Simulation:
             if sf.cwnd >= sf.ssthresh:
                 sf.phase = CONGESTION_AVOIDANCE
             return
-        inc = on_ack_increase(self.coupling_mode, sf.index, self._windows(),
-                              self._rtts())
+        inc = on_ack_increase(self.coupling_mode, sf.index, self.subflows)
         sf.cwnd += inc * acked_mss
 
     # -------------------------------------------------------------- driver
@@ -382,8 +369,8 @@ class Simulation:
             append(TraceRecord(now_s, sf.index + 1, sf.cwnd, sf.ssthresh,
                                sf.phase, SAMPLE))
         if self._record:
-            for i, rtt in enumerate(self._rtts(), start=1):
-                self.srtts.append((now_s, i, rtt))
+            for sf in self.subflows:
+                self.srtts.append((now_s, sf.index + 1, sf.estimator.rtt))
 
     def run(self) -> RunResult:
         if self.cfg.transfer_size == 0:

@@ -25,13 +25,17 @@ PHASES = (SLOW_START, CONGESTION_AVOIDANCE, FAST_RECOVERY)
 
 
 class RttEstimator:
-    """Jacobson/Karels smoothed RTT with RFC 6298 RTO clamping."""
+    """Jacobson/Karels smoothed RTT with RFC 6298 RTO clamping.
 
-    __slots__ = ("srtt", "rttvar", "rto", "floor", "ceiling")
+    `rtt` is the RTT the coupling reads: `initial_rtt` until the first
+    sample, then `srtt`."""
 
-    def __init__(self, floor, ceiling, initial_rto):
+    __slots__ = ("srtt", "rttvar", "rto", "floor", "ceiling", "rtt")
+
+    def __init__(self, floor, ceiling, initial_rto, initial_rtt):
         self.srtt = None
         self.rttvar = None
+        self.rtt = initial_rtt
         self.floor = floor
         self.ceiling = ceiling
         self.rto = min(max(initial_rto, floor), ceiling)
@@ -47,6 +51,7 @@ class RttEstimator:
             self.srtt = 0.875 * self.srtt + 0.125 * sample
         rto = self.srtt + 4.0 * self.rttvar
         self.rto = min(max(rto, self.floor), self.ceiling)
+        self.rtt = self.srtt
 
     def backoff(self) -> None:
         self.rto = min(self.rto * 2.0, self.ceiling)
@@ -78,8 +83,7 @@ class Subflow:
         self.flight = 0  # bytes mapped to this subflow and not yet acked
         self.dup_ack_count = 0
         self.estimator = RttEstimator(cfg.rto_floor, cfg.rto_ceiling,
-                                      cfg.initial_rto)
-        self.initial_rtt = cfg.initial_rtt
+                                      cfg.initial_rto, cfg.initial_rtt)
         # Data-seq guard: no new fast retransmit until data_una passes it
         # (NewReno-style protection against back-to-back recoveries).
         self.recover_point = 0

@@ -6,6 +6,7 @@ passes too with `-rP`.
 """
 
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -91,12 +92,18 @@ def test_criterion_2_determinism():
             % (len(a), a == b))
 
 
+def paths(w, rtt):
+    """Stand-in subflows: the window and coupling RTT the rules read."""
+    return [SimpleNamespace(cwnd=wi, estimator=SimpleNamespace(rtt=ri))
+            for wi, ri in zip(w, rtt)]
+
+
 def test_criterion_3_coupling_math():
     problems = []
-    if compute_alpha([17.0], [0.3]) != 1.0:
+    if compute_alpha(paths([17.0], [0.3])) != 1.0:
         problems.append("single-subflow alpha != 1")
     for n in (2, 3, 4):
-        alpha = compute_alpha([10.0] * n, [0.1] * n)
+        alpha = compute_alpha(paths([10.0] * n, [0.1] * n))
         if abs(alpha - 1.0 / n) > 1e-12:
             problems.append("equal-path alpha(n=%d) off by %g"
                             % (n, abs(alpha - 1.0 / n)))
@@ -106,11 +113,13 @@ def test_criterion_3_coupling_math():
         w = [0.1 + 99.9 * rng.next_uniform() for _ in range(n)]
         rtt = [1e-3 + 10.0 * rng.next_uniform() for _ in range(n)]
         i = rng.next_u64() % n
-        inc = on_ack_increase(CouplingMode.RTT_COMPENSATOR, i, w, rtt)
+        inc = on_ack_increase(CouplingMode.RTT_COMPENSATOR, i,
+                              paths(w, rtt))
         if inc > 1.0 / w[i]:
             problems.append("compensator exceeded 1/w on %r" % ((w, rtt, i),))
             break
-    fc = on_loss_decrease(CouplingMode.FULLY_COUPLED, 0, [10.0, 10.0])
+    fc = on_loss_decrease(CouplingMode.FULLY_COUPLED, 0,
+                          paths([10.0, 10.0], [0.1, 0.1]))
     if fc != (1.0, 1.0):
         problems.append("fully-coupled (10,10) gave %r, wanted (1.0, 1.0)"
                         % (fc,))

@@ -1,5 +1,6 @@
 """The per-packet handlers read plain values and run-bound flags, not Enums,
-and schedule their events without building a callable per packet.
+schedule their events without building a callable per packet, and run the
+coupling rules on every ACK without building a list.
 
 `CouplingMode.UNCOUPLED` is a global lookup plus a class-attribute lookup
 on every call; the handlers compare against module-level aliases,
@@ -19,8 +20,9 @@ ENUMS = {"Phase", "CouplingMode", "DetectorChoice", "TraceEvent"}
 
 HOT = [getattr(Simulation, name) for name in (
     "_on_data", "_on_ack", "_on_advancing_ack", "_on_duplicate_ack",
-    "_send_mapping", "_grow", "_windows", "_rtts", "_on_trace_sample")]
-HOT += [coupling.on_ack_increase, Link.transmit]
+    "_send_mapping", "_grow", "_on_trace_sample")]
+HOT += [coupling.on_ack_increase, coupling.compute_alpha,
+        coupling.window_total, coupling.on_loss_decrease, Link.transmit]
 
 
 @pytest.mark.parametrize("fn", HOT, ids=lambda fn: fn.__qualname__)
@@ -43,3 +45,27 @@ def test_packet_events_build_no_partial(fn):
               if instr.opname in ("LOAD_GLOBAL", "LOAD_NAME", "LOAD_ATTR",
                                   "LOAD_METHOD")}
     assert "partial" not in loaded
+
+
+# The coupling rules read each subflow's window and RTT in place. Lists of
+# them built per congestion-avoidance ACK, only to be read back once, cost
+# more than the rules themselves.
+PER_ACK = [Simulation._grow, coupling.on_ack_increase, coupling.compute_alpha,
+           coupling.window_total]
+BUILDS = {"BUILD_LIST", "LIST_APPEND", "SET_ADD", "MAP_ADD"}
+
+
+@pytest.mark.parametrize("fn", PER_ACK, ids=lambda fn: fn.__qualname__)
+def test_per_ack_path_builds_no_list(fn):
+    assert not {instr.opname for instr in dis.get_instructions(fn)} & BUILDS
+    # a comprehension or generator runs as a nested code object (a list
+    # comprehension is inlined from Python 3.12, and caught above)
+    assert not [c for c in fn.__code__.co_consts if hasattr(c, "co_code")]
+
+
+def test_grow_calls_no_simulation_helper():
+    helpers = {name for name, value in vars(Simulation).items()
+               if callable(value)}
+    loaded = {instr.argval for instr in dis.get_instructions(Simulation._grow)
+              if instr.opname in ("LOAD_ATTR", "LOAD_METHOD")}
+    assert not loaded & helpers

@@ -37,9 +37,9 @@ def run(cfg):
 def test_rtts_fall_back_to_initial_rtt():
     # the coupling reads a subflow's initial_rtt until its first RTT sample
     sim = Simulation(two_path_cfg(initial_rtt=0.25))
-    assert sim._rtts() == [0.25, 0.25]
+    assert [sf.estimator.rtt for sf in sim.subflows] == [0.25, 0.25]
     sim.subflows[1].estimator.update(0.5)
-    assert sim._rtts() == [0.25, 0.5]
+    assert [sf.estimator.rtt for sf in sim.subflows] == [0.25, 0.5]
 
 
 def test_lossless_symmetric_run_is_clean():

@@ -12,18 +12,20 @@ from mpsim.subflow import SLOW_START, Mapping, RttEstimator, Subflow
 # ------------------------------------------------------------ RttEstimator
 
 def test_first_sample_initializes_estimator():
-    est = RttEstimator(0.2, 60.0, 1.0)
+    est = RttEstimator(0.2, 60.0, 1.0, 0.1)
     assert est.srtt is None
     assert est.rto == 1.0  # initial RTO before any sample
+    assert est.rtt == 0.1  # the coupling's RTT: initial_rtt until a sample
     est.update(0.100)
     assert est.srtt is not None
+    assert est.rtt == est.srtt
     assert est.srtt == pytest.approx(0.100)
     assert est.rttvar == pytest.approx(0.050)
     assert est.rto == pytest.approx(0.300)
 
 
 def test_second_identical_sample_shrinks_variance():
-    est = RttEstimator(0.2, 60.0, 1.0)
+    est = RttEstimator(0.2, 60.0, 1.0, 0.1)
     est.update(0.100)
     est.update(0.100)
     assert est.srtt == pytest.approx(0.100)
@@ -32,20 +34,20 @@ def test_second_identical_sample_shrinks_variance():
 
 
 def test_rto_floor_clamps_small_rtts():
-    est = RttEstimator(0.2, 60.0, 1.0)
+    est = RttEstimator(0.2, 60.0, 1.0, 0.1)
     for _ in range(30):
         est.update(0.001)
     assert est.rto == 0.2
 
 
 def test_rto_ceiling_clamps_large_rtts():
-    est = RttEstimator(0.2, 60.0, 1.0)
+    est = RttEstimator(0.2, 60.0, 1.0, 0.1)
     est.update(100.0)
     assert est.rto == 60.0
 
 
 def test_backoff_doubles_up_to_ceiling():
-    est = RttEstimator(0.2, 60.0, 1.0)
+    est = RttEstimator(0.2, 60.0, 1.0, 0.1)
     est.update(0.100)
     assert est.rto == pytest.approx(0.300)
     est.backoff()
@@ -56,7 +58,7 @@ def test_backoff_doubles_up_to_ceiling():
 
 
 def test_nonpositive_sample_rejected():
-    est = RttEstimator(0.2, 60.0, 1.0)
+    est = RttEstimator(0.2, 60.0, 1.0, 0.1)
     with pytest.raises(ValueError):
         est.update(0.0)
 
@@ -89,13 +91,14 @@ SECONDS = st.floats(min_value=1e-6, max_value=200.0)
        SECONDS, st.lists(SECONDS, max_size=20))
 def test_rtt_estimator_matches_rfc6298_reference(floor, extra, initial_rto,
                                                  samples):
-    est = RttEstimator(floor, floor + extra, initial_rto)
+    est = RttEstimator(floor, floor + extra, initial_rto, 0.1)
     seen = [(est.srtt, est.rttvar, est.rto)]
     for sample in samples:
         est.update(sample)
         seen.append((est.srtt, est.rttvar, est.rto))
     assert seen == reference_rto_estimates(floor, floor + extra, initial_rto,
                                            samples)
+    assert est.rtt == (est.srtt if samples else 0.1)
 
 
 # ----------------------------------------------------------------- Subflow
