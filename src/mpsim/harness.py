@@ -217,8 +217,15 @@ def _ticks(lo: float, hi: float, n: int = 6) -> List[float]:
     first = math.ceil(lo / step) * step
     out = []
     v = first
-    while v <= hi + step * 1e-9:
+    # [lo, hi] spans at most n steps: n + 1 ticks, and one more for the
+    # rounding of `first`. Where step is below half the float spacing at v,
+    # `v += step` stands still: the tick is drawn once and the loop stops.
+    for _ in range(n + 2):
+        if v > hi + step * 1e-9:
+            break
         out.append(round(v, 10))
+        if v + step == v:
+            break
         v += step
     return out
 

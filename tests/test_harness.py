@@ -3,7 +3,10 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from enum import Enum
 from pathlib import Path
 
@@ -668,6 +671,30 @@ def test_plot_is_valid_svg_with_markers(tmp_path):
 def test_plot_rejects_empty_trace(tmp_path):
     with pytest.raises(ValueError):
         emit_plot([], tmp_path / "x.svg")
+
+
+def _cap_memory():
+    import resource  # POSIX only
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+def test_cli_plot_of_a_time_span_below_the_float_spacing(tmp_path):
+    # 1e9 s to 1e9 + 2.4e-7 s: the time axis' tick step, 5e-8 s, is below
+    # half the float spacing at 1e9, so `v += step` stood still and the
+    # tick list grew without end. The plot runs in a child process with
+    # 1 GiB of address space and 20 s, so a return of that loop fails this
+    # test instead of exhausting memory.
+    path = tmp_path / "trace.csv"
+    path.write_text("time_s,subflow,cwnd_mss,ssthresh_mss,phase,event\n"
+                    "1000000000,1,2,64,slow_start,Sample\n"
+                    "1000000000.0000002,1,3,64,slow_start,Sample\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(mpsim.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "mpsim.cli", "plot",
+                           str(path)], env=env, preexec_fn=_cap_memory,
+                          capture_output=True, text=True, timeout=20)
+    assert done.returncode == 0, done.stderr
+    svg = (tmp_path / "trace.svg").read_text()
+    assert svg.count(">1e+09</text>") == 1  # one time tick, not repeats
 
 
 def test_run_scenario_calls_simulation_with_the_config_alone(monkeypatch):
