@@ -79,8 +79,11 @@ def on_ack_increase(mode: CouplingMode, i: int,
     alpha = compute_alpha(subflows)
     if mode is _LINKED_INCREASES:
         return alpha / w_total
-    # RTT Compensator: never more aggressive than single-path TCP on path i
-    return min(alpha / w_total, 1.0 / w_i)
+    # RTT Compensator: never more aggressive than single-path TCP on path i;
+    # min(coupled, uncoupled) as the builtin compares, without a call
+    coupled = alpha / w_total
+    uncoupled = 1.0 / w_i
+    return uncoupled if uncoupled < coupled else coupled
 
 
 def on_loss_decrease(mode: CouplingMode, i: int,

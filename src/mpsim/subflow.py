@@ -49,8 +49,13 @@ class RttEstimator:
         else:
             self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - sample)
             self.srtt = 0.875 * self.srtt + 0.125 * sample
+        # min(max(rto, floor), ceiling) as the builtins compare, so the same
+        # float results, NaN and -0.0 included: on CPython 3.11 the builtins
+        # cost several times as much per sample
         rto = self.srtt + 4.0 * self.rttvar
-        self.rto = min(max(rto, self.floor), self.ceiling)
+        if self.floor > rto:
+            rto = self.floor
+        self.rto = self.ceiling if self.ceiling < rto else rto
         self.rtt = self.srtt
 
     def backoff(self) -> None:
@@ -101,22 +106,28 @@ class Subflow:
         self.rtos = 0
 
     def ack_update(self, data_una: int, now_ns: int):
-        """Pop the mappings cumulatively acked at data level and take their
-        bytes out of flight.
+        """Pop the mappings cumulatively acked at data level, take their
+        bytes out of flight and feed the estimator one RTT sample per newly
+        acked mapping, obeying Karn's rule: only mappings never resent
+        produce one.
 
-        Returns (acked_bytes, rtt_samples). One RTT sample per newly acked
-        mapping, obeying Karn's rule: only mappings never resent produce
-        one.
+        Samples measure send-to-cumulative-ack latency per mapping, so the
+        RTO tracks how long an ACK actually takes to come back when
+        cumulative progress is gated by the other path, not the raw path
+        round trip.
+
+        Returns (acked_bytes, samples_taken).
         """
         acked = 0
-        samples = []
+        taken = 0
         mappings = self.mappings
         while mappings and mappings[0].data_end <= data_una:
             m = mappings.popleft()
             acked += m.data_end - m.data_start
             if not m.retransmits and m.sent_ns >= 0:
-                samples.append((now_ns - m.sent_ns) / NS_PER_S)
+                self.estimator.update((now_ns - m.sent_ns) / NS_PER_S)
+                taken += 1
         if acked:
             self.flight -= acked
             self.dup_ack_count = 0
-        return acked, samples
+        return acked, taken

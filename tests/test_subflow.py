@@ -141,25 +141,40 @@ def add_mapping(sf, data_start, size=1400, sent_s=0.0):
     return m
 
 
+class RecordingEstimator:
+    """Stands in for `Subflow.estimator`: keeps the samples fed to it, in
+    order."""
+
+    def __init__(self):
+        self.samples = []
+
+    def update(self, sample):
+        self.samples.append(sample)
+
+
 def test_ack_update_pops_covered_mappings_and_samples():
     sf = make_subflow()
+    sf.estimator = est = RecordingEstimator()
     add_mapping(sf, 0, sent_s=1.0)
     add_mapping(sf, 1400, sent_s=1.5)
     add_mapping(sf, 2800, sent_s=2.0)
-    acked, samples = sf.ack_update(2800, now_ns=int(2.1 * NS_PER_S))
+    acked, taken = sf.ack_update(2800, now_ns=int(2.1 * NS_PER_S))
     assert acked == 2800
     assert sf.flight == 1400
     assert len(sf.mappings) == 1
-    assert samples == pytest.approx([1.1, 0.6])
+    assert est.samples == pytest.approx([1.1, 0.6])
+    assert taken == 2
 
 
 def test_ack_update_karn_skips_retransmitted_mappings():
     sf = make_subflow()
+    sf.estimator = est = RecordingEstimator()
     m = add_mapping(sf, 0, sent_s=1.0)
     m.retransmits = 1
-    acked, samples = sf.ack_update(1400, now_ns=3 * NS_PER_S)
+    acked, taken = sf.ack_update(1400, now_ns=3 * NS_PER_S)
     assert acked == 1400
-    assert samples == []
+    assert est.samples == []
+    assert taken == 0
 
 
 def test_ack_update_resets_dup_count_only_on_progress():
@@ -226,9 +241,11 @@ def test_ack_update_matches_reference(drawn, acks):
         sf.dup_ack_count = dup
         expected = reference_ack_update(list(sf.mappings), sf.flight, dup,
                                         data_una, now_ns)
-        acked, samples = sf.ack_update(data_una, now_ns)
-        assert (acked, samples, list(sf.mappings), sf.flight,
+        sf.estimator = est = RecordingEstimator()
+        acked, taken = sf.ack_update(data_una, now_ns)
+        assert (acked, est.samples, list(sf.mappings), sf.flight,
                 sf.dup_ack_count) == expected
+        assert taken == len(est.samples)
 
 
 def test_initial_phase_and_defaults():
