@@ -230,6 +230,17 @@ def _ticks(lo: float, hi: float, n: int = 6) -> List[float]:
     return out
 
 
+def _labelled_ticks(lo: float, hi: float):
+    """(tick, label) pairs: `%g` labels, or with more significant digits
+    until no two read alike (17 tell every two floats apart)."""
+    ticks = _ticks(lo, hi)
+    for digits in range(6, 18):
+        labels = ["%.*g" % (digits, v) for v in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return zip(ticks, labels)
+
+
 def emit_plot(records: Sequence[TraceRecord], path) -> None:
     """Self-contained SVG: cwnd vs time, one polyline per subflow, with
     markers at FastRetransmit and SpuriousDetected events."""
@@ -262,18 +273,18 @@ def emit_plot(records: Sequence[TraceRecord], path) -> None:
                  % (_ML, _H - _MB, _W - _MR, _H - _MB))
     parts.append('<line x1="%g" y1="%g" x2="%g" y2="%g" stroke="black"/>'
                  % (_ML, _MT, _ML, _H - _MB))
-    for tv in _ticks(t_lo, t_hi):
+    for tv, label in _labelled_ticks(t_lo, t_hi):
         parts.append('<line x1="%g" y1="%g" x2="%g" y2="%g" stroke="black"/>'
                      % (x(tv), _H - _MB, x(tv), _H - _MB + 5))
         parts.append('<text x="%g" y="%g" font-size="11" '
-                     'text-anchor="middle">%g</text>'
-                     % (x(tv), _H - _MB + 18, tv))
-    for cv in _ticks(c_lo, c_hi):
+                     'text-anchor="middle">%s</text>'
+                     % (x(tv), _H - _MB + 18, label))
+    for cv, label in _labelled_ticks(c_lo, c_hi):
         parts.append('<line x1="%g" y1="%g" x2="%g" y2="%g" stroke="black"/>'
                      % (_ML - 5, y(cv), _ML, y(cv)))
         parts.append('<text x="%g" y="%g" font-size="11" '
-                     'text-anchor="end">%g</text>'
-                     % (_ML - 8, y(cv) + 4, cv))
+                     'text-anchor="end">%s</text>'
+                     % (_ML - 8, y(cv) + 4, label))
     parts.append('<text x="%g" y="%g" font-size="12" text-anchor="middle">'
                  'time [s]</text>' % ((_ML + _W - _MR) / 2, _H - 12))
     parts.append('<text x="16" y="%g" font-size="12" text-anchor="middle" '

@@ -259,7 +259,7 @@ class Simulation:
                 snap = sf.saved
                 if snap is not None and data_una >= snap.mapping.data_end \
                         and sp.eifel_check(snap, ts_echo):
-                    self._undo(sf, snap, sp.eifel_respond)
+                    self._undo(sf, snap)
         if transfer_complete(conn):
             self.completed_ns = now
             self.kernel.stop()
@@ -319,17 +319,17 @@ class Simulation:
         self._send_mapping(sf, m)  # arms the timer: rto_due is None
         self._pump()
 
-    # ---------------------------------------------------------- detectors
-
     def _dsack_check(self, sf: Subflow, dsack_block) -> None:
         snap = sf.saved
         if sp.dsack_sender_check(snap, dsack_block):
-            self._undo(sf, snap, sp.dsack_respond)
+            self._undo(sf, snap)
 
-    def _undo(self, sf: Subflow, snap, respond) -> None:
-        """Act on a spurious verdict: restart the timer, stamp the snapshot
-        and keep it as the detection, then let the detector's `respond`
-        restore the window."""
+    def _undo(self, sf: Subflow, snap) -> None:
+        """Act on a spurious verdict: restart the timer, keep the stamped
+        snapshot as the detection and end the episode. Eifel restores the
+        pre-retransmit window, threshold and phase in one jump; DSACK
+        restores the threshold only, so the window regrows from where it
+        is, through slow start while below it."""
         # the timer that caused (or would repeat) the spurious retransmission
         # is too tight for the actual ACK latency: restart it conservatively
         est = sf.estimator
@@ -340,7 +340,16 @@ class Simulation:
         snap.time_s = self.kernel.now / NS_PER_S
         snap.cwnd_at_detection = sf.cwnd
         self.detections.append(snap)
-        respond(sf, snap)
+        sf.ssthresh = snap.ssthresh_before
+        if self._eifel:
+            sf.cwnd = snap.cwnd_before
+            sf.phase = snap.phase_before
+        elif sf.cwnd < sf.ssthresh:
+            sf.phase = SLOW_START
+        else:
+            sf.phase = CONGESTION_AVOIDANCE
+        sf.dup_ack_count = 0
+        sf.saved = None
         self._trace(sf, RESTORE)
 
     # ------------------------------------------------------ window growth

@@ -1,13 +1,10 @@
-"""Spurious-retransmission detection and state reconciliation.
+"""Spurious-retransmission detection; `Simulation._undo` responds.
 
-Eifel compares the echoed timestamp of the ACK covering a resent
-range against the retransmission time: an older echo means the original
-segment was acknowledged, so the window reduction is undone in one jump.
-
-DSACK relies on the receiver reporting duplicate data; on a duplicate
-report for a range resent exactly once the sender restores the
-slow-start threshold only and regrows the window from its current value
-through slow start.
+A snapshot of the sender's state is kept when a resend is decided, before
+the window is cut. Eifel (RFC 3522) judges the resend spurious when the
+ACK covering it echoes a timestamp older than the resend: the original
+segment was acknowledged. DSACK (RFC 3708) judges it so when the receiver
+reports the range, resent exactly once, as duplicate data.
 """
 
 from __future__ import annotations
@@ -16,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Tuple
 
-from .subflow import CONGESTION_AVOIDANCE, SLOW_START, Mapping, Subflow
+from .subflow import Mapping, Subflow
 
 
 class DetectorChoice(Enum):
@@ -71,15 +68,6 @@ def eifel_check(snap: SpuriousSnapshot, ts_echo: int) -> bool:
     return ts_echo < snap.retransmit_ts
 
 
-def eifel_respond(sf: Subflow, snap: SpuriousSnapshot) -> None:
-    """Restore the exact pre-retransmit window, threshold and phase."""
-    sf.cwnd = snap.cwnd_before
-    sf.ssthresh = snap.ssthresh_before
-    sf.phase = snap.phase_before
-    sf.dup_ack_count = 0
-    sf.saved = None
-
-
 def dsack_sender_check(snap: Optional[SpuriousSnapshot],
                        dsack_block: Tuple[int, int]) -> bool:
     """True iff the DSACK block, a (start, end) tuple, names the snapshot's
@@ -91,15 +79,3 @@ def dsack_sender_check(snap: Optional[SpuriousSnapshot],
     if dsack_block != (m.data_start, m.data_end):
         return False
     return m.retransmits == 1
-
-
-def dsack_respond(sf: Subflow, snap: SpuriousSnapshot) -> None:
-    """Restore ssthresh only; the window regrows from its current value
-    through slow start, giving the characteristic exponential recovery."""
-    sf.ssthresh = snap.ssthresh_before
-    if sf.cwnd < sf.ssthresh:
-        sf.phase = SLOW_START
-    else:
-        sf.phase = CONGESTION_AVOIDANCE
-    sf.dup_ack_count = 0
-    sf.saved = None

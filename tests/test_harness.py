@@ -697,6 +697,19 @@ def test_cli_plot_of_a_time_span_below_the_float_spacing(tmp_path):
     assert svg.count(">1e+09</text>") == 1  # one time tick, not repeats
 
 
+def test_plot_tick_labels_are_distinct(tmp_path):
+    # rows at 100000 and 100000.5 s: six time ticks 0.1 s apart, which `%g`
+    # (6 significant digits) printed as six times "100000"
+    path = tmp_path / "trace.svg"
+    emit_plot([TraceRecord(100000.0, 1, 2.0, 64.0, "slow_start", "Sample"),
+               TraceRecord(100000.5, 1, 3.0, 64.0, "slow_start", "Sample")],
+              path)
+    labels = re.findall(r'text-anchor="middle">([^<]*)</text>',
+                        path.read_text())[:-1]  # the last is the axis title
+    assert labels == ["100000", "100000.1", "100000.2", "100000.3",
+                      "100000.4", "100000.5"]
+
+
 def test_run_scenario_calls_simulation_with_the_config_alone(monkeypatch):
     # perfbench/workloads.py swaps harness.Simulation for a stand-in that
     # takes only the config; perfbench/layers.py takes len() of every list a

@@ -2,8 +2,10 @@
 
 from mpsim.config import ScenarioConfig
 from mpsim.connection import ReassemblyState
-from mpsim.spurious import (dsack_respond, dsack_sender_check, eifel_check,
-                            eifel_respond, on_retransmit_record)
+from mpsim.netmodel import LinkConfig
+from mpsim.simulation import Simulation
+from mpsim.spurious import (DetectorChoice, dsack_sender_check, eifel_check,
+                            on_retransmit_record)
 from mpsim.subflow import (CONGESTION_AVOIDANCE, FAST_RECOVERY, SLOW_START,
                            Mapping, Subflow)
 
@@ -14,6 +16,29 @@ def make_subflow(cwnd=10.0, ssthresh=64.0, phase=SLOW_START):
     sf.ssthresh = ssthresh
     sf.phase = phase
     return sf
+
+
+def make_sim(detector, cwnd=10.0, ssthresh=64.0, phase=SLOW_START):
+    """A bare one-link Simulation running `detector`, and its subflow set
+    to the given window, threshold and phase."""
+    sim = Simulation(ScenarioConfig(links=[LinkConfig(1e6, 0.01)],
+                                    detector=detector))
+    sf = sim.subflows[0]
+    sf.cwnd = cwnd
+    sf.ssthresh = ssthresh
+    sf.phase = phase
+    return sim, sf
+
+
+def undo(sim, sf, snap):
+    """Give `snap` a spurious verdict and check that the run keeps it as
+    the detection, traced by a SpuriousDetected row and then a Restore
+    row."""
+    sim._undo(sf, snap)
+    assert len(sim.detections) == 1 and sim.detections[0] is snap
+    detected, restored = sim.traces
+    assert (detected.event, restored.event) == ("SpuriousDetected", "Restore")
+    assert snap.cwnd_at_detection == detected.cwnd
 
 
 # ---------------------------------------------------------------- snapshot
@@ -69,11 +94,12 @@ def test_eifel_detects_echo_older_than_retransmission():
 
 
 def test_eifel_respond_restores_exact_state():
-    sf = make_subflow(cwnd=24.0, ssthresh=48.0, phase=CONGESTION_AVOIDANCE)
+    sim, sf = make_sim(DetectorChoice.EIFEL, cwnd=24.0, ssthresh=48.0,
+                       phase=CONGESTION_AVOIDANCE)
     snap = on_retransmit_record(sf, Mapping(0, 1400), now=1_000)
     sf.cwnd, sf.ssthresh, sf.phase = 2.0, 12.0, FAST_RECOVERY
     sf.dup_ack_count = 5
-    eifel_respond(sf, snap)
+    undo(sim, sf, snap)
     assert (sf.cwnd, sf.ssthresh) == (24.0, 48.0)
     assert sf.phase == CONGESTION_AVOIDANCE
     assert sf.dup_ack_count == 0
@@ -83,11 +109,11 @@ def test_eifel_respond_restores_exact_state():
 def test_consumed_snapshot_never_fires_again():
     # a verdict clears the snapshot: a later resend of the same mapping is a
     # new episode, recorded against the window the subflow has by then
-    sf = make_subflow(cwnd=24.0, ssthresh=48.0)
+    sim, sf = make_sim(DetectorChoice.EIFEL, cwnd=24.0, ssthresh=48.0)
     m = Mapping(0, 1400)
     snap = on_retransmit_record(sf, m, now=1_000)
     sf.cwnd, sf.ssthresh = 1.0, 2.0
-    eifel_respond(sf, snap)
+    undo(sim, sf, snap)
     assert sf.saved is None
     sf.cwnd, sf.ssthresh = 30.0, 40.0
     fresh = on_retransmit_record(sf, m, now=2_000)
@@ -129,10 +155,10 @@ def test_dsack_ambiguous_after_second_retransmission():
 
 
 def test_dsack_respond_restores_threshold_only():
-    sf = make_subflow(cwnd=14.0, ssthresh=28.0)
+    sim, sf = make_sim(DetectorChoice.DSACK, cwnd=14.0, ssthresh=28.0)
     snap = on_retransmit_record(sf, Mapping(0, 1400), now=1_000)
     sf.cwnd, sf.ssthresh, sf.phase = 7.0, 7.0, FAST_RECOVERY
-    dsack_respond(sf, snap)
+    undo(sim, sf, snap)
     assert sf.cwnd == 7.0                 # window is not jumped back
     assert sf.ssthresh == 28.0            # threshold is restored
     assert sf.phase == SLOW_START   # regrow exponentially from 7
@@ -140,8 +166,8 @@ def test_dsack_respond_restores_threshold_only():
 
 
 def test_dsack_respond_keeps_avoidance_above_threshold():
-    sf = make_subflow(cwnd=30.0, ssthresh=20.0)
+    sim, sf = make_sim(DetectorChoice.DSACK, cwnd=30.0, ssthresh=20.0)
     snap = on_retransmit_record(sf, Mapping(0, 1400), now=1_000)
     sf.cwnd, sf.phase = 25.0, FAST_RECOVERY
-    dsack_respond(sf, snap)
+    undo(sim, sf, snap)
     assert sf.phase == CONGESTION_AVOIDANCE
