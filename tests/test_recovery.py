@@ -208,8 +208,8 @@ def model_state(model):
 
 # (kind, subflow, a, b, c): "send" maps a segment of a bytes; "ack"
 # acknowledges up to the a-th unacked segment end, echoing the time of the
-# b-th latest event; "dup" is a duplicate ACKs in a row; both carry DSACK
-# block c; "rto" fires the subflow's timer
+# b-th latest event; "dup" sends a duplicate ACKs in a row; both carry
+# DSACK block c; "rto" fires the subflow's timer
 EVENT = st.one_of(
     st.tuples(st.just("send"), st.integers(0, 1), st.sampled_from([MSS, 40]),
               st.just(0), st.just(0)),

@@ -10,8 +10,8 @@ from mpsim.subflow import (CONGESTION_AVOIDANCE, FAST_RECOVERY, SLOW_START,
                            Mapping, Subflow)
 
 
-def make_subflow(cwnd=10.0, ssthresh=64.0, phase=SLOW_START):
-    sf = Subflow(0, ScenarioConfig())
+def make_subflow(cwnd=10.0, ssthresh=64.0, phase=SLOW_START, sf=None):
+    sf = sf or Subflow(0, ScenarioConfig())
     sf.cwnd = cwnd
     sf.ssthresh = ssthresh
     sf.phase = phase
@@ -23,11 +23,7 @@ def make_sim(detector, cwnd=10.0, ssthresh=64.0, phase=SLOW_START):
     to the given window, threshold and phase."""
     sim = Simulation(ScenarioConfig(links=[LinkConfig(1e6, 0.01)],
                                     detector=detector))
-    sf = sim.subflows[0]
-    sf.cwnd = cwnd
-    sf.ssthresh = ssthresh
-    sf.phase = phase
-    return sim, sf
+    return sim, make_subflow(cwnd, ssthresh, phase, sim.subflows[0])
 
 
 def undo(sim, sf, snap):
