@@ -4,7 +4,7 @@ scheduling, receiver reassembly and data-level cumulative ACK generation.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from typing import List, Tuple
 
 from .subflow import Mapping, Subflow
@@ -88,71 +88,66 @@ class ReassemblyState:
         application (rcv_data_next advance), after coalescing across any
         stored ranges the arrival connects to. duplicate_subrange is the
         first contiguous stretch of the arrival that was already received.
+
+        Four fast paths take the common arrivals; the general rule after
+        them covers every arrival, and gives the fast paths' results too.
         """
         if end <= start:
             raise ValueError("empty segment range")
         starts = self._starts
+        ends = self._ends
         nxt = self.rcv_data_next
         if start == nxt:
-            dup = None
-        elif start > nxt:
-            # out of order: one search finds starts[i-1] <= start < starts[i]
-            ends = self._ends
-            i = bisect.bisect_right(starts, start)
-            if i and start < ends[i - 1]:
-                dup = (start, min(end, ends[i - 1]))
-            elif i < len(starts) and starts[i] < end:
-                dup = (starts[i], min(end, ends[i]))
-            else:
-                # no held byte inside: merge with the neighbours it touches
-                if i and ends[i - 1] == start:
-                    if i < len(starts) and starts[i] == end:
-                        ends[i - 1] = ends[i]
-                        del starts[i]
-                        del ends[i]
-                    else:
-                        ends[i - 1] = end
-                elif i < len(starts) and starts[i] == end:
-                    starts[i] = start
-                else:
-                    starts.insert(i, start)
-                    ends.insert(i, end)
+            if not starts or end < starts[0]:
+                # in order, touching no stored range
+                self.rcv_data_next = end
+                return end, (nxt, end), None
+            if end == starts[0]:
+                # in order, filling the hole below the first range exactly
+                end = ends[0]
+                del starts[0]
+                del ends[0]
+                self.rcv_data_next = end
+                return end, (nxt, end), None
+        # the first stored range that overlaps or touches the arrival
+        lo = bisect_left(ends, start)
+        if start > nxt:
+            if lo == len(ends) or end < starts[lo]:
+                # out of order, a new range
+                starts.insert(lo, start)
+                ends.insert(lo, end)
                 return nxt, None, None
-            # overlaps held bytes: one range replaces every range it
-            # overlaps or touches
-            lo = i - 1 if i and ends[i - 1] >= start else i
-            hi = bisect.bisect_right(starts, end, i)
-            if lo < i:
+            if ends[lo] == start and (lo + 1 == len(ends)
+                                      or end < starts[lo + 1]):
+                # out of order, extending the range below
+                ends[lo] = end
+                return nxt, None, None
+        # The general rule: the arrival overlaps or touches stored ranges
+        # lo .. hi-1. Its first held stretch is the part below
+        # rcv_data_next, or else its part in the first range it overlaps.
+        hi = bisect_right(starts, end, lo)
+        dup = None
+        if start < nxt:
+            dup = (start, nxt if nxt < end else end)
+        elif lo < hi:
+            k = lo + 1 if ends[lo] == start else lo
+            if k < hi and starts[k] < end:
+                s, e = starts[k], ends[k]
+                dup = (s if s > start else start, e if e < end else end)
+        # Merge them into one range, and deliver it if it reaches
+        # rcv_data_next (then lo is 0: every stored range ends above it).
+        if lo < hi:
+            if starts[lo] < start:
                 start = starts[lo]
             if ends[hi - 1] > end:
                 end = ends[hi - 1]
+        if start > nxt:
             starts[lo:hi] = [start]
             ends[lo:hi] = [end]
             return nxt, None, dup
-        else:
-            # starts below rcv_data_next: that part was delivered already
-            dup = (start, min(end, nxt))
-            if end <= nxt:
-                return nxt, None, dup
-        if not starts or end < starts[0]:
-            # in order and not touching a stored range: nothing to search
-            self.rcv_data_next = end
-            return end, (nxt, end), dup
-        ends = self._ends
-        if end == starts[0]:
-            # fills the hole below the first stored range exactly
-            end = ends[0]
-            del starts[0]
-            del ends[0]
-        else:
-            # reaches into the stored ranges: deliver every range it
-            # overlaps or touches
-            if dup is None:
-                dup = (starts[0], min(end, ends[0]))
-            hi = bisect.bisect_right(starts, end)
-            if ends[hi - 1] > end:
-                end = ends[hi - 1]
-            del starts[:hi]
-            del ends[:hi]
+        del starts[:hi]
+        del ends[:hi]
+        if end <= nxt:
+            return nxt, None, dup
         self.rcv_data_next = end
         return end, (nxt, end), dup

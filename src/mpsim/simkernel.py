@@ -19,7 +19,7 @@ _SM_MIX2 = 0x94D049BB133111EB
 
 
 def seconds_to_ns(t: float) -> int:
-    return int(round(t * NS_PER_S))
+    return round(t * NS_PER_S)
 
 
 class RandomStream:
@@ -85,7 +85,6 @@ class SimKernel:
         self._queue = []
         self._ordinal = 0
         self.now = 0
-        self._stopped = False
 
     def schedule(self, fire_time: int, fn, queue: bool = True,
                  args: tuple = ()) -> list:
@@ -114,8 +113,9 @@ class SimKernel:
         entry[2] = None
 
     def stop(self) -> None:
-        """Stop processing; run_until_idle returns after the current event."""
-        self._stopped = True
+        """Stop processing by emptying the queue: run_until_idle returns
+        after the current event, and a stopped kernel is an empty one."""
+        self._queue.clear()
 
     def run_until_idle(self, stop_time: int) -> int:
         """Process every event with fire_time <= stop_time, in order.
@@ -127,7 +127,7 @@ class SimKernel:
         queue = self._queue
         pop = heapq.heappop
         last = self._ordinal
-        while queue and not self._stopped:
+        while queue:
             head = queue[0]
             if head[0] >= stop_time and (head[0] > stop_time
                                          or head[1] > last):

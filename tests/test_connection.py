@@ -344,6 +344,44 @@ def test_reassembly_matches_reference(arrivals):
         assert recv.rcv_data_next == ref.rcv_data_next
 
 
+# Every arrival case, against rcv_data_next 100 and stored ranges
+# [200, 300) and [400, 500): (arrival, expected (data_ack, delivered, dup)).
+ARRIVAL_CASES = {
+    "in order, touching nothing": ((100, 150), (150, (100, 150), None)),
+    "in order, filling the hole exactly": ((100, 200),
+                                           (300, (100, 300), None)),
+    "in order, overlapping": ((100, 250), (300, (100, 300), (200, 250))),
+    "out of order, inside a held range": ((220, 280),
+                                          (100, None, (220, 280))),
+    "out of order, overlapping a later one": ((350, 450),
+                                              (100, None, (400, 450))),
+    "out of order, joining two ranges": ((300, 400), (100, None, None)),
+    "out of order, extending the range below": ((300, 350),
+                                                (100, None, None)),
+    "out of order, extending the range above downward": ((350, 400),
+                                                         (100, None, None)),
+    "out of order, a new range": ((320, 380), (100, None, None)),
+    "wholly below rcv_data_next": ((50, 100), (100, None, (50, 100))),
+    "straddling, touching nothing": ((50, 150),
+                                     (150, (100, 150), (50, 100))),
+    "straddling, filling the hole exactly": ((50, 200),
+                                             (300, (100, 300), (50, 100))),
+    "straddling, overlapping": ((50, 250), (300, (100, 300), (50, 100))),
+}
+
+
+@pytest.mark.parametrize("case", ARRIVAL_CASES)
+def test_each_arrival_case_matches_reference(case):
+    (start, end), expected = ARRIVAL_CASES[case]
+    recv, ref = ReassemblyState(), ReferenceReassembly()
+    for buf in (recv, ref):
+        buf.rcv_data_next = 100
+        buf._starts, buf._ends = [200, 400], [300, 500]
+    assert recv.on_data(start, end) == ref.on_data(start, end) == expected
+    assert recv.stored_ranges == ref.stored_ranges
+    assert recv.rcv_data_next == ref.rcv_data_next
+
+
 def test_out_of_order_arrivals_merge_with_both_neighbours():
     recv = ReassemblyState()
     assert recv.on_data(200, 300) == (0, None, None)

@@ -737,6 +737,13 @@ def test_benchmark_tracer_finds_and_reads_every_layer(detector, monkeypatch):
     # a refactor that renames one or changes a result's shape fails here
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
     import tracer
+    real, made = harness.Simulation, []
+
+    def capture(cfg):  # as perfbench/workloads.py's _Capture
+        made.append(real(cfg))
+        return made[-1]
+
+    monkeypatch.setattr(harness, "Simulation", capture)
     cfg = ScenarioConfig(
         links=[LinkConfig(1e6, 0.010, loss_rate=0.02),
                LinkConfig(1e6, 0.150, loss_rate=0.02)],
@@ -754,6 +761,9 @@ def test_benchmark_tracer_finds_and_reads_every_layer(detector, monkeypatch):
     for span in ("netmodel.transmit", "connection.on_data",
                  "subflow.ack_update", "spurious", tracer.HANDLER):
         assert t.calls(span) > 0, span
+    # perfbench's events_scheduled is kernel._ordinal, and its tests hold it
+    # equal to the traced schedule calls: every ordinal is taken there
+    assert t.calls("simkernel.schedule") == made[0].kernel._ordinal > 0
     assert harness.run_scenario is run_scenario  # the originals are back
 
 

@@ -14,7 +14,7 @@ import dis
 import pytest
 
 from mpsim import coupling
-from mpsim.connection import schedule_next
+from mpsim.connection import ReassemblyState, schedule_next
 from mpsim.netmodel import Link
 from mpsim.simkernel import SimKernel
 from mpsim.simulation import Simulation
@@ -77,16 +77,15 @@ def test_grow_calls_no_simulation_helper():
 
 # On CPython 3.11 a call of the builtin `min` or `max` on two floats costs
 # several times the one or two comparisons it makes, and these functions
-# run once per packet, ACK or RTT sample. `ReassemblyState.on_data` is left
-# out: its `min` calls are only on the path for overlapping data, which is
-# 1-3 % of arrivals.
+# run once per packet, ACK or RTT sample.
 PER_PACKET = [getattr(Simulation, name) for name in (
     "_on_data", "_on_ack", "_on_advancing_ack", "_on_duplicate_ack",
     "_send_mapping", "_grow", "_arm_rto")]
 PER_PACKET += [RttEstimator.update, Subflow.ack_update,
                coupling.on_ack_increase, coupling.compute_alpha,
                coupling.window_total, Link.transmit, schedule_next,
-               SimKernel.schedule, SimKernel.run_until_idle]
+               SimKernel.schedule, SimKernel.run_until_idle,
+               ReassemblyState.on_data]
 
 
 @pytest.mark.parametrize("fn", PER_PACKET, ids=lambda fn: fn.__qualname__)
