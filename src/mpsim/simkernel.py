@@ -113,8 +113,9 @@ class SimKernel:
         entry[2] = None
 
     def stop(self) -> None:
-        """Stop processing by emptying the queue: run_until_idle returns
-        after the current event, and a stopped kernel is an empty one."""
+        """Drop every queued event, so run_until_idle returns after the
+        current event unless that event schedules more. A stopped kernel
+        is an empty one: events scheduled after the stop still fire."""
         self._queue.clear()
 
     def run_until_idle(self, stop_time: int) -> int:

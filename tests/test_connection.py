@@ -1,6 +1,7 @@
 """Connection-level scheduling and reassembly."""
 
 import bisect
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -353,8 +354,8 @@ ARRIVAL_CASES = {
     "in order, overlapping": ((100, 250), (300, (100, 300), (200, 250))),
     "out of order, inside a held range": ((220, 280),
                                           (100, None, (220, 280))),
-    "out of order, overlapping a later one": ((350, 450),
-                                              (100, None, (400, 450))),
+    "out of order, overlapping held bytes": ((350, 450),
+                                             (100, None, (400, 450))),
     "out of order, joining two ranges": ((300, 400), (100, None, None)),
     "out of order, extending the range below": ((300, 350),
                                                 (100, None, None)),
@@ -371,8 +372,12 @@ ARRIVAL_CASES = {
 
 
 @pytest.mark.parametrize("case", ARRIVAL_CASES)
-def test_each_arrival_case_matches_reference(case):
+def test_each_arrival_case_matches_reference(case, monkeypatch):
+    # tools/reassembly_arrivals.py counts these cases in recorded traffic
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "tools"))
+    from reassembly_arrivals import classify
     (start, end), expected = ARRIVAL_CASES[case]
+    assert classify([200, 400], [300, 500], 100, start, end) == case
     recv, ref = ReassemblyState(), ReferenceReassembly()
     for buf in (recv, ref):
         buf.rcv_data_next = 100

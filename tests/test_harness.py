@@ -710,10 +710,10 @@ def test_plot_tick_labels_are_distinct(tmp_path):
                       "100000.4", "100000.5"]
 
 
-def test_run_scenario_calls_simulation_with_the_config_alone(monkeypatch):
-    # perfbench/workloads.py swaps harness.Simulation for a stand-in that
-    # takes only the config; perfbench/layers.py takes len() of every list a
-    # run returns and reads sim.kernel.now
+def capture_simulations(monkeypatch):
+    """Swap harness.Simulation for a stand-in that takes only the config,
+    as perfbench/workloads.py's _Capture does; returns the list of
+    simulations it makes."""
     real, made = harness.Simulation, []
 
     def one_argument(cfg):
@@ -721,6 +721,13 @@ def test_run_scenario_calls_simulation_with_the_config_alone(monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(harness, "Simulation", one_argument)
+    return made
+
+
+def test_run_scenario_calls_simulation_with_the_config_alone(monkeypatch):
+    # perfbench/layers.py takes len() of every list a run returns and reads
+    # sim.kernel.now
+    made = capture_simulations(monkeypatch)
     result = run_scenario(small_cfg())
     assert len(made) == 1
     assert result.stats.completed and result.stats.checksum_ok
@@ -737,13 +744,7 @@ def test_benchmark_tracer_finds_and_reads_every_layer(detector, monkeypatch):
     # a refactor that renames one or changes a result's shape fails here
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
     import tracer
-    real, made = harness.Simulation, []
-
-    def capture(cfg):  # as perfbench/workloads.py's _Capture
-        made.append(real(cfg))
-        return made[-1]
-
-    monkeypatch.setattr(harness, "Simulation", capture)
+    made = capture_simulations(monkeypatch)
     cfg = ScenarioConfig(
         links=[LinkConfig(1e6, 0.010, loss_rate=0.02),
                LinkConfig(1e6, 0.150, loss_rate=0.02)],

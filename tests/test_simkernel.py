@@ -111,6 +111,23 @@ def test_stop_halts_processing():
     assert fired == [1]
 
 
+def test_stop_drops_only_the_events_queued_before_it():
+    kernel = SimKernel()
+    fired = []
+
+    def stop_then_schedule():
+        kernel.stop()
+        kernel.schedule(kernel.now, lambda: fired.append("after stop"))
+
+    kernel.schedule(1, stop_then_schedule)
+    kernel.schedule(1, lambda: fired.append("queued"))
+    kernel.run_until_idle(100)
+    assert fired == ["after stop"]
+    kernel.schedule(5, lambda: fired.append("next run"))
+    assert kernel.run_until_idle(100) == 5
+    assert fired == ["after stop", "next run"]
+
+
 def test_random_stream_is_reproducible():
     a = RandomStream(12345)
     b = RandomStream(12345)
