@@ -89,20 +89,48 @@ class ReassemblyState:
         stored ranges the arrival connects to. duplicate_subrange is the
         first contiguous stretch of the arrival that was already received.
 
-        One rule covers every arrival: find the stored ranges it overlaps
-        or touches, take its first held stretch as the duplicate, merge
-        them, then deliver the merged range if it reaches rcv_data_next or
-        store it in their place.
+        Four short paths take the arrivals the workloads mostly send: in
+        order touching no stored range, in order exactly filling the hole
+        below the first range, out of order extending the range below, and
+        out of order as a new range. Each gives what the general rule
+        after them would. That rule covers every other arrival: find the
+        stored ranges it overlaps or touches, take its first held stretch
+        as the duplicate, merge them, then deliver the merged range if it
+        reaches rcv_data_next or store it in their place.
         """
         if end <= start:
             raise ValueError("empty segment range")
         starts = self._starts
         ends = self._ends
         nxt = self.rcv_data_next
-        # The arrival overlaps or touches stored ranges lo .. hi-1. Its
-        # first held stretch is the part below rcv_data_next, or else its
-        # part in the first range it overlaps.
+        if start == nxt:
+            if not starts or end < starts[0]:
+                # in order, touching no stored range
+                self.rcv_data_next = end
+                return end, (nxt, end), None
+            if end == starts[0]:
+                # in order, exactly filling the hole below the first range
+                end = ends[0]
+                del starts[0]
+                del ends[0]
+                self.rcv_data_next = end
+                return end, (nxt, end), None
+        # the first stored range that overlaps or touches the arrival
         lo = bisect_left(ends, start)
+        if start > nxt:
+            if lo == len(ends) or end < starts[lo]:
+                # out of order, a new range
+                starts.insert(lo, start)
+                ends.insert(lo, end)
+                return nxt, None, None
+            if ends[lo] == start and (lo + 1 == len(ends)
+                                      or end < starts[lo + 1]):
+                # out of order, extending the range below
+                ends[lo] = end
+                return nxt, None, None
+        # The general rule: the arrival overlaps or touches stored ranges
+        # lo .. hi-1. Its first held stretch is the part below
+        # rcv_data_next, or else its part in the first range it overlaps.
         hi = bisect_right(starts, end, lo)
         dup = None
         if start < nxt:

@@ -6,11 +6,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpsim.config import ScenarioConfig
+from mpsim.config import ScenarioConfig, load_scenario
 from mpsim.connection import (ConnectionState, ReassemblyState, schedule_next,
                               transfer_complete)
 from mpsim.netmodel import LinkConfig
 from mpsim.simulation import Simulation
+from mpsim.spurious import DetectorChoice
 from mpsim.subflow import Subflow
 
 
@@ -385,6 +386,29 @@ def test_each_arrival_case_matches_reference(case, monkeypatch):
     assert recv.on_data(start, end) == ref.on_data(start, end) == expected
     assert recv.stored_ranges == ref.stored_ranges
     assert recv.rcv_data_next == ref.rcv_data_next
+
+
+def test_recorded_arrivals_match_reference(monkeypatch):
+    # Real runs build buffers of more ranges than the sequences above; each
+    # short path of on_data must meet them.
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "tools"))
+    from reassembly_arrivals import (SHORT_PATHS, arrivals, case_counts,
+                                     first_difference)
+    cfgs = []
+    for detector in DetectorChoice:
+        cfg = load_scenario("paper-reorder")
+        cfg.transfer_size = 1_000_000
+        cfg.detector = detector
+        cfgs.append(cfg)
+    lossy = load_scenario("paper-base")
+    lossy.transfer_size = 1_000_000
+    lossy.links[1].loss_rate = 0.05
+    cfgs.append(lossy)
+    runs = arrivals(cfgs)
+    assert first_difference(ReassemblyState, ReferenceReassembly,
+                            runs) is None
+    counts = case_counts(runs)
+    assert all(counts[case] for case in SHORT_PATHS), counts
 
 
 def test_out_of_order_arrivals_merge_with_both_neighbours():

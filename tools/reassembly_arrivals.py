@@ -1,18 +1,24 @@
 """Record the arrivals the benchmark's workloads hand the receiver's reorder
-buffer, sort them into arrival cases, and time ReassemblyState.on_data on
-them.
+buffer, sort them into arrival cases, check ReassemblyState.on_data against
+the tests' reference on them, and time it.
 
     python tools/reassembly_arrivals.py record WORKLOAD SEED OUT.pkl
     python tools/reassembly_arrivals.py mix OUT.pkl [OUT.pkl ...]
+    python tools/reassembly_arrivals.py check TREE OUT.pkl [OUT.pkl ...]
     python tools/reassembly_arrivals.py time TREE_A TREE_B OUT.pkl [PASSES]
 
 `record` runs every scenario of a perfbench workload (grid, bulk or
 reorder) with the repository's own `src/` and stores each scenario's
-(start, end) arrivals in order. `mix` replays them and counts each case of
-ARRIVAL_CASES. `time` replays them through the ReassemblyState of two
-source trees (each a checkout's root), alternating A and B, and prints the
-minimum over PASSES (default 15) of host ns per on_data call, with the
-garbage collector off.
+(start, end) arrivals in order. `mix` replays them, counts each case of
+ARRIVAL_CASES and gives the share of arrivals each of on_data's SHORT_PATHS
+takes and the share left to its general rule. `check` replays them through
+the ReassemblyState of a source tree (a checkout's root) and through
+tests/test_connection.py's ReferenceReassembly, compares their results,
+stored ranges and rcv_data_next after every arrival, and exits 1 at the
+first difference, naming the file, the scenario and the arrival. `time`
+replays them through the ReassemblyState of two source trees, alternating A
+and B, and prints the minimum over PASSES (default 15) of host ns per
+on_data call, with the garbage collector off.
 """
 
 import ast
@@ -42,6 +48,14 @@ ARRIVAL_CASES = (
     "straddling, touching nothing",
     "straddling, filling the hole exactly",
     "straddling, overlapping",
+)
+# the cases ReassemblyState.on_data takes by a short path, in its order;
+# its general rule takes the rest
+SHORT_PATHS = (
+    "in order, touching nothing",
+    "in order, filling the hole exactly",
+    "out of order, a new range",
+    "out of order, extending the range below",
 )
 
 
@@ -73,9 +87,9 @@ def classify(starts, ends, nxt, start, end):
     return "out of order, a new range"
 
 
-def record(workload, seed, out):
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    import workloads
+def arrivals(cfgs):
+    """Run each ScenarioConfig and return its (start, end) arrivals at the
+    receiver's reorder buffer, one list per scenario, in order."""
     from mpsim import connection, harness
     real = connection.ReassemblyState.on_data
     runs = []
@@ -85,10 +99,20 @@ def record(workload, seed, out):
         return real(self, start, end)
 
     connection.ReassemblyState.on_data = on_data
-    for cfg in workloads.build(workload, int(seed)):
-        runs.append([])
-        result = harness.run_scenario(cfg)
-        assert result.stats.completed and result.stats.checksum_ok
+    try:
+        for cfg in cfgs:
+            runs.append([])
+            result = harness.run_scenario(cfg)
+            assert result.stats.completed and result.stats.checksum_ok
+    finally:
+        connection.ReassemblyState.on_data = real
+    return runs
+
+
+def record(workload, seed, out):
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import workloads
+    runs = arrivals(workloads.build(workload, int(seed)))
     with open(out, "wb") as f:
         pickle.dump(runs, f)
     print(json.dumps({"workload": workload, "seed": int(seed),
@@ -117,18 +141,61 @@ def load(path):
         return pickle.load(f)
 
 
-def mix(paths):
+def case_counts(runs):
+    """How many arrivals of runs fall in each case of ARRIVAL_CASES."""
     from mpsim.connection import ReassemblyState
+    counts = dict.fromkeys(ARRIVAL_CASES, 0)
+    for run in runs:
+        buf = ReassemblyState()
+        for start, end in run:
+            counts[classify(buf._starts, buf._ends, buf.rcv_data_next,
+                            start, end)] += 1
+            buf.on_data(start, end)
+    return counts
+
+
+def mix(paths):
     for path in paths:
-        counts = dict.fromkeys(ARRIVAL_CASES, 0)
-        for run in load(path):
-            buf = ReassemblyState()
-            for start, end in run:
-                counts[classify(buf._starts, buf._ends, buf.rcv_data_next,
-                                start, end)] += 1
-                buf.on_data(start, end)
-        print(json.dumps({"file": Path(path).name,
-                          "arrivals": sum(counts.values()), "cases": counts}))
+        counts = case_counts(load(path))
+        n = sum(counts.values())
+        general = n - sum(counts[case] for case in SHORT_PATHS)
+        print(json.dumps({
+            "file": Path(path).name, "arrivals": n, "cases": counts,
+            "short_paths_pct": {case: round(100 * counts[case] / n, 2)
+                                for case in SHORT_PATHS},
+            "general_rule_pct": round(100 * general / n, 2)}))
+
+
+def first_difference(cls, reference, runs):
+    """(scenario, arrival, cls's state, reference's state) at the first
+    arrival after which a cls and a reference buffer differ in the result
+    of on_data, the stored ranges or rcv_data_next; None if they never
+    do. Each scenario starts from fresh buffers."""
+    for i, run in enumerate(runs):
+        buf, ref = cls(), reference()
+        for j, (start, end) in enumerate(run):
+            got = (buf.on_data(start, end), buf.stored_ranges,
+                   buf.rcv_data_next)
+            want = (ref.on_data(start, end), ref.stored_ranges,
+                    ref.rcv_data_next)
+            if got != want:
+                return i, j, got, want
+    return None
+
+
+def check(tree, paths):
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from test_connection import ReferenceReassembly
+    cls = load_reassembly(tree)
+    for path in paths:
+        runs = load(path)
+        diff = first_difference(cls, ReferenceReassembly, runs)
+        if diff is not None:
+            i, j, got, want = diff
+            sys.exit(f"{path}: scenario {i}, arrival {j} {runs[i][j]}: "
+                     f"{tree} gives {got}, the reference {want}")
+        print(json.dumps({"file": Path(path).name, "scenarios": len(runs),
+                          "arrivals": sum(map(len, runs)), "agree": True}))
 
 
 def replay(cls, runs):
@@ -157,12 +224,15 @@ def timing(tree_a, tree_b, path, passes=15):
 
 
 if __name__ == "__main__":
-    if len(sys.argv) < 3 or sys.argv[1] not in ("record", "mix", "time"):
+    if (len(sys.argv) < 3
+            or sys.argv[1] not in ("record", "mix", "check", "time")):
         sys.exit(__doc__)
     if sys.argv[1] == "record":
         record(*sys.argv[2:5])
     elif sys.argv[1] == "mix":
         sys.path.insert(0, str(ROOT / "src"))
         mix(sys.argv[2:])
+    elif sys.argv[1] == "check":
+        check(sys.argv[2], sys.argv[3:])
     else:
         timing(*sys.argv[2:])
