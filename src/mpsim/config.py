@@ -1,18 +1,19 @@
-"""Scenario configuration: the scenario and link dataclasses, their checks,
+"""Scenario configuration: the scenario and link records, their checks,
 file loading (flat key=value or JSON) and bundled presets. Every fault in
-scenario input is a ScenarioError that names the field."""
+scenario input is a ScenarioError that names the field.
+
+`json` and `importlib.resources` are imported only where JSON text or a
+preset is read, so `import mpsim` does not load them."""
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+import os
 from functools import cache
-from importlib import resources
-from pathlib import Path
 from typing import List, get_type_hints
 
 from .coupling import CouplingMode
+from .record import Record
 from .spurious import DetectorChoice
 
 DEFAULT_QUEUE_LIMIT = 100  # packets; NS-3 point-to-point magnitude
@@ -50,12 +51,18 @@ def _check_fields(obj, types: dict, prefix: str) -> None:
             raise ScenarioError(_type_error(prefix + key, tp, value))
 
 
-@dataclass
-class LinkConfig:
+class LinkConfig(Record):
     capacity_bps: float
     one_way_delay_s: float
-    loss_rate: float = 0.0
-    queue_limit: int = DEFAULT_QUEUE_LIMIT
+    loss_rate: float
+    queue_limit: int
+
+    def __init__(self, capacity_bps, one_way_delay_s, loss_rate=0.0,
+                 queue_limit=DEFAULT_QUEUE_LIMIT):
+        self.capacity_bps = capacity_bps
+        self.one_way_delay_s = one_way_delay_s
+        self.loss_rate = loss_rate
+        self.queue_limit = queue_limit
 
     def validate(self, name: str = "link") -> None:
         _check_fields(self, _LINK_TYPES, name + ".")
@@ -74,26 +81,50 @@ class LinkConfig:
 _LINK_TYPES = get_type_hints(LinkConfig)
 
 
-@dataclass
-class ScenarioConfig:
-    links: List[LinkConfig] = field(default_factory=list)
-    transfer_size: int = 5_000_000  # bytes
-    mss: int = 1400                 # bytes
-    coupling: CouplingMode = CouplingMode.RTT_COMPENSATOR
-    detector: DetectorChoice = DetectorChoice.NONE
-    seed: int = 1
-    trace_interval: float = 0.1     # seconds, as are the times below
-    stop_time: float = 600.0
-    ack_loss: bool = True
-    rto_floor: float = 0.2
-    rto_ceiling: float = 60.0
-    initial_rto: float = 1.0
-    initial_cwnd: float = 2.0       # MSS
-    initial_ssthresh: float = 64.0  # MSS
-    initial_rtt: float = 0.1
+class ScenarioConfig(Record):
+    links: List[LinkConfig]
+    transfer_size: int       # bytes
+    mss: int                 # bytes
+    coupling: CouplingMode
+    detector: DetectorChoice
+    seed: int
+    trace_interval: float    # seconds, as are the times below
+    stop_time: float
+    ack_loss: bool
+    rto_floor: float
+    rto_ceiling: float
+    initial_rto: float
+    initial_cwnd: float      # MSS
+    initial_ssthresh: float  # MSS
+    initial_rtt: float
     # keep the per-segment logs RunResult.sends/arrivals/srtts; they grow
     # with the segments sent, so they are off unless a caller reads them
-    record_segments: bool = False
+    record_segments: bool
+
+    # links=None is no links: each config gets a list of its own
+    def __init__(self, links=None, transfer_size=5_000_000, mss=1400,
+                 coupling=CouplingMode.RTT_COMPENSATOR,
+                 detector=DetectorChoice.NONE, seed=1, trace_interval=0.1,
+                 stop_time=600.0, ack_loss=True, rto_floor=0.2,
+                 rto_ceiling=60.0, initial_rto=1.0, initial_cwnd=2.0,
+                 initial_ssthresh=64.0, initial_rtt=0.1,
+                 record_segments=False):
+        self.links = [] if links is None else links
+        self.transfer_size = transfer_size
+        self.mss = mss
+        self.coupling = coupling
+        self.detector = detector
+        self.seed = seed
+        self.trace_interval = trace_interval
+        self.stop_time = stop_time
+        self.ack_loss = ack_loss
+        self.rto_floor = rto_floor
+        self.rto_ceiling = rto_ceiling
+        self.initial_rto = initial_rto
+        self.initial_cwnd = initial_cwnd
+        self.initial_ssthresh = initial_ssthresh
+        self.initial_rtt = initial_rtt
+        self.record_segments = record_segments
 
     def validate(self) -> None:
         if not isinstance(self.links, list):
@@ -138,8 +169,15 @@ class ScenarioConfig:
         if not 1e-9 <= self.initial_rtt <= MAX_SECONDS:
             raise ScenarioError("initial_rtt: must be between 1e-9 and 1e9 s")
 
-    def copy(self) -> "ScenarioConfig":
-        return replace(self, links=[replace(l) for l in self.links])
+    def copy(self) -> ScenarioConfig:
+        """A copy whose links are copies too: editing it changes neither
+        this config nor its links."""
+        cfg = object.__new__(ScenarioConfig)
+        cfg.__dict__.update(self.__dict__)
+        cfg.links = [LinkConfig(l.capacity_bps, l.one_way_delay_s,
+                                l.loss_rate, l.queue_limit)
+                     for l in self.links]
+        return cfg
 
 
 # every scalar field and its type, in field order, so validate() names the
@@ -275,6 +313,7 @@ def _parse_json(data: dict, where: str) -> ScenarioConfig:
 def parse_scenario(text: str, where: str = "<scenario>") -> ScenarioConfig:
     stripped = text.lstrip()
     if stripped.startswith("{"):
+        import json
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -287,6 +326,7 @@ def parse_scenario(text: str, where: str = "<scenario>") -> ScenarioConfig:
 
 
 def preset_text(name: str) -> str:
+    from importlib import resources
     ref = resources.files("mpsim.presets").joinpath(name + ".scn")
     return ref.read_text(encoding="utf-8")
 
@@ -301,9 +341,9 @@ def load_scenario(path) -> ScenarioConfig:
     """Load a scenario from a file path or a bundled preset name. A file
     wins over a preset of the same name."""
     name = str(path)
-    p = Path(name)
-    if p.is_file():
-        return parse_scenario(p.read_text(encoding="utf-8"), name)
+    if os.path.isfile(name):
+        with open(name, encoding="utf-8") as f:
+            return parse_scenario(f.read(), name)
     if name in PRESET_NAMES:
         return _preset(name).copy()
     raise ScenarioError("scenario %r: no such file or preset (presets: %s)"

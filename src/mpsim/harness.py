@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .config import ScenarioConfig, ScenarioError, load_scenario  # noqa: F401
+from .record import Record
 from .simkernel import mix_seed
 from .simulation import (EVENTS, FAST_RETRANSMIT, SPURIOUS_DETECTED,
                          RunResult, Simulation, SummaryStats, TraceRecord)
@@ -19,11 +19,15 @@ TRACE_CSV_COLUMNS = ("time_s", "subflow", "cwnd_mss", "ssthresh_mss",
 SWEEP_PARAMETERS = ("capacity", "latency", "loss")  # Mbps, ms, probability
 
 
-@dataclass
-class SweepRow:
+class SweepRow(Record):
     param_value: float
     stats: SummaryStats
-    error: Optional[str] = None  # why the point did not run, if it did not
+    error: Optional[str]  # why the point did not run, if it did not
+
+    def __init__(self, param_value, stats, error=None):
+        self.param_value = param_value
+        self.stats = stats
+        self.error = error
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunResult:

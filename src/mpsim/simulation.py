@@ -10,15 +10,15 @@ sender reacts with (spurious) fast retransmits unless a detector undoes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from . import spurious as sp
-from .config import ScenarioConfig
+from .config import LinkConfig, ScenarioConfig
 from .connection import (ConnectionState, ReassemblyState, schedule_next,
                          transfer_complete)
 from .coupling import on_ack_increase, on_loss_decrease
 from .netmodel import Link
+from .record import Record
 from .simkernel import NS_PER_S, RandomStream, SimKernel, seconds_to_ns
 from .spurious import DetectorChoice
 from .subflow import (ACK_SIZE_BYTES, CONGESTION_AVOIDANCE, FAST_RECOVERY,
@@ -46,8 +46,7 @@ class TraceRecord:
         self.event = event      # one of EVENTS
 
 
-@dataclass
-class SummaryStats:
+class SummaryStats(Record):
     completed: bool
     completion_time_s: Optional[float]
     goodput_bps: float
@@ -64,9 +63,25 @@ class SummaryStats:
     duplicate_bytes: int
     protocol_violations: int
 
+    def __init__(self, completed, completion_time_s, goodput_bps,
+                 delivered_bytes, bytes_sf, retx_sf, fast_retx, rtos,
+                 spurious_detections, checksum_ok, duplicate_bytes,
+                 protocol_violations):
+        self.completed = completed
+        self.completion_time_s = completion_time_s
+        self.goodput_bps = goodput_bps
+        self.delivered_bytes = delivered_bytes
+        self.bytes_sf = bytes_sf
+        self.retx_sf = retx_sf
+        self.fast_retx = fast_retx
+        self.rtos = rtos
+        self.spurious_detections = spurious_detections
+        self.checksum_ok = checksum_ok
+        self.duplicate_bytes = duplicate_bytes
+        self.protocol_violations = protocol_violations
 
-@dataclass
-class RunResult:
+
+class RunResult(Record):
     """One run's output. The per-segment logs `sends`, `arrivals` and
     `srtts` are filled only when `cfg.record_segments` is set; otherwise
     they are empty, so a run's memory does not grow with its segments."""
@@ -79,6 +94,16 @@ class RunResult:
     detections: List[sp.SpuriousSnapshot]
     srtts: List[Tuple[float, int, float]]         # (time_s, sf, smoothed rtt)
 
+    def __init__(self, cfg, stats, traces, sends, arrivals, detections,
+                 srtts):
+        self.cfg = cfg
+        self.stats = stats
+        self.traces = traces
+        self.sends = sends
+        self.arrivals = arrivals
+        self.detections = detections
+        self.srtts = srtts
+
 
 class Simulation:
     def __init__(self, cfg: ScenarioConfig):
@@ -89,8 +114,9 @@ class Simulation:
         self.mss = cfg.mss
         self.coupling_mode = cfg.coupling
         self.links_fwd = [Link(lc) for lc in cfg.links]
-        rev_cfgs = [lc if cfg.ack_loss else replace(lc, loss_rate=0.0)
-                    for lc in cfg.links]
+        rev_cfgs = cfg.links if cfg.ack_loss else [
+            LinkConfig(lc.capacity_bps, lc.one_way_delay_s, 0.0,
+                       lc.queue_limit) for lc in cfg.links]
         self.links_rev = [Link(lc) for lc in rev_cfgs]
         self.subflows = [Subflow(i, cfg) for i in range(len(cfg.links))]
         self.conn = ConnectionState(cfg.transfer_size, cfg.mss,

@@ -9,10 +9,10 @@ reports the range, resent exactly once, as duplicate data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Tuple
 
+from .record import Record
 from .subflow import Mapping, Subflow
 
 
@@ -22,8 +22,7 @@ class DetectorChoice(Enum):
     DSACK = "dsack"
 
 
-@dataclass
-class SpuriousSnapshot:
+class SpuriousSnapshot(Record, no_compare=("mapping",)):
     """Sender state captured when a retransmission is decided, before the
     associated window reduction. A spurious verdict stamps it with its time
     and the window then, and the run keeps it as that verdict's record."""
@@ -31,11 +30,23 @@ class SpuriousSnapshot:
     cwnd_before: float
     ssthresh_before: float
     phase_before: str
-    retransmit_ts: int                       # virtual ns
-    mapping: Mapping = field(compare=False)  # the resent segment
-    subflow: int                             # 1-based
-    time_s: Optional[float] = None             # of the spurious verdict
-    cwnd_at_detection: Optional[float] = None  # the window it found
+    retransmit_ts: int                 # virtual ns
+    mapping: Mapping                   # the resent segment; not compared
+    subflow: int                       # 1-based
+    time_s: Optional[float]            # of the spurious verdict
+    cwnd_at_detection: Optional[float]  # the window it found
+
+    def __init__(self, cwnd_before, ssthresh_before, phase_before,
+                 retransmit_ts, mapping, subflow, time_s=None,
+                 cwnd_at_detection=None):
+        self.cwnd_before = cwnd_before
+        self.ssthresh_before = ssthresh_before
+        self.phase_before = phase_before
+        self.retransmit_ts = retransmit_ts
+        self.mapping = mapping
+        self.subflow = subflow
+        self.time_s = time_s
+        self.cwnd_at_detection = cwnd_at_detection
 
 
 def on_retransmit_record(sf: Subflow, m: Mapping,

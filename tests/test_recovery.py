@@ -72,6 +72,9 @@ class NewRenoModel:
         self.snd_nxt = 0
         self.resent = []      # (subflow, start, end), in order
         self.detections = 0
+        # the most bytes of its own subflow a partial ACK in fast recovery
+        # acked: D2's line can tell the rules apart only from 2 MSS on
+        self.partial_acked = 0
 
     def send(self, i, size):
         self.paths[i].segments.append([self.snd_nxt, self.snd_nxt + size, 0])
@@ -124,7 +127,8 @@ class NewRenoModel:
                 if ack >= p.recover:                     # full ACK
                     p.cwnd = max(p.ssthresh, 1.0)                  # (D4)
                     p.phase = CONGESTION_AVOIDANCE
-                # else a partial ACK: cwnd unchanged               (D2)
+                else:  # a partial ACK: cwnd unchanged              (D2)
+                    self.partial_acked = max(self.partial_acked, acked)
             elif acked and p.phase == SLOW_START:
                 if p.cwnd < p.ssthresh:
                     p.cwnd = min(p.cwnd + acked / MSS, p.ssthresh)  # (D7)
@@ -235,7 +239,7 @@ def dsack_block(model, i, kind):
 
 def drive(n, cwnd, ssthresh, detector, events):
     """Apply `events` to the simulator's handlers and to the model, and
-    compare the two after every ACK, send and RTO."""
+    compare the two after every ACK, send and RTO; returns the model."""
     sim = recording_sim(n, cwnd, ssthresh, detector)
     model = NewRenoModel(n, float(cwnd), float(ssthresh), detector)
     conn = sim.conn
@@ -270,11 +274,18 @@ def drive(n, cwnd, ssthresh, detector, events):
                 sim._on_rto(sf)
                 model.rto(i, now)
             assert state(sim) == model_state(model), (kind, i, a, b, c)
+    return model
 
 
 # one segment, [0, MSS), and three duplicate ACKs: it is resent by fast
 # retransmit at the fourth event, and `recover` is MSS
 FAST_RECOVERY_AT_MSS = [("send", 0, MSS, 0, 0), ("dup", 0, 3, 0, 0)]
+# three segments, three duplicate ACKs, then a partial ACK to the second
+# segment's end: 2 MSS acked in fast recovery, where D2 keeps cwnd and RFC
+# 6582 deflates it by 2 MSS and adds 1 back (a 1-MSS partial ACK would
+# deflate 1 and add 1: no difference)
+PARTIAL_ACK_OF_2_MSS = [("send", 0, MSS, 0, 0)] * 3 + [
+    ("dup", 0, 3, 0, 0), ("ack", 0, 1, 0, 0)]
 
 
 @settings(max_examples=300)
@@ -290,5 +301,8 @@ FAST_RECOVERY_AT_MSS = [("send", 0, MSS, 0, 0), ("dup", 0, 3, 0, 0)]
          FAST_RECOVERY_AT_MSS + [("send", 0, MSS, 0, 0), ("ack", 0, 0, 4, 0)])
 # an ACK that echoes the resend's own time: not spurious
 @example(1, 2.0, 64.0, EIFEL, FAST_RECOVERY_AT_MSS + [("ack", 0, 0, 1, 0)])
+@example(1, 10.0, 64.0, DetectorChoice.NONE, PARTIAL_ACK_OF_2_MSS)
 def test_recovery_matches_newreno_model(n, cwnd, ssthresh, detector, events):
-    drive(n, cwnd, ssthresh, detector, events)
+    model = drive(n, cwnd, ssthresh, detector, events)
+    if events == PARTIAL_ACK_OF_2_MSS:
+        assert model.partial_acked >= 2 * MSS
