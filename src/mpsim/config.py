@@ -97,9 +97,6 @@ class ScenarioConfig(Record):
     initial_cwnd: float      # MSS
     initial_ssthresh: float  # MSS
     initial_rtt: float
-    # keep the per-segment logs RunResult.sends/arrivals/srtts; they grow
-    # with the segments sent, so they are off unless a caller reads them
-    record_segments: bool
 
     # links=None is no links: each config gets a list of its own
     def __init__(self, links=None, transfer_size=5_000_000, mss=1400,
@@ -107,8 +104,7 @@ class ScenarioConfig(Record):
                  detector=DetectorChoice.NONE, seed=1, trace_interval=0.1,
                  stop_time=600.0, ack_loss=True, rto_floor=0.2,
                  rto_ceiling=60.0, initial_rto=1.0, initial_cwnd=2.0,
-                 initial_ssthresh=64.0, initial_rtt=0.1,
-                 record_segments=False):
+                 initial_ssthresh=64.0, initial_rtt=0.1):
         self.links = [] if links is None else links
         self.transfer_size = transfer_size
         self.mss = mss
@@ -124,7 +120,6 @@ class ScenarioConfig(Record):
         self.initial_cwnd = initial_cwnd
         self.initial_ssthresh = initial_ssthresh
         self.initial_rtt = initial_rtt
-        self.record_segments = record_segments
 
     def validate(self) -> None:
         if not isinstance(self.links, list):
@@ -181,7 +176,7 @@ class ScenarioConfig(Record):
 
 
 # every scalar field and its type, in field order, so validate() names the
-# first bad field; the scenario file keys are these but record_segments
+# first bad field; these are the scenario file keys
 _TYPES = get_type_hints(ScenarioConfig)
 del _TYPES["links"]
 
@@ -243,7 +238,7 @@ def _link_from_parts(parts: dict, lines: dict, name: str,
 
 def _apply_scalar(cfg: ScenarioConfig, key: str, raw, where: str) -> None:
     tp = _TYPES.get(key)
-    if tp is None or key == "record_segments":
+    if tp is None:
         raise ScenarioError("%s: unknown key %r" % (where, key))
     name = "%s: %s" % (where, key)
     if tp is bool:

@@ -45,6 +45,19 @@ class TraceRecord:
         self.phase = phase      # one of subflow.PHASES
         self.event = event      # one of EVENTS
 
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    # by value, as a Record compares, so two results of one run are equal
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return "TraceRecord(%s)" % ", ".join(
+            "%s=%r" % pair for pair in zip(self.__slots__, self._values()))
+
 
 class SummaryStats(Record):
     completed: bool
@@ -82,27 +95,19 @@ class SummaryStats(Record):
 
 
 class RunResult(Record):
-    """One run's output. The per-segment logs `sends`, `arrivals` and
-    `srtts` are filled only when `cfg.record_segments` is set; otherwise
-    they are empty, so a run's memory does not grow with its segments."""
+    """One run's output. The engine keeps no per-segment log, so a run's
+    memory does not grow with its segments."""
     cfg: ScenarioConfig
     stats: SummaryStats
     traces: List[TraceRecord]
-    sends: List[Tuple[int, int]]                  # (ns, subflow 1-based)
-    arrivals: List[Tuple[int, int, int, int]]     # (ns, sf, bytes, new_bytes)
     # the recovery snapshots judged spurious, in verdict order
     detections: List[sp.SpuriousSnapshot]
-    srtts: List[Tuple[float, int, float]]         # (time_s, sf, smoothed rtt)
 
-    def __init__(self, cfg, stats, traces, sends, arrivals, detections,
-                 srtts):
+    def __init__(self, cfg, stats, traces, detections):
         self.cfg = cfg
         self.stats = stats
         self.traces = traces
-        self.sends = sends
-        self.arrivals = arrivals
         self.detections = detections
-        self.srtts = srtts
 
 
 class Simulation:
@@ -139,12 +144,8 @@ class Simulation:
         self.duplicate_bytes = 0
         self.protocol_violations = 0
         self.bytes_sf = [0] * len(cfg.links)
-        self._record = cfg.record_segments
         self.traces: List[TraceRecord] = []
-        self.sends: List[Tuple[int, int]] = []
-        self.arrivals: List[Tuple[int, int, int, int]] = []
         self.detections: List[sp.SpuriousSnapshot] = []
-        self.srtts: List[Tuple[float, int, float]] = []
         self._stop_ns = seconds_to_ns(cfg.stop_time)
         self._trace_ns = seconds_to_ns(cfg.trace_interval)
 
@@ -189,8 +190,6 @@ class Simulation:
         now = self.kernel.now
         m.sent_ns = now
         sf.segments_sent += 1
-        if self._record:
-            self.sends.append((now, sf.index + 1))
         size = m.data_end - m.data_start
         out = self.links_fwd[sf.index].transmit(size, now, self.rng)
         if isinstance(out, int):
@@ -219,9 +218,6 @@ class Simulation:
                 self.delivery_faults += 1
             self.app_next = delivered[1]
         self.bytes_sf[sf_id] += size
-        if self._record:
-            new_bytes = delivered[1] - delivered[0] if delivered else 0
-            self.arrivals.append((now, sf_id + 1, size, new_bytes))
         if dup:
             self.duplicate_bytes += dup[1] - dup[0]
         out = self.links_rev[sf_id].transmit(ACK_SIZE_BYTES, now, self.rng)
@@ -402,9 +398,6 @@ class Simulation:
         for sf in self.subflows:
             append(TraceRecord(now_s, sf.index + 1, sf.cwnd, sf.ssthresh,
                                sf.phase, SAMPLE))
-        if self._record:
-            for sf in self.subflows:
-                self.srtts.append((now_s, sf.index + 1, sf.estimator.rtt))
 
     def run(self) -> RunResult:
         if self.cfg.transfer_size == 0:
@@ -455,6 +448,4 @@ class Simulation:
             checksum_ok=checksum_ok, duplicate_bytes=self.duplicate_bytes,
             protocol_violations=self.protocol_violations)
         return RunResult(cfg=cfg, stats=stats, traces=self.traces,
-                         sends=self.sends, arrivals=self.arrivals,
-                         srtts=self.srtts,
                          detections=self.detections)

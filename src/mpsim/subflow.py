@@ -73,6 +73,10 @@ class Mapping:
         self.sent_ns = -1
         self.retransmits = 0  # times resent; read by Karn's rule and DSACK
 
+    # its range, so a detection's repr holds no address
+    def __repr__(self):
+        return "Mapping(%r, %r)" % (self.data_start, self.data_end)
+
 
 class Subflow:
     """Sender-side state for one path of the connection."""

@@ -17,6 +17,7 @@ from mpsim.harness import run_scenario, trace_csv_lines
 from mpsim.netmodel import Link, LinkConfig
 from mpsim.simkernel import NS_PER_S, RandomStream
 from mpsim.spurious import DetectorChoice
+from recording import Recorder
 
 MB = 1_000_000
 GRID_CAPACITIES = (0.5, 4.0, 16.0)     # Mbps on link 2
@@ -51,13 +52,17 @@ def reorder_cfg(detector):
     cfg.transfer_size = 2 * MB
     cfg.detector = detector
     cfg.trace_interval = 0.01
-    cfg.record_segments = True  # criteria 4, 6 and 7 read the logs
     return cfg
 
 
 @pytest.fixture(scope="module")
 def reorder_runs():
-    return {det: run_scenario(reorder_cfg(det)) for det in ALL_DETECTORS}
+    """detector -> (result, recorder): criteria 4, 6 and 7 read the logs."""
+    runs = {}
+    for det in ALL_DETECTORS:
+        rec = Recorder(reorder_cfg(det))
+        runs[det] = rec.run(), rec
+    return runs
 
 
 # --------------------------------------------------------------- criteria
@@ -128,12 +133,12 @@ def test_criterion_3_coupling_math():
 
 
 def test_criterion_4_reorder_dominance(reorder_runs):
-    result = reorder_runs[DetectorChoice.NONE]
+    result, rec = reorder_runs[DetectorChoice.NONE]
     s = result.stats
     half_ns = int(s.completion_time_s / 2 * NS_PER_S)
     new_bytes = {}
     arrived = [0] * len(s.bytes_sf)
-    for ns, sf, size, fresh in result.arrivals:
+    for ns, sf, size, fresh in rec.arrivals:
         arrived[sf - 1] += size
         if ns >= half_ns:
             new_bytes[sf] = new_bytes.get(sf, 0) + fresh
@@ -147,8 +152,8 @@ def test_criterion_4_reorder_dominance(reorder_runs):
 
 
 def test_criterion_5_eifel_restores_window(reorder_runs):
-    result = reorder_runs[DetectorChoice.EIFEL]
-    baseline = reorder_runs[DetectorChoice.NONE]
+    result = reorder_runs[DetectorChoice.EIFEL][0]
+    baseline = reorder_runs[DetectorChoice.NONE][0]
     events = [r for r in result.traces if r.event != "Sample"]
     det_iter = iter(result.detections)
     restore_ok = True
@@ -190,10 +195,10 @@ def _srtt_at(srtts, t):
 
 
 def test_criterion_6_dsack_regrows_exponentially(reorder_runs):
-    result = reorder_runs[DetectorChoice.DSACK]
+    result, rec = reorder_runs[DetectorChoice.DSACK]
     # one smoothed-RTT entry per subflow per trace sample
-    assert len(result.srtts) == sum(1 for r in result.traces
-                                    if r.event == "Sample") > 0
+    assert len(rec.srtts) == sum(1 for r in result.traces
+                                 if r.event == "Sample") > 0
     detections = result.detections
     problems = []
     full_episodes = 0
@@ -201,7 +206,7 @@ def test_criterion_6_dsack_regrows_exponentially(reorder_runs):
         sf = det.subflow
         samples = [(r.time_s, r.cwnd) for r in result.traces
                    if r.subflow == sf and r.event == "Sample"]
-        srtts = [(t, v) for t, s, v in result.srtts if s == sf]
+        srtts = [(t, v) for t, s, v in rec.srtts if s == sf]
         target = det.ssthresh_before  # the threshold DSACK restores
         end = next((r.time_s for r in result.traces
                     if r.subflow == sf and r.time_s > det.time_s
@@ -241,14 +246,14 @@ def test_criterion_6_dsack_regrows_exponentially(reorder_runs):
             "ssthresh" % (len(detections), full_episodes))
 
 
-def _max_burst(result):
+def _max_burst(result, rec):
     """Largest send count in any 100 ms bin within 1 s after a detection."""
     best = 0
     # the send log is complete: each MSS chunk once, plus the resends
     cfg = result.cfg
-    assert len(result.sends) == (-(-cfg.transfer_size // cfg.mss)
-                                 + sum(result.stats.retx_sf))
-    sends = [ns for ns, _ in result.sends]
+    assert len(rec.sends) == (-(-cfg.transfer_size // cfg.mss)
+                              + sum(result.stats.retx_sf))
+    sends = [ns for ns, _ in rec.sends]
     for det in result.detections:
         t0 = int(det.time_s * NS_PER_S)
         for b in range(10):
@@ -259,8 +264,8 @@ def _max_burst(result):
 
 
 def test_criterion_7_eifel_bursts_harder_than_dsack(reorder_runs):
-    eifel = _max_burst(reorder_runs[DetectorChoice.EIFEL])
-    dsack = _max_burst(reorder_runs[DetectorChoice.DSACK])
+    eifel = _max_burst(*reorder_runs[DetectorChoice.EIFEL])
+    dsack = _max_burst(*reorder_runs[DetectorChoice.DSACK])
     verdict(7, eifel > dsack,
             "max 100 ms burst after detection: eifel=%d, dsack=%d"
             % (eifel, dsack))

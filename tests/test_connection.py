@@ -10,9 +10,9 @@ from mpsim.config import ScenarioConfig, load_scenario
 from mpsim.connection import (ConnectionState, ReassemblyState, schedule_next,
                               transfer_complete)
 from mpsim.netmodel import LinkConfig
-from mpsim.simulation import Simulation
 from mpsim.spurious import DetectorChoice
 from mpsim.subflow import Subflow
+from recording import Recorder
 
 
 # --------------------------------------------------------------- scheduler
@@ -134,7 +134,7 @@ def test_schedule_next_matches_reference(state):
         assert list(sf.mappings) == [m for p, m in picks if p is sf]
 
 
-class SendRecorder(Simulation):
+class SendRecorder(Recorder):
     """Records, for every send, the range, the subflow and whether the range
     was still mapped and unacknowledged on that subflow at the time."""
 
@@ -156,12 +156,13 @@ def lossy_sends():
     cfg = ScenarioConfig(
         links=[LinkConfig(0.5e6, 0.010, loss_rate=0.02),
                LinkConfig(0.5e6, 0.040, loss_rate=0.05)],
-        transfer_size=200_000, seed=3, record_segments=True)
+        transfer_size=200_000, seed=3)
     sim = SendRecorder(cfg)
     result = sim.run()
     assert result.stats.completed and sum(result.stats.retx_sf) > 0
-    # the recorder saw every send the simulation logged, on its subflow
-    assert [e[2] + 1 for e in sim.log] == [sf for _, sf in result.sends]
+    # the log holds every segment the subflows counted, on its subflow
+    assert [e[2] + 1 for e in sim.log] == [sf for _, sf in sim.sends]
+    assert len(sim.sends) == sum(sf.segments_sent for sf in sim.subflows)
     return sim.log
 
 

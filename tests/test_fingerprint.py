@@ -1,9 +1,9 @@
 """Golden output fingerprint: pins simulator behaviour across code changes.
 
 Each digest is the sha256 of one scenario's trace CSV, its `repr(stats)`
-and its send log. The constants were computed from the simulator before
-its hot path was reworked; a change that alters any of them changes
-behaviour and must say why.
+and its send log, as `recording.Recorder` keeps it. The constants were
+computed from the simulator before its hot path was reworked; a change that
+alters any of them changes behaviour and must say why.
 
 The points cover every coupling mode x detector pair once, each loss rate
 on link 2 four times, and both presets at 2 MB. Four more run 3 and 4 lossy
@@ -23,8 +23,8 @@ import pytest
 from mpsim.config import LinkConfig, load_scenario
 from mpsim.coupling import CouplingMode as C
 from mpsim.harness import trace_csv_lines
-from mpsim.simulation import Simulation
 from mpsim.spurious import DetectorChoice as D
+from recording import Recorder
 
 MB = 1_000_000
 
@@ -108,19 +108,18 @@ MULTI_LINK = {
 
 def fingerprint(cfg):
     """(digest, events scheduled, data segments sent) of one run."""
-    cfg.record_segments = True  # the digest covers the send log
-    sim = Simulation(cfg.copy())  # as run_scenario does
+    sim = Recorder(cfg.copy())  # as run_scenario does
     result = sim.run()
     # every data segment is in the log: each MSS chunk once, plus resends
     assert result.stats.completed
-    assert len(result.sends) == (-(-cfg.transfer_size // cfg.mss)
-                                 + sum(result.stats.retx_sf))
+    assert len(sim.sends) == (-(-cfg.transfer_size // cfg.mss)
+                              + sum(result.stats.retx_sf))
     h = hashlib.sha256()
     h.update("\n".join(trace_csv_lines(result.traces)).encode())
     h.update(b"\n")
     h.update(repr(result.stats).encode())
     h.update(b"\n")
-    h.update("".join("%d,%d\n" % send for send in result.sends).encode())
+    h.update("".join("%d,%d\n" % send for send in sim.sends).encode())
     return (h.hexdigest(), sim.kernel._ordinal,
             sum(sf.segments_sent for sf in sim.subflows))
 

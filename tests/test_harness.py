@@ -162,11 +162,9 @@ NON_DEFAULT = {
 
 def test_every_scenario_key_round_trips_in_both_formats():
     # a field no scenario file can set is a switch with one reachable side;
-    # links have their own keys, and the per-segment logs are a caller's
-    # choice, not part of a scenario
+    # links have their own keys
     names = ScenarioConfig._fields
-    assert sorted(NON_DEFAULT) == sorted(set(names)
-                                         - {"links", "record_segments"})
+    assert sorted(NON_DEFAULT) == sorted(set(names) - {"links"})
     flat_link = "link1.capacity_mbps = 1\nlink1.delay_ms = 10\n"
     for name, value in NON_DEFAULT.items():
         assert value != getattr(ScenarioConfig(), name), name
@@ -177,11 +175,6 @@ def test_every_scenario_key_round_trips_in_both_formats():
         for cfg in (flat, parsed):
             got = getattr(cfg, name)
             assert (got, type(got)) == (value, type(value)), name
-    for text in (flat_link + "record_segments = true\n",
-                 json.dumps({"links": [JSON_LINK], "record_segments": True})):
-        with pytest.raises(ScenarioError,
-                           match="unknown key 'record_segments'"):
-            parse_scenario(text)
 
 
 @pytest.mark.parametrize("key", ["coupling", "detector"])
@@ -316,7 +309,7 @@ WRONG_TYPES = [
      "detector: expected one of ['none', 'eifel', 'dsack'], got 'eifel'"),
     ({"coupling": "uncoupled"}, "coupling: expected one of ["),
     ({"ack_loss": "no"}, "ack_loss: expected a boolean, got 'no'"),
-    ({"record_segments": 1}, "record_segments: expected a boolean, got 1"),
+    ({"ack_loss": 1}, "ack_loss: expected a boolean, got 1"),
     ({"mss": 1400.5}, "mss: expected an integer, got 1400.5"),
     ({"seed": 1.5}, "seed: expected an integer, got 1.5"),
     ({"seed": True}, "seed: expected an integer, got True"),
@@ -357,7 +350,18 @@ def test_links_of_the_wrong_type_are_rejected(links, message):
      "got 'warp'"),
     (lambda: run_sweep(small_cfg(), "loss", 3, (0.1,)),
      "sweep link: index 3 out of range (scenario has 2 links)"),
-], ids=["link-validate", "link", "sweep-parameter", "sweep-link"])
+    # the config was copied before anything validated it: the dict link
+    # escaped as an AttributeError, and the copy made the tuple a list
+    (lambda: run_scenario(small_cfg(links=[{"capacity_bps": 1e6}])),
+     "link1: expected a LinkConfig, got {'capacity_bps': 1000000.0}"),
+    (lambda: run_sweep(small_cfg(links=[{"capacity_bps": 1e6}]), "loss", 1,
+                       (0.1,)),
+     "link1: expected a LinkConfig, got {'capacity_bps': 1000000.0}"),
+    (lambda: run_scenario(small_cfg(links=(LinkConfig(1e6, 0.01),))),
+     "links: expected a list of LinkConfig, got (LinkConfig(capacity_bps="
+     "1000000.0, one_way_delay_s=0.01, loss_rate=0.0, queue_limit=100),)"),
+], ids=["link-validate", "link", "sweep-parameter", "sweep-link",
+        "run-dict-link", "sweep-dict-link", "run-tuple-links"])
 def test_every_scenario_input_failure_is_a_scenario_error(call, message):
     with pytest.raises(ScenarioError) as info:
         call()
@@ -487,6 +491,22 @@ def test_identical_configs_give_identical_results():
     b = run_scenario(small_cfg(seed=42))
     assert trace_csv_lines(a.traces) == trace_csv_lines(b.traces)
     assert a.stats == b.stats
+
+
+@pytest.mark.parametrize("preset, detector, detects", [
+    ("paper-base", DetectorChoice.EIFEL, False),
+    ("paper-reorder", DetectorChoice.DSACK, True)])
+def test_results_of_one_run_compare_equal(preset, detector, detects):
+    # trace rows compare by value: two results of one run were never equal
+    cfg = load_scenario(preset)
+    cfg.detector = detector
+    cfg.transfer_size = 200_000
+    a, b = run_scenario(cfg), run_scenario(cfg)
+    assert bool(a.detections) == detects
+    assert a == b and not a != b
+    assert repr(a) == repr(b) and " at 0x" not in repr(a)
+    cfg.transfer_size += 1400
+    assert a != run_scenario(cfg)
 
 
 def test_seed_changes_lossy_run():
@@ -726,14 +746,18 @@ def capture_simulations(monkeypatch):
 
 
 def test_run_scenario_calls_simulation_with_the_config_alone(monkeypatch):
-    # perfbench/layers.py takes len() of every list a run returns and reads
-    # sim.kernel.now
+    # perfbench/layers.py takes len() of each of its RECORD_LISTS a run
+    # returns, with a default of (), and reads sim.kernel.now
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import layers
     made = capture_simulations(monkeypatch)
     result = run_scenario(small_cfg())
     assert len(made) == 1
     assert result.stats.completed and result.stats.checksum_ok
-    for name in ("sends", "arrivals", "srtts", "traces", "detections"):
-        assert isinstance(len(getattr(result, name)), int)
+    for name in layers.RECORD_LISTS:
+        assert isinstance(len(getattr(result, name, ())), int)
+    assert isinstance(result.traces, list) and result.traces
+    assert isinstance(result.detections, list)
     assert made[0].kernel.now > 0
 
 

@@ -2,9 +2,9 @@
 dataclasses they replaced, and `import mpsim` loads neither `dataclasses`
 nor the other modules it no longer needs.
 
-Each reference below is the dataclass as it was declared before; its
-annotations name the package's own types, so the two agree on
-`get_type_hints` too."""
+Each reference below is its record declared as a dataclass, with the same
+fields and defaults; its annotations name the package's own types, so the
+two agree on `get_type_hints` too."""
 
 import dataclasses
 import inspect
@@ -49,7 +49,6 @@ class ScenarioConfig:
     initial_cwnd: float = 2.0
     initial_ssthresh: float = 64.0
     initial_rtt: float = 0.1
-    record_segments: bool = False
 
 
 @dataclasses.dataclass
@@ -73,10 +72,7 @@ class RunResult:
     cfg: config.ScenarioConfig
     stats: simulation.SummaryStats
     traces: List[simulation.TraceRecord]
-    sends: List[Tuple[int, int]]
-    arrivals: List[Tuple[int, int, int, int]]
     detections: List[spurious.SpuriousSnapshot]
-    srtts: List[Tuple[float, int, float]]
 
 
 @dataclasses.dataclass
@@ -219,7 +215,7 @@ def test_scenario_config_links_and_copy():
     a, b = config.ScenarioConfig(), config.ScenarioConfig(links=None)
     assert a.links == b.links == [] and a.links is not b.links
     cfg = config.load_scenario("paper-base")
-    cfg.record_segments = True
+    cfg.seed = 99
     copy = cfg.copy()
     assert copy == cfg and copy is not cfg
     assert repr(copy) == repr(cfg)

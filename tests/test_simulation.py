@@ -17,6 +17,7 @@ from mpsim.simkernel import NS_PER_S, SimKernel, seconds_to_ns
 from mpsim.simulation import Simulation
 from mpsim.spurious import DetectorChoice
 from mpsim.subflow import Mapping
+from recording import Recorder
 
 
 def two_path_cfg(delay2_ms=10.0, loss2=0.0, transfer=200_000, **kw):
@@ -421,12 +422,12 @@ def test_an_ack_beyond_the_data_sent_is_a_protocol_violation():
 
 
 def test_send_log_is_deterministic():
-    cfg = two_path_cfg(delay2_ms=320.0, loss2=0.01, seed=11,
-                       record_segments=True)
-    a = run(cfg)
-    b = run(cfg)
-    assert len(a.sends) == 143 + sum(a.stats.retx_sf)  # 200 kB in 1400 B
-    assert sum(size for _, _, size, _ in a.arrivals) == sum(a.stats.bytes_sf)
+    cfg = two_path_cfg(delay2_ms=320.0, loss2=0.01, seed=11)
+    a, b = Recorder(cfg.copy()), Recorder(cfg.copy())
+    stats = a.run().stats
+    b.run()
+    assert len(a.sends) == 143 + sum(stats.retx_sf)  # 200 kB in 1400 B
+    assert sum(size for _, _, size, _ in a.arrivals) == sum(stats.bytes_sf)
     assert a.sends == b.sends
     assert a.arrivals == b.arrivals
 
@@ -582,27 +583,29 @@ def record_point_cfg(capacity_mbps, delay_ms, loss, coupling, detector,
     ids=lambda p: "%s-%s-%gMbps-%gms-%gloss-%dlinks"
     % (p[3].value, p[4].value, p[0], p[1], p[2], 3 if p[5] else 2))
 def test_recording_segments_changes_no_output(point):
+    # a Recorder run in place of a Simulation changes none of its output
     cfg = record_point_cfg(*point)
-    off = run(cfg)
-    cfg.record_segments = True
-    on = run(cfg)
+    sim, rec = Simulation(cfg.copy()), Recorder(cfg.copy())
+    off, on = sim.run(), rec.run()
     assert off.stats.completed
     assert trace_csv_lines(on.traces) == trace_csv_lines(off.traces)
     assert repr(on.stats) == repr(off.stats)
     assert on.detections == off.detections
-    # off: nothing per segment is kept
-    assert off.sends == off.arrivals == off.srtts == []
-    # on: the logs are complete and agree with the counters
+    # nor does it schedule another event or send another segment
+    assert rec.kernel._ordinal == sim.kernel._ordinal
+    assert ([sf.segments_sent for sf in rec.subflows]
+            == [sf.segments_sent for sf in sim.subflows])
+    # the logs are complete and agree with the counters
     n = len(cfg.links)
-    assert len(on.sends) == (-(-cfg.transfer_size // cfg.mss)
-                             + sum(on.stats.retx_sf))
+    assert len(rec.sends) == (-(-cfg.transfer_size // cfg.mss)
+                              + sum(on.stats.retx_sf))
     arrived = [0] * n
-    for _, sf, size, _ in on.arrivals:
+    for _, sf, size, _ in rec.arrivals:
         arrived[sf - 1] += size
     assert tuple(arrived) == on.stats.bytes_sf
     samples = sum(1 for r in on.traces if r.event == "Sample")
-    assert len(on.srtts) == samples == n * len({r.time_s for r in on.traces
-                                                if r.event == "Sample"})
+    assert len(rec.srtts) == samples == n * len({r.time_s for r in on.traces
+                                                 if r.event == "Sample"})
 
 
 def test_default_run_memory_does_not_grow_with_transfer():
