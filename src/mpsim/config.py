@@ -253,8 +253,18 @@ def _apply_scalar(cfg: ScenarioConfig, key: str, raw, where: str) -> None:
     setattr(cfg, key, value)
 
 
+def _note_key(lines: dict, key: str, loc: str, name: str) -> None:
+    """Record that `key` is set at `loc`; `lines` maps each key set so far
+    to its path:line. A key set twice is an error naming both lines."""
+    if key in lines:
+        raise ScenarioError("%s: %s: repeated key, first set at %s"
+                            % (loc, name, lines[key]))
+    lines[key] = loc
+
+
 def _parse_flat(text: str, where: str) -> ScenarioConfig:
     cfg = ScenarioConfig()
+    scalar_lines = {}
     link_parts = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -274,8 +284,10 @@ def _parse_flat(text: str, where: str) -> ScenarioConfig:
             if idx < 1:
                 raise ScenarioError("%s: link index must be >= 1" % loc)
             parts, lines = link_parts.setdefault(idx, ({}, {}))
-            parts[sub], lines[sub] = raw, loc
+            _note_key(lines, sub, loc, "link%d: %s" % (idx, sub))
+            parts[sub] = raw
         else:
+            _note_key(scalar_lines, key, loc, key)
             _apply_scalar(cfg, key, raw, loc)
     if link_parts:
         indices = sorted(link_parts)
@@ -287,8 +299,30 @@ def _parse_flat(text: str, where: str) -> ScenarioConfig:
     return cfg
 
 
-def _parse_json(data: dict, where: str) -> ScenarioConfig:
+class _JsonObject(dict):
+    """A JSON object, and the first key it gives twice, if any, which
+    `check` rejects where the reader knows the link the object is."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.repeated = None
+        if len(self) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    self.repeated = key
+                    break
+                seen.add(key)
+
+    def check(self, where: str) -> None:
+        if self.repeated is not None:
+            raise ScenarioError("%s: %s: repeated key"
+                                % (where, self.repeated))
+
+
+def _parse_json(data: _JsonObject, where: str) -> ScenarioConfig:
     cfg = ScenarioConfig()
+    data.check(where)
     for key, raw in data.items():
         if key == "links":
             if not isinstance(raw, list):
@@ -298,6 +332,7 @@ def _parse_json(data: dict, where: str) -> ScenarioConfig:
                 if not isinstance(entry, dict):
                     raise ScenarioError("%s: link%d: expected an object, got "
                                         "%r" % (where, i, entry))
+                entry.check("%s: link%d" % (where, i))
                 cfg.links.append(_link_from_parts(entry, {}, "link%d" % i,
                                                   where))
         else:
@@ -310,7 +345,7 @@ def parse_scenario(text: str, where: str = "<scenario>") -> ScenarioConfig:
     if stripped.startswith("{"):
         import json
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_JsonObject)
         except json.JSONDecodeError as exc:
             raise ScenarioError("%s: invalid JSON: %s" % (where, exc)) from None
         cfg = _parse_json(data, where)

@@ -63,10 +63,6 @@ def schedule_next(conn: ConnectionState,
     return picks
 
 
-def transfer_complete(conn: ConnectionState) -> bool:
-    return conn.data_una >= conn.transfer_size
-
-
 class ReassemblyState:
     """Receiver-side reassembly: cumulative point plus out-of-order ranges."""
 

@@ -32,8 +32,7 @@ class SweepRow(Record):
 
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
     """Run one simulation to transfer completion or stop_time."""
-    cfg.validate()  # before copy() reads the links
-    return Simulation(cfg.copy()).run()
+    return Simulation(cfg).run()
 
 
 def run_sweep(base: ScenarioConfig, parameter: str, link: int,
@@ -45,7 +44,7 @@ def run_sweep(base: ScenarioConfig, parameter: str, link: int,
                             % (list(SWEEP_PARAMETERS), parameter))
     if not values:
         raise ScenarioError("sweep values: must be non-empty")
-    base.validate()  # before copy() reads the links
+    base.validate()  # before the index check and copy() read the links
     if not 1 <= link <= len(base.links):
         raise ScenarioError("sweep link: index %d out of range (scenario "
                             "has %d links)" % (link, len(base.links)))

@@ -1,5 +1,5 @@
-"""The base of mpsim's record types: the scenario and link configs, a run's
-stats and result, a sweep row and a recovery snapshot.
+"""The base of mpsim's record types: the scenario and link configs, a trace
+row, a run's stats and result, a sweep row and a recovery snapshot.
 
 It writes `repr` and `==` as `dataclasses` does, so a record's repr, which
 the output fingerprints hash, reads the same. It saves `import mpsim` from
@@ -22,8 +22,11 @@ class Record:
     writes its own `__init__`. `repr` is `Qualname(field=value!r, ...)`;
     `==` holds between records of one class whose fields are equal, bar
     those named by the class keyword `no_compare`. Records are unhashable.
-    A subclass that annotates nothing keeps its parent's fields."""
+    A subclass that annotates nothing keeps its parent's fields. `Record`
+    declares no slots, so a subclass that declares its own has no
+    `__dict__`."""
 
+    __slots__ = ()
     # not annotated: get_type_hints() reads a record's fields from its
     # annotations and those of its bases
     _fields = ()

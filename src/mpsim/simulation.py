@@ -14,8 +14,7 @@ from typing import List, Optional, Tuple
 
 from . import spurious as sp
 from .config import LinkConfig, ScenarioConfig
-from .connection import (ConnectionState, ReassemblyState, schedule_next,
-                         transfer_complete)
+from .connection import ConnectionState, ReassemblyState, schedule_next
 from .coupling import on_ack_increase, on_loss_decrease
 from .netmodel import Link
 from .record import Record
@@ -34,29 +33,22 @@ RESTORE = "Restore"
 EVENTS = (SAMPLE, FAST_RETRANSMIT, RTO, SPURIOUS_DETECTED, RESTORE)
 
 
-class TraceRecord:
+class TraceRecord(Record):
     __slots__ = ("time_s", "subflow", "cwnd", "ssthresh", "phase", "event")
+    time_s: float
+    subflow: int   # 1-based
+    cwnd: float
+    ssthresh: float
+    phase: str     # one of subflow.PHASES
+    event: str     # one of EVENTS
 
     def __init__(self, time_s, subflow, cwnd, ssthresh, phase, event):
         self.time_s = time_s
-        self.subflow = subflow  # 1-based
+        self.subflow = subflow
         self.cwnd = cwnd
         self.ssthresh = ssthresh
-        self.phase = phase      # one of subflow.PHASES
-        self.event = event      # one of EVENTS
-
-    def _values(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    # by value, as a Record compares, so two results of one run are equal
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        return "TraceRecord(%s)" % ", ".join(
-            "%s=%r" % pair for pair in zip(self.__slots__, self._values()))
+        self.phase = phase
+        self.event = event
 
 
 class SummaryStats(Record):
@@ -111,9 +103,12 @@ class RunResult(Record):
 
 
 class Simulation:
+    """One run of a scenario. It checks `cfg`, then runs on a copy of it, so
+    the caller's config and links are never edited."""
+
     def __init__(self, cfg: ScenarioConfig):
-        cfg.validate()
-        self.cfg = cfg
+        cfg.validate()  # before copy() reads the links
+        cfg = self.cfg = cfg.copy()
         self.kernel = SimKernel()
         self.rng = RandomStream(cfg.seed)
         self.mss = cfg.mss
@@ -282,7 +277,7 @@ class Simulation:
                 if snap is not None and data_una >= snap.mapping.data_end \
                         and sp.eifel_check(snap, ts_echo):
                     self._undo(sf, snap)
-        if transfer_complete(conn):
+        if data_una >= conn.transfer_size:
             self.completed_ns = now
             self.kernel.stop()
             return

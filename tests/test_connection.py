@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mpsim.config import ScenarioConfig, load_scenario
-from mpsim.connection import (ConnectionState, ReassemblyState, schedule_next,
-                              transfer_complete)
+from mpsim.connection import ConnectionState, ReassemblyState, schedule_next
 from mpsim.netmodel import LinkConfig
 from mpsim.spurious import DetectorChoice
 from mpsim.subflow import Subflow
@@ -186,13 +185,6 @@ def test_retransmit_policy_rejects_unmapped_range():
     retransmissions = [entry for entry in lossy_sends() if entry[3]]
     assert retransmissions
     assert all(mapped for *_, mapped in retransmissions)
-
-
-def test_transfer_complete_at_cumulative_point():
-    conn, _ = make_pair(transfer=2800)
-    assert not transfer_complete(conn)
-    conn.data_una = 2800
-    assert transfer_complete(conn)
 
 
 # -------------------------------------------------------------- reassembly

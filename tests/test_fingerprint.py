@@ -108,7 +108,7 @@ MULTI_LINK = {
 
 def fingerprint(cfg):
     """(digest, events scheduled, data segments sent) of one run."""
-    sim = Recorder(cfg.copy())  # as run_scenario does
+    sim = Recorder(cfg)
     result = sim.run()
     # every data segment is in the log: each MSS chunk once, plus resends
     assert result.stats.completed

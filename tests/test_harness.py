@@ -23,7 +23,7 @@ from mpsim.harness import (emit_csv, emit_plot, fmt, parse_trace_csv,
                            trace_csv_lines)
 from mpsim.netmodel import Link, LinkConfig
 from mpsim.simkernel import mix_seed
-from mpsim.simulation import EVENTS, TraceRecord
+from mpsim.simulation import EVENTS, Simulation, TraceRecord
 from mpsim.spurious import DetectorChoice
 from mpsim.subflow import PHASES
 
@@ -134,6 +134,27 @@ LINK_1 = "link1.capacity_mbps = 1\n"
 ], ids=["bad-value", "unknown-key", "missing-key", "json-bad-value"])
 def test_link_parse_errors_name_the_file(text, message):
     # as a scalar key's error does; in a flat file with the key's line
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(text, "my.scn")
+    assert str(info.value) == message
+
+
+JSON_LINK = {"capacity_mbps": 1, "delay_ms": 10}
+
+
+@pytest.mark.parametrize("text, message", [
+    (LINK_1 + "link1.delay_ms = 10\ntransfer_size = 1000\n"
+     "transfer_size = 2000\n",
+     "my.scn:4: transfer_size: repeated key, first set at my.scn:3"),
+    (LINK_1 + "link1.delay_ms = 10\nlink1.delay_ms = 20\n",
+     "my.scn:3: link1: delay_ms: repeated key, first set at my.scn:2"),
+    ('{"links": [%s], "transfer_size": 1000, "transfer_size": 2000}'
+     % json.dumps(JSON_LINK), "my.scn: transfer_size: repeated key"),
+    ('{"links": [%s, {"capacity_mbps": 1, "delay_ms": 10, "delay_ms": 20}]}'
+     % json.dumps(JSON_LINK), "my.scn: link2: delay_ms: repeated key"),
+], ids=["flat", "flat-link", "json", "json-link"])
+def test_repeated_keys_are_rejected(text, message):
+    # else the last value would win without a word
     with pytest.raises(ScenarioError) as info:
         parse_scenario(text, "my.scn")
     assert str(info.value) == message
@@ -360,8 +381,17 @@ def test_links_of_the_wrong_type_are_rejected(links, message):
     (lambda: run_scenario(small_cfg(links=(LinkConfig(1e6, 0.01),))),
      "links: expected a list of LinkConfig, got (LinkConfig(capacity_bps="
      "1000000.0, one_way_delay_s=0.01, loss_rate=0.0, queue_limit=100),)"),
+    # a Simulation checks its config before it copies it, as a run does
+    (lambda: Simulation(small_cfg(links=[{"capacity_bps": 1e6}])),
+     "link1: expected a LinkConfig, got {'capacity_bps': 1000000.0}"),
+    (lambda: Simulation(small_cfg(links=(LinkConfig(1e6, 0.01),))),
+     "links: expected a list of LinkConfig, got (LinkConfig(capacity_bps="
+     "1000000.0, one_way_delay_s=0.01, loss_rate=0.0, queue_limit=100),)"),
+    (lambda: Simulation(small_cfg(mss=0)),
+     "mss: must be > 0 and <= 1e9 bytes"),
 ], ids=["link-validate", "link", "sweep-parameter", "sweep-link",
-        "run-dict-link", "sweep-dict-link", "run-tuple-links"])
+        "run-dict-link", "sweep-dict-link", "run-tuple-links",
+        "simulation-dict-link", "simulation-tuple-links", "simulation-mss"])
 def test_every_scenario_input_failure_is_a_scenario_error(call, message):
     with pytest.raises(ScenarioError) as info:
         call()
@@ -523,6 +553,12 @@ def test_run_does_not_mutate_caller_config():
     cfg = small_cfg()
     before = cfg.copy()
     run_scenario(cfg)
+    assert cfg == before
+    # a Simulation runs on a copy of its own, links included
+    sim = Simulation(cfg)
+    assert sim.cfg is not cfg and sim.cfg == cfg
+    assert not any(a is b for a, b in zip(sim.cfg.links, cfg.links))
+    sim.run()
     assert cfg == before
 
 

@@ -3,8 +3,8 @@ dataclasses they replaced, and `import mpsim` loads neither `dataclasses`
 nor the other modules it no longer needs.
 
 Each reference below is its record declared as a dataclass, with the same
-fields and defaults; its annotations name the package's own types, so the
-two agree on `get_type_hints` too."""
+fields and defaults, and slotted where the record is; its annotations name
+the package's own types, so the two agree on `get_type_hints` too."""
 
 import dataclasses
 import inspect
@@ -49,6 +49,16 @@ class ScenarioConfig:
     initial_cwnd: float = 2.0
     initial_ssthresh: float = 64.0
     initial_rtt: float = 0.1
+
+
+@dataclasses.dataclass(slots=True)
+class TraceRecord:
+    time_s: float
+    subflow: int
+    cwnd: float
+    ssthresh: float
+    phase: str
+    event: str
 
 
 @dataclasses.dataclass
@@ -97,6 +107,7 @@ class SpuriousSnapshot:
 # each record type and its reference
 RECORDS = [(config.LinkConfig, LinkConfig),
            (config.ScenarioConfig, ScenarioConfig),
+           (simulation.TraceRecord, TraceRecord),
            (simulation.SummaryStats, SummaryStats),
            (simulation.RunResult, RunResult),
            (harness.SweepRow, SweepRow),
@@ -158,6 +169,8 @@ def snapshot_values(mapping):
 
 LINK_NAN = {"capacity_bps": NAN, "one_way_delay_s": 0.01, "loss_rate": 0.0,
             "queue_limit": 100}
+ROW_NAN = {"time_s": 0.5, "subflow": 1, "cwnd": NAN, "ssthresh": 64.0,
+           "phase": "slow_start", "event": "Sample"}
 
 
 @settings(max_examples=200)
@@ -173,6 +186,7 @@ LINK_NAN = {"capacity_bps": NAN, "one_way_delay_s": 0.01, "loss_rate": 0.0,
 @example((config.LinkConfig, LinkConfig, LINK_NAN, dict(LINK_NAN)), False)
 @example((config.LinkConfig, LinkConfig, LINK_NAN,
           dict(LINK_NAN, capacity_bps=float("nan"))), True)
+@example((simulation.TraceRecord, TraceRecord, ROW_NAN, dict(ROW_NAN)), False)
 def test_records_print_and_compare_as_dataclasses(pair, subclassed):
     plain, ref, a, b = pair
     if subclassed:
@@ -208,6 +222,14 @@ def test_records_take_the_dataclass_arguments(plain, ref):
         list(get_type_hints(ref).items())
     assert plain._fields == tuple(f.name for f in fields)
     assert plain.__hash__ is None
+
+
+def test_trace_rows_are_slotted():
+    # a run keeps a row per subflow per trace sample: a row with no
+    # __dict__ keeps a traced run's memory down
+    row = simulation.TraceRecord(0.5, 1, 2.0, 64.0, "slow_start", "Sample")
+    assert not hasattr(row, "__dict__")
+    assert simulation.TraceRecord.__slots__ == simulation.TraceRecord._fields
 
 
 def test_scenario_config_links_and_copy():

@@ -2,6 +2,8 @@
 plus the Eifel and DSACK undo responses, driven through the simulator's
 real ACK and RTO handlers."""
 
+from collections import Counter
+
 from hypothesis import example, given, settings, strategies as st
 
 from mpsim.config import ScenarioConfig
@@ -29,6 +31,10 @@ class Path:
         # episode's reduction, until a verdict consumes it
         self.saved = None
         self.segments = []  # unacked [start, end, times resent], in order
+
+    def flight(self):
+        """Unacked bytes, in MSS."""
+        return sum(end - start for start, end, _ in self.segments) / MSS
 
 
 class NewRenoModel:
@@ -63,6 +69,10 @@ class NewRenoModel:
     D8. one snapshot per episode: an RTO that resends the segment fast
         retransmit resent keeps the pre-episode values and moves the
         retransmit time Eifel compares with to the latest resend.
+
+    `reached` counts the runs of each of `BRANCHES` on an input that tells
+    its two sides apart: where the rule the model takes and the other rule
+    named beside it give different results.
     """
 
     def __init__(self, n, cwnd, ssthresh, detector):
@@ -72,9 +82,11 @@ class NewRenoModel:
         self.snd_nxt = 0
         self.resent = []      # (subflow, start, end), in order
         self.detections = 0
-        # the most bytes of its own subflow a partial ACK in fast recovery
-        # acked: D2's line can tell the rules apart only from 2 MSS on
-        self.partial_acked = 0
+        self.reached = Counter()
+
+    def _reach(self, branch, apart=True):
+        if apart:
+            self.reached[branch] += 1
 
     def send(self, i, size):
         self.paths[i].segments.append([self.snd_nxt, self.snd_nxt + size, 0])
@@ -84,6 +96,8 @@ class NewRenoModel:
         p = self.paths[i]
         seg[2] += 1
         if p.saved is not None and p.saved[4] is seg:
+            # a new snapshot would hold the reduced values
+            self._reach("D8", p.saved[:3] != [p.cwnd, p.ssthresh, p.phase])
             p.saved[3] = now                                       # (D8)
         else:
             p.saved = [p.cwnd, p.ssthresh, p.phase, now, seg]
@@ -93,8 +107,15 @@ class NewRenoModel:
         cwnd, ssthresh, phase = p.saved[:3]
         p.ssthresh = ssthresh
         if self.detector is EIFEL:
+            # the DSACK response would keep cwnd
+            self._reach("Eifel verdict", p.cwnd != cwnd)
             p.cwnd, p.phase = cwnd, phase
         else:
+            self._reach("DSACK verdict in fast recovery"
+                        if p.phase == FAST_RECOVERY else
+                        "DSACK verdict outside fast recovery")
+            # restoring cwnd, or capping it at the saved value, lowers it
+            self._reach("D5", p.cwnd > cwnd)
             # (D5) cwnd stays as it is
             p.phase = SLOW_START if p.cwnd < p.ssthresh else \
                 CONGESTION_AVOIDANCE
@@ -125,19 +146,36 @@ class NewRenoModel:
                 p.dupacks = 0
             if p.phase == FAST_RECOVERY:
                 if ack >= p.recover:                     # full ACK
+                    self._reach("full ACK")
+                    # RFC 6582's option (1): min(ssthresh, FlightSize + MSS)
+                    self._reach("D4", min(p.ssthresh, p.flight() + 1)
+                                != max(p.ssthresh, 1.0))
                     p.cwnd = max(p.ssthresh, 1.0)                  # (D4)
                     p.phase = CONGESTION_AVOIDANCE
-                else:  # a partial ACK: cwnd unchanged              (D2)
-                    self.partial_acked = max(self.partial_acked, acked)
+                elif acked:  # a partial ACK: cwnd unchanged        (D2)
+                    self._reach("partial ACK")
+                    # RFC 6582 deflates by the bytes acked and, for a full
+                    # MSS or more, adds 1 MSS back
+                    deflated = (p.cwnd - acked / MSS
+                                + (1.0 if acked >= MSS else 0.0))
+                    self._reach("D2", max(deflated, 1.0) != p.cwnd)
             elif acked and p.phase == SLOW_START:
                 if p.cwnd < p.ssthresh:
-                    p.cwnd = min(p.cwnd + acked / MSS, p.ssthresh)  # (D7)
+                    grown = min(p.cwnd + acked / MSS, p.ssthresh)
+                    # RFC 3465 adds at most L = 2 MSS per ACK
+                    self._reach("D7 slow start", grown != min(
+                        p.cwnd + min(acked / MSS, 2.0), p.ssthresh))
+                    p.cwnd = grown                                 # (D7)
                 if p.cwnd >= p.ssthresh:
                     p.phase = CONGESTION_AVOIDANCE
             elif acked:
+                # RFC 5681 adds 1/cwnd MSS per ACK, whatever it acks
+                self._reach("D7 congestion avoidance", acked != MSS)
                 p.cwnd += 1 / p.cwnd * (acked / MSS)               # (D7)
             if (acked and ack < p.recover                          # (D3)
                     and p.segments and p.segments[0][0] <= ack):
+                # gated on the phase, it would not resend here
+                self._reach("D3", p.phase != FAST_RECOVERY)
                 self._retransmit(k, p.segments[0], now)
         if dsack:
             self._dsack(self.paths[i], dsack)
@@ -156,16 +194,20 @@ class NewRenoModel:
             p.cwnd += 1.0
         elif p.dupacks >= 3 and p.segments and self.una >= p.recover:
             self._retransmit(i, p.segments[0], now)
+            # RFC 5681 halves FlightSize
+            self._reach("D6", max(p.flight() / 2, 2.0) != max(p.cwnd / 2, 2.0))
             p.ssthresh = max(p.cwnd / 2, 2.0)                      # (D6)
+            self._reach("D1")  # RFC 6582 adds 3 MSS
             p.cwnd = p.ssthresh                                    # (D1)
             p.phase = FAST_RECOVERY
             p.recover = self.snd_nxt
 
     def rto(self, i, now):
         p = self.paths[i]
-        flight = sum(end - start for start, end, _ in p.segments)
+        self._reach("RTO in fast recovery", p.phase == FAST_RECOVERY)
+        flight = p.flight()
         self._retransmit(i, p.segments[0], now)
-        p.ssthresh = max(flight / MSS / 2, 2.0)
+        p.ssthresh = max(flight / 2, 2.0)
         p.cwnd = 1.0
         p.phase = SLOW_START
         p.dupacks = 0
@@ -210,13 +252,21 @@ def model_state(model):
     return rows, model.una, model.resent, model.detections
 
 
-# (kind, subflow, a, b, c): "send" maps a segment of a bytes; "ack"
+# the model's marked branches, and cases of them, that the test reaches
+BRANCHES = ("D1", "D2", "D3", "D4", "D5", "D6", "D7 slow start",
+            "D7 congestion avoidance", "D8", "full ACK", "partial ACK",
+            "DSACK verdict in fast recovery",
+            "DSACK verdict outside fast recovery", "Eifel verdict",
+            "RTO in fast recovery")
+
+
+# (kind, subflow, a, b, c): "send" maps b + 1 segments of a bytes; "ack"
 # acknowledges up to the a-th unacked segment end, echoing the time of the
 # b-th latest event; "dup" sends a duplicate ACKs in a row; both carry
 # DSACK block c; "rto" fires the subflow's timer
 EVENT = st.one_of(
     st.tuples(st.just("send"), st.integers(0, 1), st.sampled_from([MSS, 40]),
-              st.just(0), st.just(0)),
+              st.integers(0, 3), st.just(0)),
     st.tuples(st.just("ack"), st.integers(0, 1), st.integers(0, 3),
               st.integers(0, 4), st.integers(0, 2)),
     st.tuples(st.just("dup"), st.integers(0, 1), st.integers(1, 3),
@@ -247,7 +297,7 @@ def drive(n, cwnd, ssthresh, detector, events):
     for kind, i, a, b, c in events:
         i %= n
         sf = sim.subflows[i]
-        for _ in range(a if kind == "dup" else 1):
+        for _ in range({"dup": a, "send": b + 1}.get(kind, 1)):
             sim.kernel.now += 1  # an RTT sample must be positive
             now = sim.kernel.now
             times.append(now)
@@ -286,23 +336,46 @@ FAST_RECOVERY_AT_MSS = [("send", 0, MSS, 0, 0), ("dup", 0, 3, 0, 0)]
 # deflate 1 and add 1: no difference)
 PARTIAL_ACK_OF_2_MSS = [("send", 0, MSS, 0, 0)] * 3 + [
     ("dup", 0, 3, 0, 0), ("ack", 0, 1, 0, 0)]
+# two segments, four duplicate ACKs, then one that reports the resent
+# segment [0, MSS): a DSACK verdict in fast recovery, where the fourth
+# duplicate ACK has inflated cwnd above its pre-episode value
+DSACK_IN_FAST_RECOVERY = [("send", 0, MSS, 1, 0), ("dup", 0, 4, 0, 0),
+                          ("dup", 0, 1, 0, 1)]
+# three segments, an RTO that resends the first, a DSACK verdict on it in
+# slow start, then an ACK to the first segment's end: the next segment
+# starts there and lies below `recover`, so it is resent in slow start
+RESEND_AFTER_UNDO = [("send", 0, MSS, 2, 0), ("rto", 0, 0, 0, 0),
+                     ("dup", 0, 1, 0, 1), ("ack", 0, 0, 0, 0)]
+# four segments, then an ACK of the first three: slow start adds 3 MSS,
+# one more than RFC 3465's limit
+SLOW_START_ACK_OF_3_MSS = [("send", 0, MSS, 3, 0), ("ack", 0, 2, 0, 0)]
 
 
-@settings(max_examples=300)
-@given(st.integers(1, 2), st.sampled_from([1.0, 2.0, 4.0, 10.0]),
-       st.sampled_from([2.0, 4.0, 64.0]),
-       st.sampled_from(list(DetectorChoice)), st.lists(EVENT, max_size=40))
-# a full ACK that ends exactly at `recover`
-@example(1, 2.0, 64.0, DetectorChoice.NONE,
-         FAST_RECOVERY_AT_MSS + [("ack", 0, 0, 0, 0)])
-# an ACK that covers the resent segment, the last one below `recover`,
-# exactly: it echoes the first duplicate ACK's time, before the resend
-@example(1, 2.0, 64.0, EIFEL,
-         FAST_RECOVERY_AT_MSS + [("send", 0, MSS, 0, 0), ("ack", 0, 0, 4, 0)])
-# an ACK that echoes the resend's own time: not spurious
-@example(1, 2.0, 64.0, EIFEL, FAST_RECOVERY_AT_MSS + [("ack", 0, 0, 1, 0)])
-@example(1, 10.0, 64.0, DetectorChoice.NONE, PARTIAL_ACK_OF_2_MSS)
-def test_recovery_matches_newreno_model(n, cwnd, ssthresh, detector, events):
-    model = drive(n, cwnd, ssthresh, detector, events)
-    if events == PARTIAL_ACK_OF_2_MSS:
-        assert model.partial_acked >= 2 * MSS
+def test_recovery_matches_newreno_model():
+    # each marked branch runs, on an input that tells its two sides apart,
+    # in one example at least
+    reached = Counter()
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 2), st.sampled_from([1.0, 2.0, 4.0, 10.0]),
+           st.sampled_from([2.0, 4.0, 64.0]),
+           st.sampled_from(list(DetectorChoice)),
+           st.lists(EVENT, max_size=40))
+    # a full ACK that ends exactly at `recover`
+    @example(1, 2.0, 64.0, DetectorChoice.NONE,
+             FAST_RECOVERY_AT_MSS + [("ack", 0, 0, 0, 0)])
+    # an ACK that covers the resent segment, the last one below `recover`,
+    # exactly: it echoes the first duplicate ACK's time, before the resend
+    @example(1, 2.0, 64.0, EIFEL, FAST_RECOVERY_AT_MSS
+             + [("send", 0, MSS, 0, 0), ("ack", 0, 0, 4, 0)])
+    # an ACK that echoes the resend's own time: not spurious
+    @example(1, 2.0, 64.0, EIFEL, FAST_RECOVERY_AT_MSS + [("ack", 0, 0, 1, 0)])
+    @example(1, 10.0, 64.0, DetectorChoice.NONE, PARTIAL_ACK_OF_2_MSS)
+    @example(1, 2.0, 64.0, DSACK, DSACK_IN_FAST_RECOVERY)
+    @example(1, 2.0, 64.0, DSACK, RESEND_AFTER_UNDO)
+    @example(1, 10.0, 64.0, DetectorChoice.NONE, SLOW_START_ACK_OF_3_MSS)
+    def matches_model(n, cwnd, ssthresh, detector, events):
+        reached.update(drive(n, cwnd, ssthresh, detector, events).reached)
+
+    matches_model()
+    assert [branch for branch in BRANCHES if not reached[branch]] == []

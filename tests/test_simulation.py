@@ -32,7 +32,7 @@ def two_path_cfg(delay2_ms=10.0, loss2=0.0, transfer=200_000, **kw):
 
 
 def run(cfg):
-    return Simulation(cfg.copy()).run()
+    return Simulation(cfg).run()
 
 
 def test_rtts_fall_back_to_initial_rtt():
@@ -423,7 +423,7 @@ def test_an_ack_beyond_the_data_sent_is_a_protocol_violation():
 
 def test_send_log_is_deterministic():
     cfg = two_path_cfg(delay2_ms=320.0, loss2=0.01, seed=11)
-    a, b = Recorder(cfg.copy()), Recorder(cfg.copy())
+    a, b = Recorder(cfg), Recorder(cfg)
     stats = a.run().stats
     b.run()
     assert len(a.sends) == 143 + sum(stats.retx_sf)  # 200 kB in 1400 B
@@ -585,7 +585,7 @@ def record_point_cfg(capacity_mbps, delay_ms, loss, coupling, detector,
 def test_recording_segments_changes_no_output(point):
     # a Recorder run in place of a Simulation changes none of its output
     cfg = record_point_cfg(*point)
-    sim, rec = Simulation(cfg.copy()), Recorder(cfg.copy())
+    sim, rec = Simulation(cfg), Recorder(cfg)
     off, on = sim.run(), rec.run()
     assert off.stats.completed
     assert trace_csv_lines(on.traces) == trace_csv_lines(off.traces)
