@@ -155,8 +155,9 @@ class ScenarioConfig(Record):
         if not 0 < self.rto_floor <= self.rto_ceiling <= MAX_SECONDS:
             raise ScenarioError("rto_floor/rto_ceiling: need 0 < floor <= "
                                 "ceiling <= 1e9 s")
-        if self.initial_cwnd < 1:
-            raise ScenarioError("initial_cwnd: must be >= 1 (one MSS)")
+        for key in ("initial_cwnd", "initial_ssthresh"):
+            if getattr(self, key) < 1:
+                raise ScenarioError("%s: must be >= 1 (one MSS)" % key)
         if self.initial_cwnd == math.inf:
             raise ScenarioError("initial_cwnd: must be finite")
         # one clock tick up to a bound that keeps the coupling's rtt**2 terms

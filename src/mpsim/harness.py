@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence
 
-from .config import ScenarioConfig, ScenarioError, load_scenario  # noqa: F401
+from .config import ScenarioConfig, ScenarioError
 from .record import Record
 from .simkernel import mix_seed
 from .simulation import (EVENTS, FAST_RETRANSMIT, SPURIOUS_DETECTED,
@@ -154,15 +154,17 @@ def _csv_text(text: Optional[str]) -> str:
 def emit_csv(data, path) -> None:
     """Write trace records or sweep rows as CSV (dispatch on content)."""
     data = list(data)
-    if data and isinstance(data[0], SweepRow):
-        lines = sweep_csv_lines(data)
-    else:
-        lines = trace_csv_lines(data)
+    sweep = data and isinstance(data[0], SweepRow)
+    lines = sweep_csv_lines(data) if sweep else trace_csv_lines(data)
+    _write_lines(path, lines, "CSV")
+
+
+def _write_lines(path, lines: List[str], kind: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
-        raise OSError("cannot write CSV %s: %s" % (path, exc)) from exc
+        raise OSError("cannot write %s %s: %s" % (kind, path, exc)) from exc
 
 
 def parse_trace_csv(path) -> List[TraceRecord]:
@@ -210,20 +212,24 @@ _W, _H = 860, 520
 _ML, _MR, _MT, _MB = 70, 20, 30, 50
 
 
+def _axis_top(lo: float, hi: float) -> float:
+    """hi, or over an empty span lo + 1.0, or lo + ulp(lo) if that is lo."""
+    if hi > lo:
+        return hi
+    return lo + 1.0 if lo + 1.0 != lo else lo + math.ulp(lo)
+
+
 def _ticks(lo: float, hi: float, n: int = 6) -> List[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / n
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1, 2, 5, 10):
         step = mult * mag
         if raw <= step:
             break
-    first = math.ceil(lo / step) * step
     out = []
-    v = first
+    v = math.ceil(lo / step) * step
     # [lo, hi] spans at most n steps: n + 1 ticks, and one more for the
-    # rounding of `first`. Where step is below half the float spacing at v,
+    # rounding of the first. Where step is below half the float spacing at v,
     # `v += step` stands still: the tick is drawn once and the loop stops.
     for _ in range(n + 2):
         if v > hi + step * 1e-9:
@@ -253,13 +259,9 @@ def emit_plot(records: Sequence[TraceRecord], path) -> None:
     if not records:
         raise ValueError("emit_plot requires at least one trace record")
     t_lo = min(r.time_s for r in records)
-    t_hi = max(r.time_s for r in records)
+    t_hi = _axis_top(t_lo, max(r.time_s for r in records))
     c_lo = 0.0
-    c_hi = max(r.cwnd for r in records)
-    if t_hi <= t_lo:
-        t_hi = t_lo + 1.0
-    if c_hi <= c_lo:
-        c_hi = c_lo + 1.0
+    c_hi = _axis_top(c_lo, max(r.cwnd for r in records))
 
     def x(t):
         return _ML + (t - t_lo) / (t_hi - t_lo) * (_W - _ML - _MR)
@@ -321,8 +323,4 @@ def emit_plot(records: Sequence[TraceRecord], path) -> None:
                          'stroke="#7a2aa0" stroke-width="1.5"/>'
                          % (x(r.time_s), y(r.cwnd)))
     parts.append("</svg>")
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(parts) + "\n")
-    except OSError as exc:
-        raise OSError("cannot write plot %s: %s" % (path, exc)) from exc
+    _write_lines(path, parts, "plot")

@@ -12,7 +12,7 @@ from collections import deque
 from enum import Enum
 
 from .config import LinkConfig
-from .simkernel import NS_PER_S, RandomStream
+from .simkernel import NS_PER_S, RandomStream, seconds_to_ns
 
 
 class DropReason(Enum):
@@ -39,7 +39,7 @@ class Link:
         config.validate()
         self.config = config
         self._departures = deque()
-        self._delay_ns = int(round(config.one_way_delay_s * NS_PER_S))
+        self._delay_ns = seconds_to_ns(config.one_way_delay_s)
         # packet size -> serialization_ns, filled on first use; only the
         # MSS, the last segment's size and the ACK size occur
         self._ser_ns = {}
@@ -59,8 +59,8 @@ class Link:
 
     def serialization_ns(self, size_bytes: int) -> int:
         """Transmitter busy time, at least 1 ns so that an RTT is never 0."""
-        return max(1, int(round(size_bytes * 8 * NS_PER_S
-                                / self.config.capacity_bps)))
+        return max(1, round(size_bytes * 8 * NS_PER_S
+                            / self.config.capacity_bps))
 
     def transmit(self, size_bytes: int, now: int, rng: RandomStream):
         """Returns the delivery time in ns, or a DropReason."""

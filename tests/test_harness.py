@@ -118,6 +118,13 @@ def test_parse_errors_name_field_and_line():
     with pytest.raises(ScenarioError, match="loss_rate"):
         parse_scenario("link1.capacity_mbps=1\nlink1.delay_ms=1\n"
                        "link1.loss_rate=2\n")
+    with pytest.raises(ScenarioError, match="^inline:3: ack_loss: expected "
+                                            "a boolean, got 'maybe'$"):
+        parse_scenario("link1.capacity_mbps=1\nlink1.delay_ms=1\n"
+                       "ack_loss = maybe\n", "inline")
+    with pytest.raises(ScenarioError, match="^inline: invalid JSON: "
+                                            "Expecting value: line 1"):
+        parse_scenario('{"links": [}', "inline")
 
 
 LINK_1 = "link1.capacity_mbps = 1\n"
@@ -131,7 +138,13 @@ LINK_1 = "link1.capacity_mbps = 1\n"
     (LINK_1, "my.scn: link1: capacity_mbps and delay_ms are required"),
     (json.dumps({"links": [{"capacity_mbps": 1, "delay_ms": "ten"}]}),
      "my.scn: link1: delay_ms: expected a number, got 'ten'"),
-], ids=["bad-value", "unknown-key", "missing-key", "json-bad-value"])
+    (LINK_1 + "linkx.delay_ms = 10\n",
+     "my.scn:2: bad link key 'linkx.delay_ms'"),
+    (LINK_1 + "link0.delay_ms = 10\n", "my.scn:2: link index must be >= 1"),
+    (json.dumps({"links": {"capacity_mbps": 1, "delay_ms": 10}}),
+     "my.scn: links: expected a list"),
+], ids=["bad-value", "unknown-key", "missing-key", "json-bad-value",
+        "bad-link-key", "link-index-0", "json-links-not-a-list"])
 def test_link_parse_errors_name_the_file(text, message):
     # as a scalar key's error does; in a flat file with the key's line
     with pytest.raises(ScenarioError) as info:
@@ -389,9 +402,27 @@ def test_links_of_the_wrong_type_are_rejected(links, message):
      "1000000.0, one_way_delay_s=0.01, loss_rate=0.0, queue_limit=100),)"),
     (lambda: Simulation(small_cfg(mss=0)),
      "mss: must be > 0 and <= 1e9 bytes"),
+    (lambda: LinkConfig(1e6, -0.01).validate(),
+     "link.one_way_delay_s must be >= 0"),
+    (lambda: small_cfg(transfer_size=-1).validate(),
+     "transfer_size: must be >= 0"),
+    (lambda: run_sweep(small_cfg(), "loss", 1, []),
+     "sweep values: must be non-empty"),
+    # each ran, its first rows in slow start with cwnd above the threshold
+    # (`0,1,2,-5,slow_start,Sample`)
+    (lambda: small_cfg(initial_ssthresh=-5).validate(),
+     "initial_ssthresh: must be >= 1 (one MSS)"),
+    (lambda: small_cfg(initial_ssthresh=0).validate(),
+     "initial_ssthresh: must be >= 1 (one MSS)"),
+    (lambda: small_cfg(initial_ssthresh=-0.0).validate(),
+     "initial_ssthresh: must be >= 1 (one MSS)"),
+    (lambda: Simulation(small_cfg(initial_ssthresh=0.5)),
+     "initial_ssthresh: must be >= 1 (one MSS)"),
 ], ids=["link-validate", "link", "sweep-parameter", "sweep-link",
         "run-dict-link", "sweep-dict-link", "run-tuple-links",
-        "simulation-dict-link", "simulation-tuple-links", "simulation-mss"])
+        "simulation-dict-link", "simulation-tuple-links", "simulation-mss",
+        "link-negative-delay", "negative-transfer-size", "sweep-no-values",
+        "ssthresh--5", "ssthresh-0", "ssthresh--0.0", "simulation-ssthresh-0.5"])
 def test_every_scenario_input_failure_is_a_scenario_error(call, message):
     with pytest.raises(ScenarioError) as info:
         call()
@@ -582,6 +613,15 @@ def test_sweep_validates_link_index():
         run_sweep(small_cfg(), "capacity", 6, (1.0,))
 
 
+def test_sweep_of_int_values_writes_the_csv_of_float_values():
+    # README's run_sweep(..., [10, 160, 320]) gives ints, which `fmt` writes
+    # with str(): as `%.6g` writes the same values as floats
+    lines = sweep_csv_lines(run_sweep(small_cfg(), "latency", 2, [160]))
+    assert lines[1].startswith("160,")
+    assert lines == sweep_csv_lines(run_sweep(small_cfg(), "latency", 2,
+                                              [160.0]))
+
+
 def test_sweep_invalid_value_yields_error_row_not_abort():
     rows = run_sweep(small_cfg(), "loss", 2, (0.0, 2.0))
     assert rows[0].stats.completed and rows[0].error is None
@@ -687,6 +727,24 @@ def test_parse_trace_csv_names_the_bad_line(tmp_path, capsys, row, message):
     assert err.startswith("error: %s:2: " % path) and message in err
 
 
+def test_parse_trace_csv_checks_the_header_and_skips_blank_lines(tmp_path,
+                                                                 capsys):
+    path = tmp_path / "trace.csv"
+    path.write_text(",".join(harness.TRACE_CSV_COLUMNS) + "\n"
+                    "0,1,2,64,slow_start,Sample\n\n"
+                    "0.1,1,3,64,slow_start,Sample\n")
+    assert parse_trace_csv(path) == [
+        TraceRecord(0.0, 1, 2.0, 64.0, "slow_start", "Sample"),
+        TraceRecord(0.1, 1, 3.0, 64.0, "slow_start", "Sample")]
+    path.write_text("param_value,completion_time_s\n10,1.5\n")  # a sweep's
+    with pytest.raises(ScenarioError) as info:
+        parse_trace_csv(path)
+    assert str(info.value) == ("%s: not a trace CSV (header "
+                               "'param_value,completion_time_s')" % path)
+    assert main(["plot", str(path)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % info.value
+
+
 def test_sweep_csv_has_expected_header_and_rows():
     rows = run_sweep(small_cfg(), "capacity", 2, (0.5, 4.0))
     lines = sweep_csv_lines(rows)
@@ -728,6 +786,51 @@ def test_plot_is_valid_svg_with_markers(tmp_path):
 def test_plot_rejects_empty_trace(tmp_path):
     with pytest.raises(ValueError):
         emit_plot([], tmp_path / "x.svg")
+
+
+@pytest.mark.parametrize("write, kind", [(emit_csv, "CSV"),
+                                         (emit_plot, "plot")])
+def test_a_failed_write_names_the_file(tmp_path, write, kind):
+    path = tmp_path / "no-such-dir" / "out"
+    with pytest.raises(OSError, match="^cannot write %s %s: "
+                                      % (kind, re.escape(str(path)))):
+        write([TraceRecord(0.0, 1, 2.0, 64.0, "slow_start", "Sample")], path)
+
+
+def test_plot_of_one_row_widens_both_empty_spans_by_one(tmp_path):
+    # one row: its time span and its cwnd span (0 to 0) are empty, so each
+    # axis ends 1.0 above its start; a subflow of one row is a dot, and the
+    # SpuriousDetected marker a ring around it
+    path = tmp_path / "one.svg"
+    emit_plot([TraceRecord(5.0, 1, 0.0, 64.0, "slow_start",
+                           "SpuriousDetected")], path)
+    svg = path.read_text()
+    times = re.findall(r'text-anchor="middle">([^<]*)</text>', svg)[:-1]
+    assert times == ["5", "5.2", "5.4", "5.6", "5.8", "6"]
+    windows = re.findall(r'text-anchor="end">([^<]*)</text>', svg)
+    assert windows == ["0", "0.2", "0.4", "0.6", "0.8", "1"]
+    assert '<circle cx="70" cy="470" r="3" fill="#1f6fb4"/>' in svg
+    assert ('<circle cx="70" cy="470" r="4" fill="none" stroke="#7a2aa0" '
+            'stroke-width="1.5"/>') in svg
+
+
+@pytest.mark.parametrize("time_s, label", [
+    ("1e17", "1e+17"), ("-1e17", "-1e+17"), ("9007199254740992", "9.0072e+15"),
+], ids=["1e17", "-1e17", "2**53"])
+def test_cli_plot_of_rows_at_one_time_from_2_53_on(tmp_path, capsys, time_s,
+                                                   label):
+    # from 2**53 on, time + 1.0 is the time itself: the span stayed empty
+    # and `mpsim plot` exited 2 with "error: math domain error". The axis
+    # now ends one float spacing above the time, and has one tick.
+    path = tmp_path / "trace.csv"
+    path.write_text(",".join(harness.TRACE_CSV_COLUMNS) + "\n"
+                    + "%s,1,2,64,slow_start,Sample\n" % time_s
+                    + "%s,1,3,64,slow_start,Sample\n" % time_s)
+    assert main(["plot", str(path)]) == 0, capsys.readouterr().err
+    svg = (tmp_path / "trace.svg").read_text()
+    times = re.findall(r'text-anchor="middle">([^<]*)</text>', svg)[:-1]
+    assert times == [label]
+    assert '<polyline points="70,176.667 70,30" ' in svg
 
 
 def _cap_memory():
@@ -841,6 +944,17 @@ def test_cli_run_writes_trace(tmp_path, capsys):
     assert code == 0
     assert "completed in" in out
     assert (tmp_path / "out" / "trace.csv").exists()
+
+
+def test_cli_run_reports_an_unfinished_transfer(tmp_path, capsys):
+    scn = tmp_path / "short.scn"
+    scn.write_text("link1.capacity_mbps=0.5\nlink1.delay_ms=10\n"
+                   "transfer_size=60000\nstop_time=0.5\n")
+    assert main(["run", str(scn), "--out", str(tmp_path)]) == 0
+    delivered = run_scenario(load_scenario(str(scn))).stats.delivered_bytes
+    assert 0 < delivered < 60_000
+    assert ("did not complete by stop_time; delivered %d of 60000 bytes\n"
+            % delivered) in capsys.readouterr().out
 
 
 def test_cli_seed_override_changes_nothing_on_lossless_run(tmp_path):
