@@ -54,15 +54,8 @@ def _check_fields(obj, types: dict, prefix: str) -> None:
 class LinkConfig(Record):
     capacity_bps: float
     one_way_delay_s: float
-    loss_rate: float
-    queue_limit: int
-
-    def __init__(self, capacity_bps, one_way_delay_s, loss_rate=0.0,
-                 queue_limit=DEFAULT_QUEUE_LIMIT):
-        self.capacity_bps = capacity_bps
-        self.one_way_delay_s = one_way_delay_s
-        self.loss_rate = loss_rate
-        self.queue_limit = queue_limit
+    loss_rate: float = 0.0
+    queue_limit: int = DEFAULT_QUEUE_LIMIT
 
     def validate(self, name: str = "link") -> None:
         _check_fields(self, _LINK_TYPES, name + ".")
@@ -82,44 +75,22 @@ _LINK_TYPES = get_type_hints(LinkConfig)
 
 
 class ScenarioConfig(Record):
-    links: List[LinkConfig]
-    transfer_size: int       # bytes
-    mss: int                 # bytes
-    coupling: CouplingMode
-    detector: DetectorChoice
-    seed: int
-    trace_interval: float    # seconds, as are the times below
-    stop_time: float
-    ack_loss: bool
-    rto_floor: float
-    rto_ceiling: float
-    initial_rto: float
-    initial_cwnd: float      # MSS
-    initial_ssthresh: float  # MSS
-    initial_rtt: float
-
     # links=None is no links: each config gets a list of its own
-    def __init__(self, links=None, transfer_size=5_000_000, mss=1400,
-                 coupling=CouplingMode.RTT_COMPENSATOR,
-                 detector=DetectorChoice.NONE, seed=1, trace_interval=0.1,
-                 stop_time=600.0, ack_loss=True, rto_floor=0.2,
-                 rto_ceiling=60.0, initial_rto=1.0, initial_cwnd=2.0,
-                 initial_ssthresh=64.0, initial_rtt=0.1):
-        self.links = [] if links is None else links
-        self.transfer_size = transfer_size
-        self.mss = mss
-        self.coupling = coupling
-        self.detector = detector
-        self.seed = seed
-        self.trace_interval = trace_interval
-        self.stop_time = stop_time
-        self.ack_loss = ack_loss
-        self.rto_floor = rto_floor
-        self.rto_ceiling = rto_ceiling
-        self.initial_rto = initial_rto
-        self.initial_cwnd = initial_cwnd
-        self.initial_ssthresh = initial_ssthresh
-        self.initial_rtt = initial_rtt
+    links: List[LinkConfig] = []
+    transfer_size: int = 5_000_000  # bytes
+    mss: int = 1400                 # bytes
+    coupling: CouplingMode = CouplingMode.RTT_COMPENSATOR
+    detector: DetectorChoice = DetectorChoice.NONE
+    seed: int = 1
+    trace_interval: float = 0.1     # seconds, as are the times below
+    stop_time: float = 600.0
+    ack_loss: bool = True
+    rto_floor: float = 0.2
+    rto_ceiling: float = 60.0
+    initial_rto: float = 1.0
+    initial_cwnd: float = 2.0       # MSS
+    initial_ssthresh: float = 64.0  # MSS
+    initial_rtt: float = 0.1
 
     def validate(self) -> None:
         if not isinstance(self.links, list):

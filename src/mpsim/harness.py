@@ -22,12 +22,7 @@ SWEEP_PARAMETERS = ("capacity", "latency", "loss")  # Mbps, ms, probability
 class SweepRow(Record):
     param_value: float
     stats: SummaryStats
-    error: Optional[str]  # why the point did not run, if it did not
-
-    def __init__(self, param_value, stats, error=None):
-        self.param_value = param_value
-        self.stats = stats
-        self.error = error
+    error: Optional[str] = None  # why the point did not run, if it did not
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
@@ -219,9 +214,21 @@ def _axis_top(lo: float, hi: float) -> float:
     return lo + 1.0 if lo + 1.0 != lo else lo + math.ulp(lo)
 
 
+def _scale(lo: float, hi: float, start: float, length: float):
+    """The map of [lo, hi] onto [start, start + length]. Where hi - lo passes
+    the float range, it maps the halved values, whose span does not."""
+    h = 0.5 if hi - lo == math.inf else 1.0
+    lo, span = lo * h, hi * h - lo * h
+    return lambda v: start + (v * h - lo) / span * length
+
+
 def _ticks(lo: float, hi: float, n: int = 6) -> List[float]:
     raw = (hi - lo) / n
-    mag = 10.0 ** math.floor(math.log10(raw))
+    if raw == math.inf:  # a span past the float range; its nth is not
+        raw = hi / n - lo / n
+    # 10**-323 is the least power of 10 above 0: a span of a few subnormals
+    # has a 0 nth, or an nth whose power of 10 is 0
+    mag = 10.0 ** (math.floor(math.log10(raw)) if raw > 1e-323 else -323)
     for mult in (1, 2, 5, 10):
         step = mult * mag
         if raw <= step:
@@ -232,7 +239,7 @@ def _ticks(lo: float, hi: float, n: int = 6) -> List[float]:
     # rounding of the first. Where step is below half the float spacing at v,
     # `v += step` stands still: the tick is drawn once and the loop stops.
     for _ in range(n + 2):
-        if v > hi + step * 1e-9:
+        if v > hi + step * 1e-9 or v == math.inf:
             break
         out.append(round(v, 10))
         if v + step == v:
@@ -263,12 +270,8 @@ def emit_plot(records: Sequence[TraceRecord], path) -> None:
     c_lo = 0.0
     c_hi = _axis_top(c_lo, max(r.cwnd for r in records))
 
-    def x(t):
-        return _ML + (t - t_lo) / (t_hi - t_lo) * (_W - _ML - _MR)
-
-    def y(c):
-        return _H - _MB - (c - c_lo) / (c_hi - c_lo) * (_H - _MT - _MB)
-
+    x = _scale(t_lo, t_hi, _ML, _W - _ML - _MR)
+    y = _scale(c_lo, c_hi, _H - _MB, _MT + _MB - _H)
     subflows = sorted({r.subflow for r in records})
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '

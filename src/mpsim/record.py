@@ -1,15 +1,17 @@
 """The base of mpsim's record types: the scenario and link configs, a trace
 row, a run's stats and result, a sweep row and a recovery snapshot.
 
-It writes `repr` and `==` as `dataclasses` does, so a record's repr, which
-the output fingerprints hash, reads the same. It saves `import mpsim` from
-importing `dataclasses` and, with it, `inspect`, `ast` and `dis`: the
-larger part of the import's cost.
+A record declares each field once, as a class annotation with an optional
+default. `Record` writes its `__init__`, `repr` and `==` as `dataclasses`
+does, so its repr, which the output fingerprints hash, reads the same, but
+without importing `dataclasses` and, with it, `inspect`, `ast` and `dis`:
+the larger part of the cost of `import mpsim`.
 """
 
 from __future__ import annotations
 
 import sys
+from types import MemberDescriptorType as _SLOT
 
 # dataclasses' == on 3.10-3.12 compares the field tuples, whose items are
 # equal if identical; on 3.13 it compares field by field, so one NaN object
@@ -18,13 +20,14 @@ _SAME_OBJECT_EQUAL = sys.version_info < (3, 13)
 
 
 class Record:
-    """A record's fields are its class annotations, in order. Each record
-    writes its own `__init__`. `repr` is `Qualname(field=value!r, ...)`;
-    `==` holds between records of one class whose fields are equal, bar
-    those named by the class keyword `no_compare`. Records are unhashable.
-    A subclass that annotates nothing keeps its parent's fields. `Record`
-    declares no slots, so a subclass that declares its own has no
-    `__dict__`."""
+    """A record's fields are its class annotations, in order; a field's
+    default is its class attribute, and `[]` is a new list per record, with
+    `None` in the signature. `__init__` only stores its arguments. `repr` is
+    `Qualname(field=value!r, ...)`; `==` holds between records of one class
+    whose fields are equal, bar those named by the class keyword
+    `no_compare`. Records are unhashable. A subclass that annotates nothing
+    keeps its parent's fields. `Record` declares no slots, so a subclass
+    that declares its own has no `__dict__`; a slot takes no default."""
 
     __slots__ = ()
     # not annotated: get_type_hints() reads a record's fields from its
@@ -35,10 +38,31 @@ class Record:
 
     def __init_subclass__(cls, no_compare=(), **kwargs):
         super().__init_subclass__(**kwargs)
-        if "__annotations__" in cls.__dict__:
-            cls._fields = tuple(cls.__dict__["__annotations__"])
-            cls._compare = tuple(name for name in cls._fields
-                                 if name not in no_compare)
+        if "__annotations__" not in cls.__dict__:
+            return
+        cls._fields = fields = tuple(cls.__dict__["__annotations__"])
+        if not set(no_compare) <= set(fields):
+            raise TypeError("%s: no_compare %r names a non-field"
+                            % (cls.__qualname__, no_compare))
+        cls._compare = tuple(f for f in fields if f not in no_compare)
+        defaults, body = [], []
+        for f in fields:
+            default, store = cls.__dict__.get(f), "self.{0} = {0}"
+            if default == []:  # a new list per record
+                default, store = None, "self.{0} = [] if {0} is None else {0}"
+            if f not in cls.__dict__ or isinstance(default, _SLOT):
+                if defaults:
+                    raise TypeError("%s: field %s has no default, but one "
+                                    "before it has" % (cls.__qualname__, f))
+            else:
+                defaults.append(default)
+            body.append(store.format(f))
+        namespace = {}
+        exec("def __init__(self, %s):\n    " % ", ".join(fields)
+             + "\n    ".join(body), namespace)
+        cls.__init__ = init = namespace["__init__"]
+        init.__defaults__ = tuple(defaults)
+        init.__qualname__ = cls.__qualname__ + ".__init__"
 
     def __repr__(self):
         return "%s(%s)" % (self.__class__.__qualname__, ", ".join(

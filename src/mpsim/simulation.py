@@ -42,14 +42,6 @@ class TraceRecord(Record):
     phase: str     # one of subflow.PHASES
     event: str     # one of EVENTS
 
-    def __init__(self, time_s, subflow, cwnd, ssthresh, phase, event):
-        self.time_s = time_s
-        self.subflow = subflow
-        self.cwnd = cwnd
-        self.ssthresh = ssthresh
-        self.phase = phase
-        self.event = event
-
 
 class SummaryStats(Record):
     completed: bool
@@ -68,23 +60,6 @@ class SummaryStats(Record):
     duplicate_bytes: int
     protocol_violations: int
 
-    def __init__(self, completed, completion_time_s, goodput_bps,
-                 delivered_bytes, bytes_sf, retx_sf, fast_retx, rtos,
-                 spurious_detections, checksum_ok, duplicate_bytes,
-                 protocol_violations):
-        self.completed = completed
-        self.completion_time_s = completion_time_s
-        self.goodput_bps = goodput_bps
-        self.delivered_bytes = delivered_bytes
-        self.bytes_sf = bytes_sf
-        self.retx_sf = retx_sf
-        self.fast_retx = fast_retx
-        self.rtos = rtos
-        self.spurious_detections = spurious_detections
-        self.checksum_ok = checksum_ok
-        self.duplicate_bytes = duplicate_bytes
-        self.protocol_violations = protocol_violations
-
 
 class RunResult(Record):
     """One run's output. The engine keeps no per-segment log, so a run's
@@ -94,12 +69,6 @@ class RunResult(Record):
     traces: List[TraceRecord]
     # the recovery snapshots judged spurious, in verdict order
     detections: List[sp.SpuriousSnapshot]
-
-    def __init__(self, cfg, stats, traces, detections):
-        self.cfg = cfg
-        self.stats = stats
-        self.traces = traces
-        self.detections = detections
 
 
 class Simulation:

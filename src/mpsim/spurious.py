@@ -33,20 +33,8 @@ class SpuriousSnapshot(Record, no_compare=("mapping",)):
     retransmit_ts: int                 # virtual ns
     mapping: Mapping                   # the resent segment; not compared
     subflow: int                       # 1-based
-    time_s: Optional[float]            # of the spurious verdict
-    cwnd_at_detection: Optional[float]  # the window it found
-
-    def __init__(self, cwnd_before, ssthresh_before, phase_before,
-                 retransmit_ts, mapping, subflow, time_s=None,
-                 cwnd_at_detection=None):
-        self.cwnd_before = cwnd_before
-        self.ssthresh_before = ssthresh_before
-        self.phase_before = phase_before
-        self.retransmit_ts = retransmit_ts
-        self.mapping = mapping
-        self.subflow = subflow
-        self.time_s = time_s
-        self.cwnd_at_detection = cwnd_at_detection
+    time_s: Optional[float] = None     # of the spurious verdict
+    cwnd_at_detection: Optional[float] = None  # the window it found
 
 
 def on_retransmit_record(sf: Subflow, m: Mapping,

@@ -833,6 +833,40 @@ def test_cli_plot_of_rows_at_one_time_from_2_53_on(tmp_path, capsys, time_s,
     assert '<polyline points="70,176.667 70,30" ' in svg
 
 
+MAX = "1.7976931348623157e308"  # the largest float
+
+
+@pytest.mark.parametrize("rows, times, windows", [
+    # (hi - lo) / 6 was inf, and math.floor(inf) an OverflowError traceback
+    ([("-1e308", "2"), ("1e308", "3")],
+     ["-1e+308", "-5e+307", "0", "5e+307", "1e+308"],
+     ["0", "0.5", "1", "1.5", "2", "2.5", "3"]),
+    # and from the largest floats on, the step past the last tick was inf
+    ([("-" + MAX, "2"), (MAX, MAX)], ["-1e+308", "0", "1e+308"],
+     ["0", "5e+307", "1e+308", "1.5e+308"]),
+    # (hi - lo) / 6 was 0, and math.log10(0) "error: math domain error"
+    ([("0", "5e-324"), ("1", "5e-324")], None, None),
+    # (hi - lo) / 6 was 5e-324, whose power of 10 is 0: a ZeroDivisionError
+    ([("0", "3e-323"), ("1", "3e-323")], None, None),
+], ids=["time -1e308 to 1e308", "time and window at the largest float",
+        "window 5e-324", "window 3e-323"])
+def test_cli_plot_of_spans_at_the_ends_of_the_float_range(tmp_path, capsys,
+                                                          rows, times,
+                                                          windows):
+    path = tmp_path / "trace.csv"
+    path.write_text(",".join(harness.TRACE_CSV_COLUMNS) + "\n" + "".join(
+        "%s,1,%s,64,slow_start,Sample\n" % row for row in rows))
+    assert main(["plot", str(path)]) == 0, capsys.readouterr().err
+    svg = (tmp_path / "trace.svg").read_text()
+    assert "nan" not in svg and "inf" not in svg
+    assert svg.count("<polyline") == 1
+    if times is not None:
+        assert re.findall(r'text-anchor="middle">([^<]*)</text>',
+                          svg)[:-1] == times
+        assert re.findall(r'text-anchor="end">([^<]*)</text>',
+                          svg) == windows
+
+
 def _cap_memory():
     import resource  # POSIX only
     resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))

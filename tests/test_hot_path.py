@@ -17,7 +17,7 @@ from mpsim import coupling
 from mpsim.connection import ReassemblyState, schedule_next
 from mpsim.netmodel import Link
 from mpsim.simkernel import SimKernel
-from mpsim.simulation import Simulation
+from mpsim.simulation import Simulation, TraceRecord
 from mpsim.subflow import RttEstimator, Subflow
 
 ENUMS = {"Phase", "CouplingMode", "DetectorChoice", "TraceEvent"}
@@ -93,3 +93,15 @@ def test_per_packet_path_calls_no_min_or_max(fn):
     loaded = {instr.argval for instr in dis.get_instructions(fn)
               if instr.opname in ("LOAD_GLOBAL", "LOAD_NAME")}
     assert not loaded & {"min", "max"}
+
+
+# A traced run builds a row per subflow per sample (80,684 a pass of the
+# reorder benchmark), through the constructor Record generates: it stores
+# each field and does nothing else, as a hand-written one would.
+def test_trace_row_constructor_only_stores_its_fields():
+    ops = list(dis.get_instructions(TraceRecord.__init__))
+    assert [op.argval for op in ops if op.opname == "STORE_ATTR"] == \
+        list(TraceRecord._fields)
+    assert {op.opname for op in ops
+            if not op.opname.startswith("LOAD_FAST")} <= {
+        "RESUME", "STORE_ATTR", "LOAD_CONST", "RETURN_VALUE", "RETURN_CONST"}

@@ -20,6 +20,7 @@ import mpsim
 from mpsim import config, harness, simulation, spurious
 from mpsim.config import DEFAULT_QUEUE_LIMIT
 from mpsim.coupling import CouplingMode
+from mpsim.record import Record
 from mpsim.spurious import DetectorChoice
 from mpsim.subflow import Mapping
 
@@ -245,6 +246,23 @@ def test_scenario_config_links_and_copy():
         assert link == original and link is not original
     copy.links[0].loss_rate = 0.5
     assert cfg.links[0].loss_rate == 0.0
+
+
+def test_a_field_without_a_default_after_one_with_a_default_is_refused():
+    # the defaults go to the last parameters: were the class made, R(5)
+    # would be R(a=5, b=1), and R() a missing `a`
+    with pytest.raises(TypeError, match=r"\.R: field b has no default"):
+        class R(Record):
+            a: int = 1
+            b: int
+
+
+def test_no_compare_names_only_fields():
+    # a misspelt name would leave the field it meant compared
+    with pytest.raises(TypeError, match=r"\.S: no_compare"):
+        class S(Record, no_compare=("mapings",)):
+            mapping: Mapping
+            subflow: int
 
 
 HEAVY = ("dataclasses", "inspect", "json", "importlib.resources")
