@@ -1,9 +1,9 @@
 """Scenario configuration: the scenario and link records, their checks,
-file loading (flat key=value or JSON) and bundled presets. Every fault in
+file loading (flat `key = value` files) and bundled presets. Every fault in
 scenario input is a ScenarioError that names the field.
 
-`json` and `importlib.resources` are imported only where JSON text or a
-preset is read, so `import mpsim` does not load them."""
+`importlib.resources` is imported only where a preset is read, so
+`import mpsim` does not load it."""
 
 from __future__ import annotations
 
@@ -167,60 +167,52 @@ def _parse_bool(name: str, raw: str) -> bool:
         raise ScenarioError(_type_error(name, bool, raw)) from None
 
 
-def _parse_num(name: str, raw, tp: type):
-    """A number from flat-file text or a JSON value. JSON true/false are not
-    numbers, and an integer key takes no fraction: int() would truncate."""
+def _parse_num(name: str, raw: str, tp: type):
+    """A number from flat-file text: an integer key takes the digits of a
+    whole number of any size, so `1.5`, `2e6` and `inf` are errors."""
     try:
-        if isinstance(raw, bool):
-            raise TypeError(raw)
-        if tp is float:
-            return float(raw)
-        if isinstance(raw, float) and not raw.is_integer():
-            raise ValueError(raw)
-        return int(raw)
-    except (TypeError, ValueError):
+        return float(raw) if tp is float else int(raw)
+    except ValueError:
         raise ScenarioError(_type_error(name, tp, raw)) from None
 
 
 def _link_from_parts(parts: dict, lines: dict, name: str,
                      where: str) -> LinkConfig:
     """Link `name` from its keys in file `where`; `lines` gives the path:line
-    of each key in a flat file, and is empty for JSON."""
-    def at(key):
-        return "%s: %s: %s" % (lines.get(key, where), name, key)
+    of each key."""
+    def num(key, tp):
+        return _parse_num("%s: %s: %s" % (lines[key], name, key), parts[key],
+                          tp)
     unknown = sorted(set(parts) - _LINK_KEYS)
     if unknown:
         raise ScenarioError("%s: %s: unknown key(s) %s"
-                            % (lines.get(unknown[0], where), name, unknown))
+                            % (lines[unknown[0]], name, unknown))
     if "capacity_mbps" not in parts or "delay_ms" not in parts:
         raise ScenarioError("%s: %s: capacity_mbps and delay_ms are required"
                             % (where, name))
-    return LinkConfig(
-        capacity_bps=_parse_num(at("capacity_mbps"), parts["capacity_mbps"],
-                                float) * 1e6,
-        one_way_delay_s=_parse_num(at("delay_ms"), parts["delay_ms"],
-                                   float) / 1e3,
-        loss_rate=_parse_num(at("loss_rate"), parts.get("loss_rate", 0.0),
-                             float),
-        queue_limit=_parse_num(at("queue_limit"),
-                               parts.get("queue_limit", DEFAULT_QUEUE_LIMIT),
-                               int),
-    )
+    link = LinkConfig(num("capacity_mbps", float) * 1e6,
+                      num("delay_ms", float) / 1e3)
+    if "loss_rate" in parts:
+        link.loss_rate = num("loss_rate", float)
+    if "queue_limit" in parts:
+        link.queue_limit = num("queue_limit", int)
+    return link
 
 
-def _apply_scalar(cfg: ScenarioConfig, key: str, raw, where: str) -> None:
+def _apply_scalar(cfg: ScenarioConfig, key: str, raw: str,
+                  where: str) -> None:
     tp = _TYPES.get(key)
     if tp is None:
         raise ScenarioError("%s: unknown key %r" % (where, key))
     name = "%s: %s" % (where, key)
     if tp is bool:
-        value = raw if isinstance(raw, bool) else _parse_bool(name, str(raw))
+        value = _parse_bool(name, raw)
     elif tp is int or tp is float:
         value = _parse_num(name, raw, tp)
-    else:  # an Enum, named by its value; JSON null has no strip()
+    else:  # an Enum, named by its value
         try:
             value = tp(raw.strip().lower())
-        except (AttributeError, ValueError):
+        except ValueError:
             raise ScenarioError(_type_error(name, tp, raw)) from None
     setattr(cfg, key, value)
 
@@ -234,7 +226,9 @@ def _note_key(lines: dict, key: str, loc: str, name: str) -> None:
     lines[key] = loc
 
 
-def _parse_flat(text: str, where: str) -> ScenarioConfig:
+def parse_scenario(text: str, where: str = "<scenario>") -> ScenarioConfig:
+    """The validated config of a flat `key = value` file; `where` names the
+    file in error messages."""
     cfg = ScenarioConfig()
     scalar_lines = {}
     link_parts = {}
@@ -268,61 +262,6 @@ def _parse_flat(text: str, where: str) -> ScenarioConfig:
                                 % where)
         cfg.links = [_link_from_parts(*link_parts[i], "link%d" % i, where)
                      for i in indices]
-    return cfg
-
-
-class _JsonObject(dict):
-    """A JSON object, and the first key it gives twice, if any, which
-    `check` rejects where the reader knows the link the object is."""
-
-    def __init__(self, pairs):
-        super().__init__(pairs)
-        self.repeated = None
-        if len(self) < len(pairs):
-            seen = set()
-            for key, _ in pairs:
-                if key in seen:
-                    self.repeated = key
-                    break
-                seen.add(key)
-
-    def check(self, where: str) -> None:
-        if self.repeated is not None:
-            raise ScenarioError("%s: %s: repeated key"
-                                % (where, self.repeated))
-
-
-def _parse_json(data: _JsonObject, where: str) -> ScenarioConfig:
-    cfg = ScenarioConfig()
-    data.check(where)
-    for key, raw in data.items():
-        if key == "links":
-            if not isinstance(raw, list):
-                raise ScenarioError("%s: links: expected a list" % where)
-            cfg.links = []
-            for i, entry in enumerate(raw, start=1):
-                if not isinstance(entry, dict):
-                    raise ScenarioError("%s: link%d: expected an object, got "
-                                        "%r" % (where, i, entry))
-                entry.check("%s: link%d" % (where, i))
-                cfg.links.append(_link_from_parts(entry, {}, "link%d" % i,
-                                                  where))
-        else:
-            _apply_scalar(cfg, key, raw, where)
-    return cfg
-
-
-def parse_scenario(text: str, where: str = "<scenario>") -> ScenarioConfig:
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        import json
-        try:
-            data = json.loads(text, object_pairs_hook=_JsonObject)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError("%s: invalid JSON: %s" % (where, exc)) from None
-        cfg = _parse_json(data, where)
-    else:
-        cfg = _parse_flat(text, where)
     cfg.validate()
     return cfg
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence
 
-from .config import ScenarioConfig, ScenarioError
+from .config import MAX_SECONDS, ScenarioConfig, ScenarioError
 from .record import Record
 from .simkernel import mix_seed
 from .simulation import (EVENTS, FAST_RETRANSMIT, SPURIOUS_DETECTED,
@@ -187,11 +187,11 @@ def parse_trace_csv(path) -> List[TraceRecord]:
                                     % (path, lineno, event))
             try:
                 t, cwnd, ssthresh = float(t), float(cwnd), float(ssthresh)
-                # the simulator writes inf only as a threshold
-                if not (math.isfinite(t) and math.isfinite(cwnd)) \
-                        or math.isnan(ssthresh):
-                    raise ValueError("time_s and cwnd_mss must be finite "
-                                     "and ssthresh_mss not nan")
+                # only what the simulator writes; nan fails every comparison
+                if not (0 <= t <= MAX_SECONDS and 1 <= cwnd < math.inf
+                        and ssthresh >= 1):
+                    raise ValueError("expected 0 <= time_s <= 1e9, 1 <= "
+                                     "cwnd_mss < inf and 1 <= ssthresh_mss")
                 records.append(TraceRecord(t, int(sf), cwnd, ssthresh,
                                            phase, event))
             except ValueError as exc:
@@ -208,24 +208,18 @@ _ML, _MR, _MT, _MB = 70, 20, 30, 50
 
 
 def _axis_top(lo: float, hi: float) -> float:
-    """hi, or over an empty span lo + 1.0, or lo + ulp(lo) if that is lo."""
-    if hi > lo:
-        return hi
-    return lo + 1.0 if lo + 1.0 != lo else lo + math.ulp(lo)
+    """hi, or over an empty span lo + 1.0."""
+    return hi if hi > lo else lo + 1.0
 
 
 def _scale(lo: float, hi: float, start: float, length: float):
-    """The map of [lo, hi] onto [start, start + length]. Where hi - lo passes
-    the float range, it maps the halved values, whose span does not."""
-    h = 0.5 if hi - lo == math.inf else 1.0
-    lo, span = lo * h, hi * h - lo * h
-    return lambda v: start + (v * h - lo) / span * length
+    """The map of [lo, hi] onto [start, start + length]."""
+    span = hi - lo
+    return lambda v: start + (v - lo) / span * length
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> List[float]:
     raw = (hi - lo) / n
-    if raw == math.inf:  # a span past the float range; its nth is not
-        raw = hi / n - lo / n
     # 10**-323 is the least power of 10 above 0: a span of a few subnormals
     # has a 0 nth, or an nth whose power of 10 is 0
     mag = 10.0 ** (math.floor(math.log10(raw)) if raw > 1e-323 else -323)
@@ -238,6 +232,8 @@ def _ticks(lo: float, hi: float, n: int = 6) -> List[float]:
     # [lo, hi] spans at most n steps: n + 1 ticks, and one more for the
     # rounding of the first. Where step is below half the float spacing at v,
     # `v += step` stands still: the tick is drawn once and the loop stops.
+    # Near the largest float (a window the simulator can write), the step
+    # past the last tick is inf, and so is `hi + step * 1e-9`.
     for _ in range(n + 2):
         if v > hi + step * 1e-9 or v == math.inf:
             break
@@ -261,7 +257,9 @@ def _labelled_ticks(lo: float, hi: float):
 
 def emit_plot(records: Sequence[TraceRecord], path) -> None:
     """Self-contained SVG: cwnd vs time, one polyline per subflow, with
-    markers at FastRetransmit and SpuriousDetected events."""
+    markers at FastRetransmit and SpuriousDetected events. It draws times
+    in [0, 1e9] s and finite windows >= 0, as every trace does that the
+    simulator writes or `parse_trace_csv` accepts."""
     records = list(records)
     if not records:
         raise ValueError("emit_plot requires at least one trace record")
