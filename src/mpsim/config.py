@@ -1,6 +1,8 @@
 """Scenario configuration: the scenario and link records, their checks,
 file loading (flat `key = value` files) and bundled presets. Every fault in
-scenario input is a ScenarioError that names the field.
+scenario input is a ScenarioError that names the field; a file's faults name
+the key as the file spells it, at its first faulty line. `LINK_KEYS` holds
+each link key's unit, for files and sweeps alike.
 
 `importlib.resources` is imported only where a preset is read, so
 `import mpsim` does not load it."""
@@ -155,92 +157,44 @@ del _TYPES["links"]
 _BOOL_WORDS = {"true": True, "on": True, "yes": True, "1": True,
                "false": False, "off": False, "no": False, "0": False}
 
-_LINK_KEYS = {"capacity_mbps", "delay_ms", "loss_rate", "queue_limit"}
+# each link file key: its LinkConfig field, its type in the file, and the
+# map of a file value to the field's unit (None: the unit is the same)
+LINK_KEYS = {
+    "capacity_mbps": ("capacity_bps", float, lambda mbps: mbps * 1e6),
+    "delay_ms": ("one_way_delay_s", float, lambda ms: ms / 1e3),
+    "loss_rate": ("loss_rate", float, None),
+    "queue_limit": ("queue_limit", int, None),
+}
 
 PRESET_NAMES = ("paper-base", "paper-reorder")
 
 
-def _parse_bool(name: str, raw: str) -> bool:
+def _parse_value(name: str, raw: str, tp: type):
+    """A value of type `tp` from file text: a boolean word, a number or an
+    Enum member named by its value, in any case. An integer takes the digits
+    of a whole number of any size, so `1.5`, `2e6` and `inf` are errors."""
     try:
-        return _BOOL_WORDS[raw.strip().lower()]
-    except KeyError:
-        raise ScenarioError(_type_error(name, bool, raw)) from None
-
-
-def _parse_num(name: str, raw: str, tp: type):
-    """A number from flat-file text: an integer key takes the digits of a
-    whole number of any size, so `1.5`, `2e6` and `inf` are errors."""
-    try:
-        return float(raw) if tp is float else int(raw)
-    except ValueError:
+        return _BOOL_WORDS[raw.lower()] if tp is bool else tp(raw.lower())
+    except (KeyError, ValueError):
         raise ScenarioError(_type_error(name, tp, raw)) from None
-
-
-def _link_from_parts(parts: dict, lines: dict, name: str,
-                     where: str) -> LinkConfig:
-    """Link `name` from its keys in file `where`; `lines` gives the path:line
-    of each key."""
-    def num(key, tp):
-        return _parse_num("%s: %s: %s" % (lines[key], name, key), parts[key],
-                          tp)
-    unknown = sorted(set(parts) - _LINK_KEYS)
-    if unknown:
-        raise ScenarioError("%s: %s: unknown key(s) %s"
-                            % (lines[unknown[0]], name, unknown))
-    if "capacity_mbps" not in parts or "delay_ms" not in parts:
-        raise ScenarioError("%s: %s: capacity_mbps and delay_ms are required"
-                            % (where, name))
-    link = LinkConfig(num("capacity_mbps", float) * 1e6,
-                      num("delay_ms", float) / 1e3)
-    if "loss_rate" in parts:
-        link.loss_rate = num("loss_rate", float)
-    if "queue_limit" in parts:
-        link.queue_limit = num("queue_limit", int)
-    return link
-
-
-def _apply_scalar(cfg: ScenarioConfig, key: str, raw: str,
-                  where: str) -> None:
-    tp = _TYPES.get(key)
-    if tp is None:
-        raise ScenarioError("%s: unknown key %r" % (where, key))
-    name = "%s: %s" % (where, key)
-    if tp is bool:
-        value = _parse_bool(name, raw)
-    elif tp is int or tp is float:
-        value = _parse_num(name, raw, tp)
-    else:  # an Enum, named by its value
-        try:
-            value = tp(raw.strip().lower())
-        except ValueError:
-            raise ScenarioError(_type_error(name, tp, raw)) from None
-    setattr(cfg, key, value)
-
-
-def _note_key(lines: dict, key: str, loc: str, name: str) -> None:
-    """Record that `key` is set at `loc`; `lines` maps each key set so far
-    to its path:line. A key set twice is an error naming both lines."""
-    if key in lines:
-        raise ScenarioError("%s: %s: repeated key, first set at %s"
-                            % (loc, name, lines[key]))
-    lines[key] = loc
 
 
 def parse_scenario(text: str, where: str = "<scenario>") -> ScenarioConfig:
     """The validated config of a flat `key = value` file; `where` names the
-    file in error messages."""
+    file in error messages. Each value is checked and converted at its own
+    line, so a faulty file is reported at its first faulty line."""
     cfg = ScenarioConfig()
-    scalar_lines = {}
-    link_parts = {}
+    seen = {}   # each key set so far, a link's as link<N>.<key>: its path:line
+    links = {}  # index: its link, capacity and delay None until set
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if "=" not in stripped:
-            raise ScenarioError("%s:%d: expected 'key = value', got %r"
-                                % (where, lineno, line.strip()))
-        key, raw = (part.strip() for part in stripped.split("=", 1))
         loc = "%s:%d" % (where, lineno)
+        if "=" not in stripped:
+            raise ScenarioError("%s: expected 'key = value', got %r"
+                                % (loc, line.strip()))
+        key, raw = (part.strip() for part in stripped.split("=", 1))
         if key.startswith("link") and "." in key:
             prefix, sub = key.split(".", 1)
             try:
@@ -249,19 +203,28 @@ def parse_scenario(text: str, where: str = "<scenario>") -> ScenarioConfig:
                 raise ScenarioError("%s: bad link key %r" % (loc, key)) from None
             if idx < 1:
                 raise ScenarioError("%s: link index must be >= 1" % loc)
-            parts, lines = link_parts.setdefault(idx, ({}, {}))
-            _note_key(lines, sub, loc, "link%d: %s" % (idx, sub))
-            parts[sub] = raw
+            name = "link%d.%s" % (idx, sub)
+            target = links.setdefault(idx, LinkConfig(None, None))
+            field, tp, convert = LINK_KEYS.get(sub, (None, None, None))
         else:
-            _note_key(scalar_lines, key, loc, key)
-            _apply_scalar(cfg, key, raw, loc)
-    if link_parts:
-        indices = sorted(link_parts)
-        if indices != list(range(1, len(indices) + 1)):
-            raise ScenarioError("%s: link indices must be 1..n without gaps"
-                                % where)
-        cfg.links = [_link_from_parts(*link_parts[i], "link%d" % i, where)
-                     for i in indices]
+            name, target, field, convert = key, cfg, key, None
+            tp = _TYPES.get(key)
+        if tp is None:
+            raise ScenarioError("%s: unknown key %r" % (loc, key))
+        if name in seen:
+            raise ScenarioError("%s: %s: repeated key, first set at %s"
+                                % (loc, key, seen[name]))
+        seen[name] = loc
+        value = _parse_value("%s: %s" % (loc, key), raw, tp)
+        setattr(target, field, convert(value) if convert else value)
+    if sorted(links) != list(range(1, len(links) + 1)):
+        raise ScenarioError("%s: link indices must be 1..n without gaps"
+                            % where)
+    cfg.links = [links[i] for i in sorted(links)]
+    for i, link in enumerate(cfg.links, start=1):
+        if link.capacity_bps is None or link.one_way_delay_s is None:
+            raise ScenarioError("%s: link%d: capacity_mbps and delay_ms are "
+                                "required" % (where, i))
     cfg.validate()
     return cfg
 

@@ -10,7 +10,7 @@ and the loss response."""
 from __future__ import annotations
 
 from enum import Enum
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from .subflow import Subflow
 
@@ -87,15 +87,14 @@ def on_ack_increase(mode: CouplingMode, i: int,
 
 
 def on_loss_decrease(mode: CouplingMode, i: int,
-                     subflows: Sequence[Subflow]) -> Tuple[float, float]:
-    """(new w_i, new ssthresh_i) after a loss attributed to subflow i.
+                     subflows: Sequence[Subflow]) -> float:
+    """The new ssthresh_i, which is the new w_i too, after a loss
+    attributed to subflow i.
 
     Fully Coupled charges the total-window halving to the lossy subflow,
     floored at 1 MSS; the other modes halve the subflow window.
     """
     w_i = subflows[i].cwnd
     if mode is _FULLY_COUPLED:
-        ssthresh = max(w_i - window_total(subflows) / 2.0, 1.0)
-    else:
-        ssthresh = max(w_i / 2.0, 2.0)
-    return ssthresh, ssthresh
+        return max(w_i - window_total(subflows) / 2.0, 1.0)
+    return max(w_i / 2.0, 2.0)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence
 
-from .config import MAX_SECONDS, ScenarioConfig, ScenarioError
+from .config import LINK_KEYS, MAX_SECONDS, ScenarioConfig, ScenarioError
 from .record import Record
 from .simkernel import mix_seed
 from .simulation import (EVENTS, FAST_RETRANSMIT, SPURIOUS_DETECTED,
@@ -16,7 +16,10 @@ TRACE_CSV_COLUMNS = ("time_s", "subflow", "cwnd_mss", "ssthresh_mss",
                      "phase", "event")
 
 
-SWEEP_PARAMETERS = ("capacity", "latency", "loss")  # Mbps, ms, probability
+SWEEP_PARAMETERS = ("capacity", "latency", "loss")
+# the link file key each parameter sets, in that key's unit
+_SWEEP_KEYS = dict(zip(SWEEP_PARAMETERS,
+                       ("capacity_mbps", "delay_ms", "loss_rate")))
 
 
 class SweepRow(Record):
@@ -32,8 +35,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 
 def run_sweep(base: ScenarioConfig, parameter: str, link: int,
               values: Sequence[float]) -> List[SweepRow]:
-    """One run per value of `parameter` on link `link` (1-based); point i
-    uses seed mix_seed(base.seed, i)."""
+    """One run per value of `parameter` on link `link` (1-based), in the
+    unit of its link file key; point i uses seed mix_seed(base.seed, i)."""
     if parameter not in SWEEP_PARAMETERS:
         raise ScenarioError("sweep parameter: expected one of %s, got %r"
                             % (list(SWEEP_PARAMETERS), parameter))
@@ -43,16 +46,12 @@ def run_sweep(base: ScenarioConfig, parameter: str, link: int,
     if not 1 <= link <= len(base.links):
         raise ScenarioError("sweep link: index %d out of range (scenario "
                             "has %d links)" % (link, len(base.links)))
+    field, _, convert = LINK_KEYS[_SWEEP_KEYS[parameter]]
     rows = []
     for i, value in enumerate(values):
         point = base.copy()
-        lc = point.links[link - 1]
-        if parameter == "capacity":
-            lc.capacity_bps = value * 1e6
-        elif parameter == "latency":
-            lc.one_way_delay_s = value / 1e3
-        else:
-            lc.loss_rate = value
+        setattr(point.links[link - 1], field,
+                convert(value) if convert else value)
         point.seed = mix_seed(base.seed, i)
         try:
             stats, error = run_scenario(point).stats, None
@@ -187,13 +186,15 @@ def parse_trace_csv(path) -> List[TraceRecord]:
                                     % (path, lineno, event))
             try:
                 t, cwnd, ssthresh = float(t), float(cwnd), float(ssthresh)
+                sf = int(sf)
                 # only what the simulator writes; nan fails every comparison
-                if not (0 <= t <= MAX_SECONDS and 1 <= cwnd < math.inf
-                        and ssthresh >= 1):
+                if not (0 <= t <= MAX_SECONDS and 1 <= sf
+                        and 1 <= cwnd < math.inf and ssthresh >= 1):
                     raise ValueError("expected 0 <= time_s <= 1e9, 1 <= "
-                                     "cwnd_mss < inf and 1 <= ssthresh_mss")
-                records.append(TraceRecord(t, int(sf), cwnd, ssthresh,
-                                           phase, event))
+                                     "subflow, 1 <= cwnd_mss < inf and 1 <= "
+                                     "ssthresh_mss")
+                records.append(TraceRecord(t, sf, cwnd, ssthresh, phase,
+                                           event))
             except ValueError as exc:
                 raise ScenarioError("%s:%d: %s" % (path, lineno, exc)) \
                     from None
@@ -222,7 +223,8 @@ def _ticks(lo: float, hi: float, n: int = 6) -> List[float]:
     raw = (hi - lo) / n
     # 10**-323 is the least power of 10 above 0: a span of a few subnormals
     # has a 0 nth, or an nth whose power of 10 is 0
-    mag = 10.0 ** (math.floor(math.log10(raw)) if raw > 1e-323 else -323)
+    exp = math.floor(math.log10(raw)) if raw > 1e-323 else -323
+    mag = 10.0 ** exp
     for mult in (1, 2, 5, 10):
         step = mult * mag
         if raw <= step:
@@ -233,11 +235,12 @@ def _ticks(lo: float, hi: float, n: int = 6) -> List[float]:
     # rounding of the first. Where step is below half the float spacing at v,
     # `v += step` stands still: the tick is drawn once and the loop stops.
     # Near the largest float (a window the simulator can write), the step
-    # past the last tick is inf, and so is `hi + step * 1e-9`.
+    # past the last tick is inf, and so is `hi + step * 1e-9`. Each tick is
+    # a multiple of 10**exp, and is rounded to one at any magnitude.
     for _ in range(n + 2):
         if v > hi + step * 1e-9 or v == math.inf:
             break
-        out.append(round(v, 10))
+        out.append(round(v, -exp))
         if v + step == v:
             break
         v += step

@@ -276,9 +276,8 @@ class Simulation:
         sp.on_retransmit_record(sf, m, now)
         sf.fast_retransmits += 1
         self._trace(sf, FAST_RETRANSMIT)
-        w, ss = on_loss_decrease(self.coupling_mode, sf.index, self.subflows)
-        sf.ssthresh = ss
-        sf.cwnd = w
+        sf.ssthresh = sf.cwnd = on_loss_decrease(self.coupling_mode,
+                                                 sf.index, self.subflows)
         sf.phase = FAST_RECOVERY
         sf.recover_point = self.conn.data_snd_nxt
         self._send_mapping(sf, m)

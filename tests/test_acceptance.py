@@ -125,9 +125,8 @@ def test_criterion_3_coupling_math():
             break
     fc = on_loss_decrease(CouplingMode.FULLY_COUPLED, 0,
                           paths([10.0, 10.0], [0.1, 0.1]))
-    if fc != (1.0, 1.0):
-        problems.append("fully-coupled (10,10) gave %r, wanted (1.0, 1.0)"
-                        % (fc,))
+    if fc != 1.0:
+        problems.append("fully-coupled (10,10) gave %r, wanted 1.0" % (fc,))
     verdict(3, not problems, "; ".join(problems) or
             "alpha identities, 10^4 compensator caps, coupled halving all exact")
 

@@ -62,7 +62,7 @@ LINK_1 = "link1.capacity_mbps = 1\n"
     ("mss = inf", "mss: expected an integer, got 'inf'"),
     ("stop_time = false", "stop_time: expected a number, got 'false'"),
     ("link1.queue_limit = 2.7",
-     "link1: queue_limit: expected an integer, got '2.7'"),
+     "link1.queue_limit: expected an integer, got '2.7'"),
     ("transfer_size = 2e6", "transfer_size: expected an integer, got '2e6'"),
 ], ids=["fraction", "boolean", "infinity", "boolean-number", "link-fraction",
         "exponent"])
@@ -99,9 +99,9 @@ def test_parse_errors_name_field_and_line():
 
 @pytest.mark.parametrize("text, message", [
     (LINK_1 + "link1.delay_ms = ten\n",
-     "my.scn:2: link1: delay_ms: expected a number, got 'ten'"),
+     "my.scn:2: link1.delay_ms: expected a number, got 'ten'"),
     (LINK_1 + "link1.delay_ms = 10\nlink1.speed = 3\n",
-     "my.scn:3: link1: unknown key(s) ['speed']"),
+     "my.scn:3: unknown key 'link1.speed'"),
     (LINK_1, "my.scn: link1: capacity_mbps and delay_ms are required"),
     (LINK_1 + "linkx.delay_ms = 10\n",
      "my.scn:2: bad link key 'linkx.delay_ms'"),
@@ -120,13 +120,25 @@ def test_link_parse_errors_name_the_file(text, message):
      "transfer_size = 2000\n",
      "my.scn:4: transfer_size: repeated key, first set at my.scn:3"),
     (LINK_1 + "link1.delay_ms = 10\nlink1.delay_ms = 20\n",
-     "my.scn:3: link1: delay_ms: repeated key, first set at my.scn:2"),
-], ids=["flat", "flat-link"])
+     "my.scn:3: link1.delay_ms: repeated key, first set at my.scn:2"),
+    (LINK_1 + "link1.delay_ms = 10\nlink01.delay_ms = 20\n",
+     "my.scn:3: link01.delay_ms: repeated key, first set at my.scn:2"),
+], ids=["flat", "flat-link", "flat-link-leading-zero"])
 def test_repeated_keys_are_rejected(text, message):
-    # else the last value would win without a word
+    # else the last value would win without a word; a link is named by its
+    # index, however the file writes it
     with pytest.raises(ScenarioError) as info:
         parse_scenario(text, "my.scn")
     assert str(info.value) == message
+
+
+def test_first_faulty_line_is_reported():
+    # a link key is read at its line, as a scalar key is, not after the file
+    text = ("link1.capacity_mbps=1\nlink1.speed=3\nlink1.delay_ms=1\n"
+            "seed=x\n")
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(text, "my.scn")
+    assert str(info.value) == "my.scn:2: unknown key 'link1.speed'"
 
 
 def test_link_indices_must_be_contiguous():
@@ -657,8 +669,8 @@ def test_trace_rows_match_the_fmt_renderer(records):
 
 
 # the bounds of what the simulator writes, which the trace reader takes
-RANGES = ("expected 0 <= time_s <= 1e9, 1 <= cwnd_mss < inf and "
-          "1 <= ssthresh_mss")
+RANGES = ("expected 0 <= time_s <= 1e9, 1 <= subflow, 1 <= cwnd_mss < inf "
+          "and 1 <= ssthresh_mss")
 
 
 @pytest.mark.parametrize("row, message", [
@@ -681,10 +693,13 @@ RANGES = ("expected 0 <= time_s <= 1e9, 1 <= cwnd_mss < inf and "
     ("0,1,-2,64,slow_start,Sample", RANGES),
     ("0,1,2,0.5,slow_start,Sample", RANGES),
     ("0,1,2,-inf,slow_start,Sample", RANGES),
+    # and each of these too, with the legend "subflow 0" or "subflow -3"
+    ("0,0,2,64,slow_start,Sample", RANGES),
+    ("0,-3,2,64,slow_start,Sample", RANGES),
 ], ids=["short", "long", "subflow", "ssthresh", "phase", "event", "nan-time",
         "inf-time", "inf-cwnd", "nan-cwnd", "nan-ssthresh", "negative-time",
         "time-beyond-1e9", "cwnd-below-1", "negative-cwnd", "ssthresh-below-1",
-        "-inf-ssthresh"])
+        "-inf-ssthresh", "subflow-0", "negative-subflow"])
 def test_parse_trace_csv_names_the_bad_line(tmp_path, capsys, row, message):
     path = tmp_path / "trace.csv"
     path.write_text(",".join(harness.TRACE_CSV_COLUMNS) + "\n" + row + "\n")
@@ -870,6 +885,20 @@ def test_plot_tick_labels_are_distinct(tmp_path):
                         path.read_text())[:-1]  # the last is the axis title
     assert labels == ["100000", "100000.1", "100000.2", "100000.3",
                       "100000.4", "100000.5"]
+
+
+def test_plot_time_ticks_below_one_nanosecond(tmp_path):
+    # rows at 0 and 1e-11 s: each tick was rounded to 10 decimals, so all
+    # six were drawn at x=70 and labelled "0"
+    path = tmp_path / "trace.svg"
+    emit_plot([TraceRecord(0.0, 1, 2.0, 64.0, "slow_start", "Sample"),
+               TraceRecord(1e-11, 1, 3.0, 64.0, "slow_start", "Sample")],
+              path)
+    ticks = re.findall(r'<text x="([^"]*)" y="[^"]*" font-size="11" '
+                       r'text-anchor="middle">([^<]*)</text>',
+                       path.read_text())
+    assert ticks == [("70", "0"), ("224", "2e-12"), ("378", "4e-12"),
+                     ("532", "6e-12"), ("686", "8e-12"), ("840", "1e-11")]
 
 
 def capture_simulations(monkeypatch):
