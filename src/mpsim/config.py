@@ -1,8 +1,11 @@
 """Scenario configuration: the scenario and link records, their checks,
-file loading (flat `key = value` files) and bundled presets. Every fault in
-scenario input is a ScenarioError that names the field; a file's faults name
-the key as the file spells it, at its first faulty line. `LINK_KEYS` holds
-each link key's unit, for files and sweeps alike.
+file loading (flat `key = value` files) and bundled presets. `_check`
+checks a field value's type (NaN is no number) and its range in `RULES`,
+field by field in `validate()` and, in a file, at the value's own line, in
+the field's unit once `LINK_KEYS` (link key units, for files and sweeps
+alike) has converted it. Every fault is a ScenarioError `<name>: <rule>`;
+a file's faults name the key as the file spells it, at its first faulty
+line. Only the rules that join two values wait for the whole file.
 
 `importlib.resources` is imported only where a preset is read, so
 `import mpsim` does not load it."""
@@ -35,22 +38,43 @@ class ScenarioError(ValueError):
 
 _EXPECTED = {int: "an integer", float: "a number", bool: "a boolean"}
 
+_TIME = (lambda v: 0 < v <= MAX_SECONDS, "must be > 0 and <= 1e9 s")
 
-def _type_error(name: str, tp: type, value) -> str:
-    # in the words of the scenario parser too; an Enum field takes a member
-    expected = _EXPECTED.get(tp) or "one of %s" % [m.value for m in tp]
-    return "%s: expected %s, got %r" % (name, expected, value)
+# each ranged field of LinkConfig and ScenarioConfig: the test its value
+# passes, and the words a fault is reported in
+RULES = {
+    "capacity_bps": (lambda v: v > 0, "must be > 0"),
+    "one_way_delay_s": (lambda v: 0 <= v <= MAX_SECONDS,
+                        "must be >= 0 and <= 1e9 s"),
+    "loss_rate": (lambda v: 0 <= v <= 1, "must be in [0, 1]"),
+    "queue_limit": (lambda v: v >= 1, "must be >= 1"),
+    "transfer_size": (lambda v: v >= 0, "must be >= 0"),
+    # bounded apart from the links: an infinite capacity bounds no MSS
+    "mss": (lambda v: 0 < v <= MAX_MSS, "must be > 0 and <= 1e9 bytes"),
+    # a shorter interval rounds to 0 ns: samples without end at t=0
+    "trace_interval": (lambda v: 1e-9 <= v <= MAX_SECONDS,
+                       "must be >= 1e-9 s (1 ns) and <= 1e9 s"),
+    "stop_time": _TIME, "rto_floor": _TIME, "rto_ceiling": _TIME,
+    # an infinite window would write nan or inf windows to the trace
+    "initial_cwnd": (lambda v: 1 <= v < math.inf,
+                     "must be >= 1 (one MSS) and finite"),
+    "initial_ssthresh": (lambda v: v >= 1, "must be >= 1 (one MSS)"),
+    # one clock tick up to where the coupling's rtt**2 terms stay floats
+    "initial_rtt": (lambda v: 1e-9 <= v <= MAX_SECONDS,
+                    "must be between 1e-9 and 1e9 s"),
+}
 
 
-def _check_fields(obj, types: dict, prefix: str) -> None:
-    """Raise ScenarioError at the first field of `obj` that is not of its
-    type in `types`, or is NaN; an int is a float, but a bool is no number."""
-    for key, tp in types.items():
-        value = getattr(obj, key)
-        if (isinstance(value, bool) and tp is not bool
-                or not isinstance(value, (int, float) if tp is float else tp)
-                or tp is float and math.isnan(value)):
-            raise ScenarioError(_type_error(prefix + key, tp, value))
+def _check(name: str, value, tp: type, rule) -> None:
+    """Raise ScenarioError unless `value` is of type `tp` (an int is a float,
+    a bool no number), not NaN, and passes `rule`, a RULES entry or None."""
+    if (isinstance(value, bool) and tp is not bool
+            or not isinstance(value, (int, float) if tp is float else tp)
+            or tp is float and value != value):  # NaN: unequal to itself
+        wanted = _EXPECTED.get(tp) or "one of %s" % [m.value for m in tp]
+        raise ScenarioError("%s: expected %s, got %r" % (name, wanted, value))
+    if rule and not rule[0](value):
+        raise ScenarioError("%s: %s" % (name, rule[1]))
 
 
 class LinkConfig(Record):
@@ -60,17 +84,8 @@ class LinkConfig(Record):
     queue_limit: int = DEFAULT_QUEUE_LIMIT
 
     def validate(self, name: str = "link") -> None:
-        _check_fields(self, _LINK_TYPES, name + ".")
-        if self.capacity_bps <= 0:
-            raise ScenarioError("%s.capacity_bps must be > 0" % name)
-        if self.one_way_delay_s < 0:
-            raise ScenarioError("%s.one_way_delay_s must be >= 0" % name)
-        if self.one_way_delay_s > MAX_SECONDS:
-            raise ScenarioError("%s.one_way_delay_s must be <= 1e9 s" % name)
-        if not 0.0 <= self.loss_rate <= 1.0:
-            raise ScenarioError("%s.loss_rate must be in [0, 1]" % name)
-        if self.queue_limit < 1:
-            raise ScenarioError("%s.queue_limit must be >= 1" % name)
+        for key, tp in _LINK_TYPES.items():
+            _check(name + "." + key, getattr(self, key), tp, RULES.get(key))
 
 
 _LINK_TYPES = get_type_hints(LinkConfig)
@@ -100,10 +115,8 @@ class ScenarioConfig(Record):
                                 % (self.links,))
         if not self.links:
             raise ScenarioError("links: at least one link is required")
-        _check_fields(self, _TYPES, "")
-        # bounded apart from the links: an infinite capacity bounds no MSS
-        if not 0 < self.mss <= MAX_MSS:
-            raise ScenarioError("mss: must be > 0 and <= 1e9 bytes")
+        for key, tp in _TYPES.items():
+            _check(key, getattr(self, key), tp, RULES.get(key))
         for i, link in enumerate(self.links, start=1):
             if not isinstance(link, LinkConfig):
                 raise ScenarioError("link%d: expected a LinkConfig, got %r"
@@ -112,31 +125,13 @@ class ScenarioConfig(Record):
             if self.mss * 8 > link.capacity_bps * MAX_SECONDS:
                 raise ScenarioError("link%d.capacity_bps: one MSS must take "
                                     "<= 1e9 s to send" % i)
-        if self.transfer_size < 0:
-            raise ScenarioError("transfer_size: must be >= 0")
-        if not 0 < self.stop_time <= MAX_SECONDS:
-            raise ScenarioError("stop_time: must be > 0 and <= 1e9 s")
-        # a shorter interval rounds to 0 ns: samples without end at t=0
-        if not 1e-9 <= self.trace_interval <= MAX_SECONDS:
-            raise ScenarioError("trace_interval: must be >= 1e-9 s (1 ns) "
-                                "and <= 1e9 s")
         if self.stop_time / self.trace_interval > MAX_TRACE_SAMPLES:
             raise ScenarioError(
                 "stop_time/trace_interval: at most %d trace samples per "
                 "run, got stop_time=%g with trace_interval=%g"
                 % (MAX_TRACE_SAMPLES, self.stop_time, self.trace_interval))
-        if not 0 < self.rto_floor <= self.rto_ceiling <= MAX_SECONDS:
-            raise ScenarioError("rto_floor/rto_ceiling: need 0 < floor <= "
-                                "ceiling <= 1e9 s")
-        for key in ("initial_cwnd", "initial_ssthresh"):
-            if getattr(self, key) < 1:
-                raise ScenarioError("%s: must be >= 1 (one MSS)" % key)
-        if self.initial_cwnd == math.inf:
-            raise ScenarioError("initial_cwnd: must be finite")
-        # one clock tick up to a bound that keeps the coupling's rtt**2 terms
-        # within float range
-        if not 1e-9 <= self.initial_rtt <= MAX_SECONDS:
-            raise ScenarioError("initial_rtt: must be between 1e-9 and 1e9 s")
+        if self.rto_floor > self.rto_ceiling:
+            raise ScenarioError("rto_floor/rto_ceiling: need floor <= ceiling")
 
     def copy(self) -> ScenarioConfig:
         """A copy whose links are copies too: editing it changes neither
@@ -176,12 +171,13 @@ def _parse_value(name: str, raw: str, tp: type):
     try:
         return _BOOL_WORDS[raw.lower()] if tp is bool else tp(raw.lower())
     except (KeyError, ValueError):
-        raise ScenarioError(_type_error(name, tp, raw)) from None
+        pass
+    _check(name, raw, tp, None)  # raises: `raw` is a str, of no field's type
 
 
 def parse_scenario(text: str, where: str = "<scenario>") -> ScenarioConfig:
     """The validated config of a flat `key = value` file; `where` names the
-    file in error messages. Each value is checked and converted at its own
+    file in error messages. Each value is converted and checked at its own
     line, so a faulty file is reported at its first faulty line."""
     cfg = ScenarioConfig()
     seen = {}   # each key set so far, a link's as link<N>.<key>: its path:line
@@ -195,6 +191,7 @@ def parse_scenario(text: str, where: str = "<scenario>") -> ScenarioConfig:
             raise ScenarioError("%s: expected 'key = value', got %r"
                                 % (loc, line.strip()))
         key, raw = (part.strip() for part in stripped.split("=", 1))
+        at = "%s: %s" % (loc, key)
         if key.startswith("link") and "." in key:
             prefix, sub = key.split(".", 1)
             try:
@@ -212,11 +209,13 @@ def parse_scenario(text: str, where: str = "<scenario>") -> ScenarioConfig:
         if tp is None:
             raise ScenarioError("%s: unknown key %r" % (loc, key))
         if name in seen:
-            raise ScenarioError("%s: %s: repeated key, first set at %s"
-                                % (loc, key, seen[name]))
+            raise ScenarioError("%s: repeated key, first set at %s"
+                                % (at, seen[name]))
         seen[name] = loc
-        value = _parse_value("%s: %s" % (loc, key), raw, tp)
-        setattr(target, field, convert(value) if convert else value)
+        value = _parse_value(at, raw, tp)
+        value = convert(value) if convert else value
+        _check(at, value, tp, RULES.get(field))  # in the field's unit
+        setattr(target, field, value)
     if sorted(links) != list(range(1, len(links) + 1)):
         raise ScenarioError("%s: link indices must be 1..n without gaps"
                             % where)

@@ -14,8 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 import mpsim
 from mpsim import harness
 from mpsim.cli import main
-from mpsim.config import (PRESET_NAMES, ScenarioConfig, ScenarioError,
-                          load_scenario, parse_scenario, preset_text)
+from mpsim.config import (LINK_KEYS, PRESET_NAMES, RULES, ScenarioConfig,
+                          ScenarioError, load_scenario, parse_scenario,
+                          preset_text)
 from mpsim.coupling import CouplingMode
 from mpsim.harness import (emit_csv, emit_plot, fmt, parse_trace_csv,
                            run_scenario, run_sweep, sweep_csv_lines,
@@ -25,6 +26,7 @@ from mpsim.simkernel import mix_seed
 from mpsim.simulation import EVENTS, Simulation, TraceRecord
 from mpsim.spurious import DetectorChoice
 from mpsim.subflow import PHASES
+from test_scenarios import scenarios
 
 FLAT = """
 # two asymmetric paths
@@ -139,6 +141,109 @@ def test_first_faulty_line_is_reported():
     with pytest.raises(ScenarioError) as info:
         parse_scenario(text, "my.scn")
     assert str(info.value) == "my.scn:2: unknown key 'link1.speed'"
+
+
+def field_of(key):
+    """The record field a file key sets."""
+    return LINK_KEYS[key.split(".")[1]][0] if "." in key else key
+
+
+# for each ranged field, a file key that sets it and a value out of range
+RANGE_FAULTS = [
+    ("link1.capacity_mbps", "0"), ("link1.delay_ms", "-5"),
+    ("link1.loss_rate", "1.5"), ("link1.queue_limit", "0"),
+    ("transfer_size", "-1"), ("mss", "0"), ("trace_interval", "1e-10"),
+    ("stop_time", "0"), ("rto_floor", "0"), ("rto_ceiling", "0"),
+    ("initial_cwnd", "0.5"), ("initial_ssthresh", "0.5"),
+    ("initial_rtt", "1e-10"),
+]
+
+
+# values just outside each ranged field's range
+ABOVE_1E9 = math.nextafter(1e9, math.inf)
+BELOW_1_NS = math.nextafter(1e-9, 0.0)
+OUTSIDE = {
+    "capacity_bps": [0.0, -5e-324],
+    "one_way_delay_s": [-5e-324, ABOVE_1E9],
+    "loss_rate": [-5e-324, math.nextafter(1.0, 2.0)],
+    "queue_limit": [0],
+    "transfer_size": [-1],
+    "mss": [0, 10**9 + 1],
+    "trace_interval": [BELOW_1_NS, ABOVE_1E9],
+    "stop_time": [0.0, ABOVE_1E9],
+    "rto_floor": [0.0, ABOVE_1E9],
+    "rto_ceiling": [0.0, ABOVE_1E9],
+    "initial_cwnd": [math.nextafter(1.0, 0.0), math.inf],
+    "initial_ssthresh": [math.nextafter(1.0, 0.0)],
+    "initial_rtt": [BELOW_1_NS, ABOVE_1E9],
+}
+
+
+def test_every_rule_names_a_field_and_has_a_case():
+    # a misspelt key would drop its rule without a word
+    assert set(RULES) <= set(ScenarioConfig._fields) | set(LinkConfig._fields)
+    assert sorted(field_of(key) for key, _ in RANGE_FAULTS) == sorted(RULES)
+    assert sorted(OUTSIDE) == sorted(RULES)
+
+
+@pytest.mark.parametrize("key, raw", RANGE_FAULTS,
+                         ids=[key for key, _ in RANGE_FAULTS])
+def test_range_faults_are_reported_at_their_line(key, raw):
+    # under the key as the file spells it, not after the whole file in the
+    # record's field name and unit
+    lines = [line for line in (LINK_1, "link1.delay_ms = 10\n", "seed = 3\n")
+             if not line.startswith(key + " ")]
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario("".join(lines[:2]) + key + " = " + raw, "my.scn")
+    words = RULES[field_of(key)][1]
+    assert str(info.value) == "my.scn:3: %s: %s" % (key, words)
+
+
+@pytest.mark.parametrize("text, message", [
+    (LINK_1 + "link1.delay_ms = 10\nstop_time = nan\n",
+     "my.scn:3: stop_time: expected a number, got nan"),
+    (LINK_1 + "link1.delay_ms = 5\nmss = 0\nstop_time = nan\n",
+     "my.scn:3: mss: must be > 0 and <= 1e9 bytes"),
+], ids=["nan", "range-fault-before-nan"])
+def test_nan_and_range_faults_come_at_their_line(text, message):
+    # a NaN parsed, and validate() found it and every range fault after the
+    # whole file, with no line
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(text, "my.scn")
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    (LINK_1 + "link1.delay_ms = 10\nrto_floor = 2\nrto_ceiling = 1\n",
+     "rto_floor/rto_ceiling: need floor <= ceiling"),
+    ("link1.capacity_mbps = 1e-12\nlink1.delay_ms = 10\n",
+     "link1.capacity_bps: one MSS must take <= 1e9 s to send"),
+    (LINK_1 + "link1.delay_ms = 10\nstop_time = 2\ntrace_interval = 1e-6\n",
+     "stop_time/trace_interval: at most 1000000 trace samples per run, got "
+     "stop_time=2 with trace_interval=1e-06"),
+], ids=["rto", "mss-capacity", "samples"])
+def test_joined_rules_come_after_the_file(text, message):
+    # each value is in its own range: only validate() sees the two together
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(text, "my.scn")
+    assert str(info.value) == message
+
+
+@settings(max_examples=200)
+@given(scenarios(), st.sampled_from(sorted(RULES)), st.data())
+def test_every_rule_can_fail(cfg, field, data):
+    # one field just outside its range in an otherwise valid config
+    value = data.draw(st.sampled_from(OUTSIDE[field]))
+    if field in LinkConfig._fields:
+        i = data.draw(st.integers(1, len(cfg.links)))
+        setattr(cfg.links[i - 1], field, value)
+        name = "link%d.%s" % (i, field)
+    else:
+        setattr(cfg, field, value)
+        name = field
+    with pytest.raises(ScenarioError) as info:
+        cfg.validate()
+    assert str(info.value) == "%s: %s" % (name, RULES[field][1])
 
 
 def test_link_indices_must_be_contiguous():
@@ -298,9 +403,12 @@ def test_non_finite_numbers_are_rejected(values):
 
 
 def test_non_finite_numbers_are_rejected_when_parsed():
-    with pytest.raises(ScenarioError, match="link2.one_way_delay_s"):
+    # at the value's line, under the key as the file spells it
+    with pytest.raises(ScenarioError, match=re.escape(
+            "<scenario>:6: link2.delay_ms: must be >= 0 and <= 1e9 s")):
         parse_scenario(FLAT.replace("delay_ms = 320", "delay_ms = inf"))
-    with pytest.raises(ScenarioError, match="trace_interval"):
+    with pytest.raises(ScenarioError, match=re.escape(
+            "<scenario>:12: trace_interval: expected a number, got nan")):
         parse_scenario(FLAT + "trace_interval = nan\n")
 
 
@@ -344,9 +452,9 @@ def test_links_of_the_wrong_type_are_rejected(links, message):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: LinkConfig(0, 0.01).validate(),
-     "link.capacity_bps must be > 0"),
+     "link.capacity_bps: must be > 0"),
     (lambda: Link(LinkConfig(1e6, 0.01, loss_rate=1.5)),
-     "link.loss_rate must be in [0, 1]"),
+     "link.loss_rate: must be in [0, 1]"),
     (lambda: run_sweep(small_cfg(), "warp", 2, (1.0,)),
      "sweep parameter: expected one of ['capacity', 'latency', 'loss'], "
      "got 'warp'"),
@@ -371,7 +479,7 @@ def test_links_of_the_wrong_type_are_rejected(links, message):
     (lambda: Simulation(small_cfg(mss=0)),
      "mss: must be > 0 and <= 1e9 bytes"),
     (lambda: LinkConfig(1e6, -0.01).validate(),
-     "link.one_way_delay_s must be >= 0"),
+     "link.one_way_delay_s: must be >= 0 and <= 1e9 s"),
     (lambda: small_cfg(transfer_size=-1).validate(),
      "transfer_size: must be >= 0"),
     (lambda: run_sweep(small_cfg(), "loss", 1, []),
@@ -386,11 +494,15 @@ def test_links_of_the_wrong_type_are_rejected(links, message):
      "initial_ssthresh: must be >= 1 (one MSS)"),
     (lambda: Simulation(small_cfg(initial_ssthresh=0.5)),
      "initial_ssthresh: must be >= 1 (one MSS)"),
+    # an integer too large for a float raised OverflowError in math.isnan()
+    (lambda: small_cfg(stop_time=10**400).validate(),
+     "stop_time: must be > 0 and <= 1e9 s"),
 ], ids=["link-validate", "link", "sweep-parameter", "sweep-link",
         "run-dict-link", "sweep-dict-link", "run-tuple-links",
         "simulation-dict-link", "simulation-tuple-links", "simulation-mss",
         "link-negative-delay", "negative-transfer-size", "sweep-no-values",
-        "ssthresh--5", "ssthresh-0", "ssthresh--0.0", "simulation-ssthresh-0.5"])
+        "ssthresh--5", "ssthresh-0", "ssthresh--0.0",
+        "simulation-ssthresh-0.5", "stop-time-10**400"])
 def test_every_scenario_input_failure_is_a_scenario_error(call, message):
     with pytest.raises(ScenarioError) as info:
         call()
@@ -449,8 +561,12 @@ def test_initial_rtt_out_of_range_is_rejected(rtt):
     {"rto_ceiling": 1e300, "initial_rto": 1e300},
 ], ids=values_id)
 def test_times_beyond_1e9_s_are_rejected(values):
-    # the message names the first field set
-    with pytest.raises(ScenarioError, match=re.escape(next(iter(values)))):
+    # the message names the first field set, in declaration order (a
+    # link's field after the scenario's own)
+    order = ScenarioConfig._fields
+    first = min(values,
+                key=lambda k: order.index(k) if k in order else len(order))
+    with pytest.raises(ScenarioError, match="^" + re.escape(first) + ": "):
         with_values(small_cfg(), values).validate()
 
 
@@ -1019,7 +1135,8 @@ def test_cli_sweep_with_an_infinite_value_writes_an_error_row(tmp_path):
     assert len(lines) == 3
     assert lines[1].startswith("10,") and lines[1].endswith(",")
     assert lines[2].startswith("inf,")
-    assert lines[2].endswith("link2.one_way_delay_s must be <= 1e9 s")
+    assert lines[2].endswith("link2.one_way_delay_s: must be >= 0 and "
+                             "<= 1e9 s")
 
 
 def test_cli_errors_exit_2(tmp_path, capsys):
@@ -1036,7 +1153,7 @@ def test_cli_run_of_a_link_beyond_1e9_s_exits_2(tmp_path, capsys):
     path.write_text(LINK_1 + "link1.delay_ms = 1e303\n")
     assert main(["run", str(path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
-        "error: link1.one_way_delay_s must be <= 1e9 s\n")
+        "error: %s:2: link1.delay_ms: must be >= 0 and <= 1e9 s\n" % path)
 
 
 def test_cli_run_of_an_mss_beyond_1e9_bytes_exits_2(tmp_path, capsys):
@@ -1046,7 +1163,7 @@ def test_cli_run_of_an_mss_beyond_1e9_bytes_exits_2(tmp_path, capsys):
                     "mss = 1%s\n" % ("0" * 400))
     assert main(["run", str(path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
-        "error: mss: must be > 0 and <= 1e9 bytes\n")
+        "error: %s:3: mss: must be > 0 and <= 1e9 bytes\n" % path)
 
 
 def test_cli_run_of_a_json_scenario_exits_2(tmp_path, capsys):
