@@ -7,7 +7,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ScenarioError, load_scenario
+from .config import ScenarioError, _parse_value, load_scenario
 from .harness import (SWEEP_PARAMETERS, emit_csv, emit_plot, parse_trace_csv,
                       run_scenario, run_sweep)
 
@@ -69,11 +69,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_scenario(args.scenario)
-    try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
-    except ValueError:
-        raise ScenarioError("--values: expected comma-separated numbers, "
-                            "got %r" % args.values) from None
+    values = [_parse_value("--values", v.strip(), float)
+              for v in args.values.split(",") if v.strip()]
     rows = run_sweep(cfg, args.param, args.link, values)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -184,7 +184,10 @@ def parse_trace_csv(path) -> List[TraceRecord]:
             if event not in EVENTS:
                 raise ScenarioError("%s:%d: unknown event %r"
                                     % (path, lineno, event))
+            numbers = t + sf + cwnd + ssthresh  # in the scenario grammar
             try:
+                if not numbers.isascii() or "_" in numbers:
+                    raise ValueError("expected ASCII numbers without '_'")
                 t, cwnd, ssthresh = float(t), float(cwnd), float(ssthresh)
                 sf = int(sf)
                 # only what the simulator writes; nan fails every comparison

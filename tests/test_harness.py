@@ -66,11 +66,19 @@ LINK_1 = "link1.capacity_mbps = 1\n"
     ("link1.queue_limit = 2.7",
      "link1.queue_limit: expected an integer, got '2.7'"),
     ("transfer_size = 2e6", "transfer_size: expected an integer, got '2e6'"),
+    ("mss = 1_400", "mss: expected an integer, got '1_400'"),
+    ("mss = \u0661\u0664\u0660\u0660",
+     "mss: expected an integer, got '\u0661\u0664\u0660\u0660'"),
+    ("stop_time = 1_0", "stop_time: expected a number, got '1_0'"),
+    ("trace_interval = \u0661.\u0665",
+     "trace_interval: expected a number, got '\u0661.\u0665'"),
 ], ids=["fraction", "boolean", "infinity", "boolean-number", "link-fraction",
-        "exponent"])
+        "exponent", "underscore", "arabic-indic", "number-underscore",
+        "number-arabic-indic"])
 def test_number_keys_reject_fractions_and_booleans(line, message):
     # int() of a float would truncate 1.5 and 2.7, and a boolean word is no
-    # number; an integer key takes the digits of a whole number
+    # number; an integer key takes the digits of a whole number. A number
+    # is ASCII without `_`, which int() and float() both let through
     with pytest.raises(ScenarioError) as info:
         parse_scenario(LINK_1 + "link1.delay_ms = 10\n" + line + "\n",
                        "my.scn")
@@ -107,11 +115,23 @@ def test_parse_errors_name_field_and_line():
     (LINK_1, "my.scn: link1: capacity_mbps and delay_ms are required"),
     (LINK_1 + "linkx.delay_ms = 10\n",
      "my.scn:2: bad link key 'linkx.delay_ms'"),
-    (LINK_1 + "link0.delay_ms = 10\n", "my.scn:2: link index must be >= 1"),
+    (LINK_1 + "link0.delay_ms = 10\n",
+     "my.scn:2: bad link key 'link0.delay_ms'"),
+    (LINK_1 + "link1.delay_ms = 10\nlink+1.loss_rate = 0\n",
+     "my.scn:3: bad link key 'link+1.loss_rate'"),
+    (LINK_1 + "link1.delay_ms = 10\nlink\u0661.loss_rate = 0\n",
+     "my.scn:3: bad link key 'link\u0661.loss_rate'"),
+    (LINK_1 + "link1.delay_ms = 10\nlink1\u0661.loss_rate = 0\n",
+     "my.scn:3: bad link key 'link1\u0661.loss_rate'"),
+    (LINK_1 + "link1.delay_ms = 10\nlink1_0.loss_rate = 0\n",
+     "my.scn:3: bad link key 'link1_0.loss_rate'"),
 ], ids=["bad-value", "unknown-key", "missing-key", "bad-link-key",
-        "link-index-0"])
+        "link-index-0", "link-plus-1", "link-arabic-indic-1",
+        "link-1-arabic-indic-1", "link-1_0"])
 def test_link_parse_errors_name_the_file(text, message):
-    # as a scalar key's error does; with the key's line where it has one
+    # as a scalar key's error does; with the key's line where it has one. A
+    # link index is ASCII digits without a leading zero: int() took `+1`,
+    # `1_0` and Arabic-Indic digits, and `link1_0` was link 10, a gap
     with pytest.raises(ScenarioError) as info:
         parse_scenario(text, "my.scn")
     assert str(info.value) == message
@@ -124,11 +144,11 @@ def test_link_parse_errors_name_the_file(text, message):
     (LINK_1 + "link1.delay_ms = 10\nlink1.delay_ms = 20\n",
      "my.scn:3: link1.delay_ms: repeated key, first set at my.scn:2"),
     (LINK_1 + "link1.delay_ms = 10\nlink01.delay_ms = 20\n",
-     "my.scn:3: link01.delay_ms: repeated key, first set at my.scn:2"),
+     "my.scn:3: bad link key 'link01.delay_ms'"),
 ], ids=["flat", "flat-link", "flat-link-leading-zero"])
 def test_repeated_keys_are_rejected(text, message):
-    # else the last value would win without a word; a link is named by its
-    # index, however the file writes it
+    # else the last value would win without a word. A link key has one
+    # spelling, so `link01.` is no second name of link 1 but a bad key
     with pytest.raises(ScenarioError) as info:
         parse_scenario(text, "my.scn")
     assert str(info.value) == message
@@ -163,7 +183,7 @@ RANGE_FAULTS = [
 ABOVE_1E9 = math.nextafter(1e9, math.inf)
 BELOW_1_NS = math.nextafter(1e-9, 0.0)
 OUTSIDE = {
-    "capacity_bps": [0.0, -5e-324],
+    "capacity_bps": [0.0, -5e-324, math.nextafter(8.0, 0.0)],
     "one_way_delay_s": [-5e-324, ABOVE_1E9],
     "loss_rate": [-5e-324, math.nextafter(1.0, 2.0)],
     "queue_limit": [0],
@@ -216,8 +236,10 @@ def test_nan_and_range_faults_come_at_their_line(text, message):
 @pytest.mark.parametrize("text, message", [
     (LINK_1 + "link1.delay_ms = 10\nrto_floor = 2\nrto_ceiling = 1\n",
      "rto_floor/rto_ceiling: need floor <= ceiling"),
+    # a rule of one value now: the least capacity sends the largest MSS in
+    # 1e9 s, so it is reported at its line
     ("link1.capacity_mbps = 1e-12\nlink1.delay_ms = 10\n",
-     "link1.capacity_bps: one MSS must take <= 1e9 s to send"),
+     "my.scn:1: link1.capacity_mbps: must be >= 8 bps"),
     (LINK_1 + "link1.delay_ms = 10\nstop_time = 2\ntrace_interval = 1e-6\n",
      "stop_time/trace_interval: at most 1000000 trace samples per run, got "
      "stop_time=2 with trace_interval=1e-06"),
@@ -227,6 +249,16 @@ def test_joined_rules_come_after_the_file(text, message):
     with pytest.raises(ScenarioError) as info:
         parse_scenario(text, "my.scn")
     assert str(info.value) == message
+
+
+def test_capacity_bound_holds_one_mss_to_1e9_s():
+    # a bound of each link alone: joined with the MSS, 1 bps was valid with
+    # a 100-byte MSS
+    cfg = ScenarioConfig(links=[LinkConfig(1.0, 0.01)], mss=100)
+    with pytest.raises(ScenarioError) as info:
+        cfg.validate()
+    assert str(info.value) == "link1.capacity_bps: must be >= 8 bps"
+    ScenarioConfig(links=[LinkConfig(8.0, 0.01)], mss=10**9).validate()
 
 
 @settings(max_examples=200)
@@ -452,7 +484,7 @@ def test_links_of_the_wrong_type_are_rejected(links, message):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: LinkConfig(0, 0.01).validate(),
-     "link.capacity_bps: must be > 0"),
+     "link.capacity_bps: must be >= 8 bps"),
     (lambda: Link(LinkConfig(1e6, 0.01, loss_rate=1.5)),
      "link.loss_rate: must be in [0, 1]"),
     (lambda: run_sweep(small_cfg(), "warp", 2, (1.0,)),
@@ -587,9 +619,11 @@ def test_mss_of_1e9_bytes_runs():
 
 
 def test_times_at_1e9_s_run():
-    # one MSS takes 1e9 s to send: nothing arrives, and the run ends
-    cfg = small_cfg(links=[LinkConfig(1400 * 8 / 1e9, 1e9)], mss=1400,
-                    stop_time=1e9, trace_interval=1e9, rto_ceiling=1e9)
+    # the largest MSS on the slowest link takes 1e9 s to send: nothing
+    # arrives, and the run ends
+    cfg = small_cfg(links=[LinkConfig(8.0, 1e9)], mss=10**9,
+                    transfer_size=10**9, stop_time=1e9, trace_interval=1e9,
+                    rto_ceiling=1e9)
     stats = run_scenario(cfg).stats
     assert not stats.completed and stats.delivered_bytes == 0
 
@@ -812,10 +846,15 @@ RANGES = ("expected 0 <= time_s <= 1e9, 1 <= subflow, 1 <= cwnd_mss < inf "
     # and each of these too, with the legend "subflow 0" or "subflow -3"
     ("0,0,2,64,slow_start,Sample", RANGES),
     ("0,-3,2,64,slow_start,Sample", RANGES),
+    # and these, whose numbers float() and int() read, but no scenario file
+    ("1_0,1,2,64,slow_start,Sample", "expected ASCII numbers without '_'"),
+    ("\u0665,1,2,64,slow_start,Sample",
+     "expected ASCII numbers without '_'"),
 ], ids=["short", "long", "subflow", "ssthresh", "phase", "event", "nan-time",
         "inf-time", "inf-cwnd", "nan-cwnd", "nan-ssthresh", "negative-time",
         "time-beyond-1e9", "cwnd-below-1", "negative-cwnd", "ssthresh-below-1",
-        "-inf-ssthresh", "subflow-0", "negative-subflow"])
+        "-inf-ssthresh", "subflow-0", "negative-subflow", "underscore-time",
+        "arabic-indic-time"])
 def test_parse_trace_csv_names_the_bad_line(tmp_path, capsys, row, message):
     path = tmp_path / "trace.csv"
     path.write_text(",".join(harness.TRACE_CSV_COLUMNS) + "\n" + row + "\n")
@@ -1129,14 +1168,29 @@ def test_cli_sweep_and_plot(tmp_path, capsys):
 
 def test_cli_sweep_with_an_infinite_value_writes_an_error_row(tmp_path):
     code = main(["sweep", "paper-base", "--param", "latency", "--link", "2",
-                 "--values", "10,inf", "--out", str(tmp_path)])
+                 "--values", "10,inf,nan", "--out", str(tmp_path)])
     assert code == 0
     lines = (tmp_path / "sweep_latency_link2.csv").read_text().splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 4
     assert lines[1].startswith("10,") and lines[1].endswith(",")
     assert lines[2].startswith("inf,")
     assert lines[2].endswith("link2.one_way_delay_s: must be >= 0 and "
                              "<= 1e9 s")
+    assert lines[3].startswith("nan,")
+    assert lines[3].endswith(',"link2.one_way_delay_s: expected a number, '
+                             'got nan"')
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0661\u0660"],
+                         ids=["underscore", "arabic-indic"])
+def test_cli_sweep_values_are_numbers_as_a_scenario_file_writes_them(
+        tmp_path, capsys, value):
+    # float() read each as 10
+    assert main(["sweep", "paper-base", "--param", "latency", "--link", "2",
+                 "--values", "10," + value, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --values: expected a number, got %r\n" % value)
+    assert not (tmp_path / "sweep_latency_link2.csv").exists()
 
 
 def test_cli_errors_exit_2(tmp_path, capsys):
