@@ -8,8 +8,9 @@ import sys
 from pathlib import Path
 
 from .config import ScenarioError, _parse_value, load_scenario
-from .harness import (SWEEP_PARAMETERS, emit_csv, emit_plot, parse_trace_csv,
-                      run_scenario, run_sweep)
+from .harness import run_scenario
+from .report import (SWEEP_PARAMETERS, emit_csv, emit_plot, parse_trace_csv,
+                     run_sweep)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -22,7 +23,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("scenario", help="scenario file or preset name")
     run_p.add_argument("--out", default=".", metavar="DIR",
                        help="output directory (default: current)")
-    run_p.add_argument("--seed", type=int, default=None,
+    run_p.add_argument("--seed", default=None,
                        help="override the scenario seed")
 
     sweep_p = sub.add_parser("sweep", help="sweep one link parameter")
@@ -30,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--param", required=True,
                          choices=SWEEP_PARAMETERS,
                          help="capacity [Mbps], latency [ms] or loss [0..1]")
-    sweep_p.add_argument("--link", required=True, type=int,
+    sweep_p.add_argument("--link", required=True,
                          help="1-based link index to vary")
     sweep_p.add_argument("--values", required=True,
                          help="comma-separated values")
@@ -46,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     cfg = load_scenario(args.scenario)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.seed = _parse_value("--seed", args.seed, int)
     result = run_scenario(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -68,13 +69,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    link = _parse_value("--link", args.link, int)
     cfg = load_scenario(args.scenario)
     values = [_parse_value("--values", v.strip(), float)
               for v in args.values.split(",") if v.strip()]
-    rows = run_sweep(cfg, args.param, args.link, values)
+    rows = run_sweep(cfg, args.param, link, values)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    sweep_path = out / ("sweep_%s_link%d.csv" % (args.param, args.link))
+    sweep_path = out / ("sweep_%s_link%d.csv" % (args.param, link))
     emit_csv(rows, sweep_path)
     print("sweep of %d points written to %s" % (len(rows), sweep_path))
     return 0

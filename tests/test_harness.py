@@ -18,10 +18,10 @@ from mpsim.config import (LINK_KEYS, PRESET_NAMES, RULES, ScenarioConfig,
                           ScenarioError, load_scenario, parse_scenario,
                           preset_text)
 from mpsim.coupling import CouplingMode
-from mpsim.harness import (emit_csv, emit_plot, fmt, parse_trace_csv,
-                           run_scenario, run_sweep, sweep_csv_lines,
-                           trace_csv_lines)
+from mpsim.harness import run_scenario, trace_csv_lines
 from mpsim.netmodel import Link, LinkConfig
+from mpsim.report import (emit_csv, emit_plot, fmt, parse_trace_csv,
+                          run_sweep, sweep_csv_lines)
 from mpsim.simkernel import mix_seed
 from mpsim.simulation import EVENTS, Simulation, TraceRecord
 from mpsim.spurious import DetectorChoice
@@ -1191,6 +1191,21 @@ def test_cli_sweep_values_are_numbers_as_a_scenario_file_writes_them(
     assert capsys.readouterr().err == (
         "error: --values: expected a number, got %r\n" % value)
     assert not (tmp_path / "sweep_latency_link2.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0661"],
+                         ids=["underscore", "arabic-indic"])
+@pytest.mark.parametrize("command", [
+    ["run", "paper-base", "--seed"],
+    ["sweep", "paper-base", "--param", "latency", "--values", "10", "--link"],
+], ids=["seed", "link"])
+def test_cli_integer_flags_are_integers_as_a_scenario_file_writes_them(
+        tmp_path, capsys, command, value):
+    # int() read the first as 10 and the second as 1
+    assert main(command + [value, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: %s: expected an integer, got %r\n" % (command[-1], value))
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_errors_exit_2(tmp_path, capsys):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mpsim
-from mpsim import config, harness, simulation, spurious
+from mpsim import config, report, simulation, spurious
 from mpsim.config import DEFAULT_QUEUE_LIMIT
 from mpsim.coupling import CouplingMode
 from mpsim.record import Record
@@ -111,7 +111,7 @@ RECORDS = [(config.LinkConfig, LinkConfig),
            (simulation.TraceRecord, TraceRecord),
            (simulation.SummaryStats, SummaryStats),
            (simulation.RunResult, RunResult),
-           (harness.SweepRow, SweepRow),
+           (report.SweepRow, SweepRow),
            (spurious.SpuriousSnapshot, SpuriousSnapshot)]
 
 NAN = float("nan")
@@ -268,14 +268,35 @@ def test_no_compare_names_only_fields():
 HEAVY = ("dataclasses", "inspect", "json", "importlib.resources")
 
 
+# names of `mpsim.report`, of which `mpsim.harness` holds none
+REPORT_NAMES = ("run_sweep", "emit_csv", "emit_plot", "parse_trace_csv")
+
+
 def test_import_loads_no_heavy_module():
     # without `site` (-S), whose start-up files may import any of these
     src = os.path.dirname(os.path.dirname(os.path.abspath(mpsim.__file__)))
+    # then one run and its trace, which load neither mpsim.report nor the CLI
     code = ("import sys; sys.path.insert(0, %r); import mpsim; "
             "print(mpsim.__file__); print(sorted(set(%r) & set(sys.modules)))"
-            % (src, HEAVY))
+            "\ncfg = mpsim.ScenarioConfig(links=[mpsim.LinkConfig(1e6, 0.01)],"
+            " transfer_size=30000)"
+            "\nmpsim.harness.trace_csv_lines(mpsim.run_scenario(cfg).traces)"
+            "\nprint(sorted({'mpsim.report', 'mpsim.cli'} & set(sys.modules)))"
+            "\nprint(sorted(set(%r) & set(vars(mpsim.harness))))"
+            % (src, HEAVY, REPORT_NAMES))
     out = subprocess.run([sys.executable, "-S", "-c", code],
                          capture_output=True, text=True, check=True)
-    imported_from, loaded = out.stdout.splitlines()
+    imported_from, loaded, run_loaded, in_harness = out.stdout.splitlines()
     assert imported_from == mpsim.__file__
     assert loaded == "[]"
+    assert run_loaded == "[]"
+    assert in_harness == "[]"
+
+
+def test_report_names_resolve_on_first_use():
+    assert mpsim.run_sweep is mpsim.report.run_sweep
+    assert mpsim.emit_csv is mpsim.report.emit_csv
+    assert mpsim.emit_plot is mpsim.report.emit_plot
+    assert mpsim.SWEEP_PARAMETERS is mpsim.report.SWEEP_PARAMETERS
+    with pytest.raises(AttributeError, match="no attribute 'parse_trace_csv'"):
+        mpsim.parse_trace_csv
