@@ -1,5 +1,5 @@
-"""Command-line interface: run one scenario, sweep a link parameter, or
-plot a trace CSV."""
+"""Command-line interface: run one scenario, writing its trace as CSV and
+SVG, or sweep a link parameter."""
 
 from __future__ import annotations
 
@@ -9,8 +9,7 @@ from pathlib import Path
 
 from .config import ScenarioError, _parse_value, load_scenario
 from .harness import run_scenario
-from .report import (SWEEP_PARAMETERS, emit_csv, emit_plot, parse_trace_csv,
-                     run_sweep)
+from .report import SWEEP_PARAMETERS, emit_csv, emit_plot, run_sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,11 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--values", required=True,
                          help="comma-separated values")
     sweep_p.add_argument("--out", default=".", metavar="DIR")
-
-    plot_p = sub.add_parser("plot", help="plot a trace CSV as SVG")
-    plot_p.add_argument("trace", help="trace CSV produced by `run`")
-    plot_p.add_argument("--out", default=None, metavar="FILE",
-                        help="output SVG path (default: <trace>.svg)")
     return parser
 
 
@@ -65,6 +59,10 @@ def _cmd_run(args) -> int:
     print("fast_retx=%d rtos=%d spurious_detections=%d checksum_ok=%s"
           % (s.fast_retx, s.rtos, s.spurious_detections, s.checksum_ok))
     print("trace written to %s" % trace_path)
+    if result.traces:  # a transfer of 0 bytes ends before its first sample
+        plot_path = out / "trace.svg"
+        emit_plot(result.traces, plot_path)
+        print("plot written to %s" % plot_path)
     return 0
 
 
@@ -82,22 +80,12 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_plot(args) -> int:
-    records = parse_trace_csv(args.trace)
-    out = args.out or (str(Path(args.trace).with_suffix("")) + ".svg")
-    emit_plot(records, out)
-    print("plot written to %s" % out)
-    return 0
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_plot(args)
+        return _cmd_sweep(args)
     except (ScenarioError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

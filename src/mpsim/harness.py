@@ -1,6 +1,6 @@
-"""Running one scenario, and its trace as CSV lines. Sweeps, CSV and SVG
-files and the trace reader are in `mpsim.report`, which `import mpsim`
-loads on first use."""
+"""Running one scenario, and its trace as CSV lines. Sweeps, and CSV and
+SVG files, are in `mpsim.report`, which `import mpsim` loads on first
+use."""
 
 from __future__ import annotations
 

@@ -1,18 +1,17 @@
-"""Parameter sweeps, CSV and SVG files, and the trace CSV reader. The
-package loads this module on first use of one of its names."""
+"""Parameter sweeps, and CSV and SVG files. The package loads this module
+on first use of one of its names."""
 
 from __future__ import annotations
 
 import math
 from typing import List, Optional, Sequence
 
-from .config import LINK_KEYS, MAX_SECONDS, ScenarioConfig, ScenarioError
-from .harness import TRACE_CSV_COLUMNS, run_scenario, trace_csv_lines
+from .config import LINK_KEYS, ScenarioConfig, ScenarioError
+from .harness import run_scenario, trace_csv_lines
 from .record import Record
 from .simkernel import mix_seed
-from .simulation import (EVENTS, FAST_RETRANSMIT, SPURIOUS_DETECTED,
-                         SummaryStats, TraceRecord)
-from .subflow import PHASES
+from .simulation import (FAST_RETRANSMIT, SPURIOUS_DETECTED, SummaryStats,
+                         TraceRecord)
 
 SWEEP_PARAMETERS = ("capacity", "latency", "loss")
 # the link file key each parameter sets, in that key's unit
@@ -120,49 +119,6 @@ def _write_lines(path, lines: List[str], kind: str) -> None:
         raise OSError("cannot write %s %s: %s" % (kind, path, exc)) from exc
 
 
-def parse_trace_csv(path) -> List[TraceRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != ",".join(TRACE_CSV_COLUMNS):
-            raise ScenarioError("%s: not a trace CSV (header %r)"
-                                % (path, header))
-        for lineno, line in enumerate(fh, 2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != len(TRACE_CSV_COLUMNS):
-                raise ScenarioError("%s:%d: expected %d fields, got %d"
-                                    % (path, lineno, len(TRACE_CSV_COLUMNS),
-                                       len(fields)))
-            t, sf, cwnd, ssthresh, phase, event = fields
-            if phase not in PHASES:
-                raise ScenarioError("%s:%d: unknown phase %r"
-                                    % (path, lineno, phase))
-            if event not in EVENTS:
-                raise ScenarioError("%s:%d: unknown event %r"
-                                    % (path, lineno, event))
-            numbers = t + sf + cwnd + ssthresh  # in the scenario grammar
-            try:
-                if not numbers.isascii() or "_" in numbers:
-                    raise ValueError("expected ASCII numbers without '_'")
-                t, cwnd, ssthresh = float(t), float(cwnd), float(ssthresh)
-                sf = int(sf)
-                # only what the simulator writes; nan fails every comparison
-                if not (0 <= t <= MAX_SECONDS and 1 <= sf
-                        and 1 <= cwnd < math.inf and ssthresh >= 1):
-                    raise ValueError("expected 0 <= time_s <= 1e9, 1 <= "
-                                     "subflow, 1 <= cwnd_mss < inf and 1 <= "
-                                     "ssthresh_mss")
-                records.append(TraceRecord(t, sf, cwnd, ssthresh, phase,
-                                           event))
-            except ValueError as exc:
-                raise ScenarioError("%s:%d: %s" % (path, lineno, exc)) \
-                    from None
-    return records
-
-
 # ------------------------------------------------------------------ plotting
 
 _SF_COLORS = ("#1f6fb4", "#e07b00", "#2a9d5c", "#a34fb0")
@@ -183,9 +139,7 @@ def _scale(lo: float, hi: float, start: float, length: float):
 
 def _ticks(lo: float, hi: float, n: int = 6) -> List[float]:
     raw = (hi - lo) / n
-    # 10**-323 is the least power of 10 above 0: a span of a few subnormals
-    # has a 0 nth, or an nth whose power of 10 is 0
-    exp = math.floor(math.log10(raw)) if raw > 1e-323 else -323
+    exp = math.floor(math.log10(raw))
     mag = 10.0 ** exp
     for mult in (1, 2, 5, 10):
         step = mult * mag
@@ -222,9 +176,9 @@ def _labelled_ticks(lo: float, hi: float):
 
 def emit_plot(records: Sequence[TraceRecord], path) -> None:
     """Self-contained SVG: cwnd vs time, one polyline per subflow, with
-    markers at FastRetransmit and SpuriousDetected events. It draws times
-    in [0, 1e9] s and finite windows >= 0, as every trace does that the
-    simulator writes or `parse_trace_csv` accepts."""
+    markers at FastRetransmit and SpuriousDetected events. It draws the
+    records a run writes: times in [0, 1e9] s, on a 1 ns clock, and finite
+    windows of at least one MSS."""
     records = list(records)
     if not records:
         raise ValueError("emit_plot requires at least one trace record")

@@ -20,8 +20,8 @@ from mpsim.config import (LINK_KEYS, PRESET_NAMES, RULES, ScenarioConfig,
 from mpsim.coupling import CouplingMode
 from mpsim.harness import run_scenario, trace_csv_lines
 from mpsim.netmodel import Link, LinkConfig
-from mpsim.report import (emit_csv, emit_plot, fmt, parse_trace_csv,
-                          run_sweep, sweep_csv_lines)
+from mpsim.report import (emit_csv, emit_plot, fmt, run_sweep,
+                          sweep_csv_lines)
 from mpsim.simkernel import mix_seed
 from mpsim.simulation import EVENTS, Simulation, TraceRecord
 from mpsim.spurious import DetectorChoice
@@ -749,19 +749,6 @@ def test_sweep_invalid_value_yields_error_row_not_abort():
 
 # --------------------------------------------------------------- CSV / SVG
 
-def test_trace_csv_round_trip(tmp_path):
-    # %.6g writes a window of 1000000 as 1e+06, which reads back as the same
-    # float; inf is written only as a threshold, and read back as one
-    for cfg in (small_cfg(), small_cfg(initial_ssthresh=1_000_000),
-                small_cfg(initial_ssthresh=math.inf)):
-        result = run_scenario(cfg)
-        path = tmp_path / "trace.csv"
-        emit_csv(result.traces, path)
-        back = parse_trace_csv(path)
-        assert trace_csv_lines(back) == trace_csv_lines(result.traces)
-        assert main(["plot", str(path)]) == 0
-
-
 def test_int_and_file_windows_write_the_same_trace():
     # a subflow's windows are floats from its construction, so an int window
     # given from Python is written as the same scenario from a file writes it
@@ -781,7 +768,7 @@ def fmt_row(r):
                      fmt(r.ssthresh), r.phase, r.event))
 
 
-# the floats the simulator and the trace reader put in a record
+# floats of every kind in a record, not only those the simulator writes
 _floats = st.one_of(
     st.floats(),  # nan, +-inf, -0.0 and subnormals included
     st.floats(min_value=-1e-300, max_value=1e-300),
@@ -816,73 +803,6 @@ def test_trace_rows_match_the_fmt_renderer(records):
     lines = trace_csv_lines(records)
     assert lines[0] == ",".join(harness.TRACE_CSV_COLUMNS)
     assert lines[1:] == [fmt_row(r) for r in records]
-
-
-# the bounds of what the simulator writes, which the trace reader takes
-RANGES = ("expected 0 <= time_s <= 1e9, 1 <= subflow, 1 <= cwnd_mss < inf "
-          "and 1 <= ssthresh_mss")
-
-
-@pytest.mark.parametrize("row, message", [
-    ("0,1,2", "expected 6 fields, got 3"),
-    ("0,1,2,64,slow_start,Sample,extra", "expected 6 fields, got 7"),
-    ("0,one,2,64,slow_start,Sample", "invalid literal for int()"),
-    ("0,1,2,many,slow_start,Sample", "could not convert string to float"),
-    ("0,1,2,64,slow-start,Sample", "unknown phase 'slow-start'"),
-    ("0,1,2,64,fast_recovery,FastRetransmt",
-     "unknown event 'FastRetransmt'"),
-    ("nan,1,2,64,slow_start,Sample", RANGES),
-    ("-inf,1,2,64,slow_start,Sample", RANGES),
-    ("0,1,inf,64,slow_start,Sample", RANGES),
-    ("0,1,nan,64,slow_start,Sample", RANGES),
-    ("0,1,2,nan,slow_start,Sample", RANGES),
-    # each of these was read and drawn: a negative window below the axis
-    ("-0.5,1,2,64,slow_start,Sample", RANGES),
-    ("1000000001,1,2,64,slow_start,Sample", RANGES),
-    ("0,1,0.5,64,slow_start,Sample", RANGES),
-    ("0,1,-2,64,slow_start,Sample", RANGES),
-    ("0,1,2,0.5,slow_start,Sample", RANGES),
-    ("0,1,2,-inf,slow_start,Sample", RANGES),
-    # and each of these too, with the legend "subflow 0" or "subflow -3"
-    ("0,0,2,64,slow_start,Sample", RANGES),
-    ("0,-3,2,64,slow_start,Sample", RANGES),
-    # and these, whose numbers float() and int() read, but no scenario file
-    ("1_0,1,2,64,slow_start,Sample", "expected ASCII numbers without '_'"),
-    ("\u0665,1,2,64,slow_start,Sample",
-     "expected ASCII numbers without '_'"),
-], ids=["short", "long", "subflow", "ssthresh", "phase", "event", "nan-time",
-        "inf-time", "inf-cwnd", "nan-cwnd", "nan-ssthresh", "negative-time",
-        "time-beyond-1e9", "cwnd-below-1", "negative-cwnd", "ssthresh-below-1",
-        "-inf-ssthresh", "subflow-0", "negative-subflow", "underscore-time",
-        "arabic-indic-time"])
-def test_parse_trace_csv_names_the_bad_line(tmp_path, capsys, row, message):
-    path = tmp_path / "trace.csv"
-    path.write_text(",".join(harness.TRACE_CSV_COLUMNS) + "\n" + row + "\n")
-    with pytest.raises(ScenarioError,
-                       match="^%s:2: " % re.escape(str(path))) as info:
-        parse_trace_csv(path)
-    assert message in str(info.value)
-    assert main(["plot", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: %s:2: " % path) and message in err
-
-
-def test_parse_trace_csv_checks_the_header_and_skips_blank_lines(tmp_path,
-                                                                 capsys):
-    path = tmp_path / "trace.csv"
-    path.write_text(",".join(harness.TRACE_CSV_COLUMNS) + "\n"
-                    "0,1,2,64,slow_start,Sample\n\n"
-                    "0.1,1,3,64,slow_start,Sample\n")
-    assert parse_trace_csv(path) == [
-        TraceRecord(0.0, 1, 2.0, 64.0, "slow_start", "Sample"),
-        TraceRecord(0.1, 1, 3.0, 64.0, "slow_start", "Sample")]
-    path.write_text("param_value,completion_time_s\n10,1.5\n")  # a sweep's
-    with pytest.raises(ScenarioError) as info:
-        parse_trace_csv(path)
-    assert str(info.value) == ("%s: not a trace CSV (header "
-                               "'param_value,completion_time_s')" % path)
-    assert main(["plot", str(path)]) == 2
-    assert capsys.readouterr().err == "error: %s\n" % info.value
 
 
 def test_sweep_csv_has_expected_header_and_rows():
@@ -954,52 +874,70 @@ def test_plot_of_one_row_widens_both_empty_spans_by_one(tmp_path):
             'stroke-width="1.5"/>') in svg
 
 
-def plot_exits_2(tmp_path, capsys, rows):
-    """Plot a trace CSV of `rows` (time, cwnd) through the CLI, and assert
-    that it exits 2 naming the first row, and writes no SVG."""
-    path = tmp_path / "trace.csv"
-    path.write_text(",".join(harness.TRACE_CSV_COLUMNS) + "\n" + "".join(
-        "%s,1,%s,64,slow_start,Sample\n" % row for row in rows))
-    assert main(["plot", str(path)]) == 2
-    assert capsys.readouterr().err == "error: %s:2: %s\n" % (path, RANGES)
-    assert not (tmp_path / "trace.svg").exists()
+def cli_run(tmp_path, capsys, text):
+    """`mpsim run` of the scenario file `text`; asserts exit 0 and returns
+    the output directory."""
+    path = tmp_path / "s.scn"
+    path.write_text(LINK_1 + "link1.delay_ms = 10\n" + text)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0, \
+        capsys.readouterr().err
+    return out
 
 
-@pytest.mark.parametrize("time_s", ["1e17", "-1e17", "9007199254740992"],
-                         ids=["1e17", "-1e17", "2**53"])
-def test_cli_plot_of_rows_at_one_time_from_2_53_on(tmp_path, capsys, time_s):
-    # from 2**53 on, time + 1.0 is the time itself, so the empty span took
-    # its own rule; the simulator writes no time beyond 1e9 s or below 0
-    plot_exits_2(tmp_path, capsys, [(time_s, "2"), (time_s, "3")])
+def test_cli_run_of_one_sample_row_widens_the_time_span_by_one(tmp_path,
+                                                               capsys):
+    # the transfer ends before the second sample: one row, at 0 s, whose
+    # empty time span ends 1.0 s above its start; the row is a dot at the
+    # top of the cwnd axis, which ends at its window
+    out = cli_run(tmp_path, capsys, "transfer_size = 60000\nstop_time = 5\n"
+                  "trace_interval = 10\n")
+    assert (out / "trace.csv").read_text().splitlines()[1:] == [
+        "0,1,2,64,slow_start,Sample"]
+    svg = (out / "trace.svg").read_text()
+    assert "nan" not in svg and "inf" not in svg
+    times = re.findall(r'text-anchor="middle">([^<]*)</text>', svg)[:-1]
+    assert times == ["0", "0.2", "0.4", "0.6", "0.8", "1"]
+    assert '<circle cx="70" cy="30" r="3" fill="#1f6fb4"/>' in svg
 
 
-MAX = "1.7976931348623157e308"  # the largest float
+def test_cli_run_of_an_empty_transfer_writes_no_plot(tmp_path, capsys):
+    # a transfer of 0 bytes ends before its first sample: the trace has no
+    # row, and emit_plot refuses to draw one
+    out = cli_run(tmp_path, capsys, "transfer_size = 0\n")
+    assert (out / "trace.csv").read_text() == (
+        ",".join(harness.TRACE_CSV_COLUMNS) + "\n")
+    assert not (out / "trace.svg").exists()
+    assert "plot written" not in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("rows", [
-    [("-1e308", "2"), ("1e308", "3")],
-    [("-" + MAX, "2"), (MAX, MAX)],
-    [("0", "5e-324"), ("1", "5e-324")],
-    [("0", "3e-323"), ("1", "3e-323")],
-], ids=["time -1e308 to 1e308", "time and window at the largest float",
-        "window 5e-324", "window 3e-323"])
-def test_cli_plot_of_spans_at_the_ends_of_the_float_range(tmp_path, capsys,
-                                                          rows):
-    # each was drawn, with axes whose span or tick step left the float
-    # range; the simulator writes no time beyond 1e9 s and no window below
-    # one MSS
-    plot_exits_2(tmp_path, capsys, rows)
+@pytest.mark.parametrize("preset, detector", [
+    ("paper-base", "none"), ("paper-reorder", "none"),
+    ("paper-reorder", "eifel")])
+def test_cli_run_plots_the_run_records(tmp_path, capsys, preset, detector):
+    # from the run's exact windows, not from the CSV's 6 digits; with Eifel,
+    # the plot also marks SpuriousDetected rows
+    path = tmp_path / "s.scn"
+    path.write_text(preset_text(preset).replace("detector = none",
+                                                "detector = " + detector))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    result = run_scenario(load_scenario(str(path)))
+    emit_plot(result.traces, tmp_path / "expected.svg")
+    svg = (out / "trace.svg").read_bytes()
+    assert svg == (tmp_path / "expected.svg").read_bytes()
+    assert ("plot written to %s\n" % (out / "trace.svg")
+            in capsys.readouterr().out)
+    if detector != "none":
+        assert result.stats.spurious_detections > 0 and b"#7a2aa0" in svg
 
 
 def test_cli_plot_of_a_window_at_the_largest_float(tmp_path, capsys):
-    # the simulator writes it for an initial_cwnd of the largest float: the
-    # step past the last cwnd tick is inf, which is drawn as no tick
-    path = tmp_path / "trace.csv"
-    path.write_text(",".join(harness.TRACE_CSV_COLUMNS) + "\n"
-                    "0,1,2,64,slow_start,Sample\n"
-                    "1,1,%s,inf,slow_start,Sample\n" % MAX)
-    assert main(["plot", str(path)]) == 0, capsys.readouterr().err
-    svg = (tmp_path / "trace.svg").read_text()
+    # an initial_cwnd of the largest float: the step past the last cwnd tick
+    # is inf, which is drawn as no tick
+    out = cli_run(tmp_path, capsys, "transfer_size = 60000\n"
+                  "initial_cwnd = 1.7976931348623157e308\n")
+    svg = (out / "trace.svg").read_text()
     assert "nan" not in svg and "inf" not in svg
     assert re.findall(r'text-anchor="end">([^<]*)</text>', svg) == [
         "0", "5e+307", "1e+308", "1.5e+308"]
@@ -1010,23 +948,24 @@ def _cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
 
 
-def test_cli_plot_of_a_time_span_below_the_float_spacing(tmp_path):
-    # 1e9 - 2.4e-7 s to 1e9 s: the time axis' tick step, 5e-8 s, is below
-    # half the float spacing at 1e9, so `v += step` stood still and the
-    # tick list grew without end. The plot runs in a child process with
-    # 1 GiB of address space and 20 s, so a return of that loop fails this
-    # test instead of exhausting memory.
-    path = tmp_path / "trace.csv"
-    path.write_text("time_s,subflow,cwnd_mss,ssthresh_mss,phase,event\n"
-                    "999999999.9999998,1,2,64,slow_start,Sample\n"
-                    "1000000000,1,3,64,slow_start,Sample\n")
+def test_plot_of_a_time_span_below_the_float_spacing(tmp_path):
+    # 1e9 - 2.4e-7 s to 1e9 s (no run starts there: its first sample is at
+    # 0 s): the time axis' tick step, 5e-8 s, is below half the float
+    # spacing at 1e9, so `v += step` stood still and the tick list grew
+    # without end. The plot runs in a child process with 1 GiB of address
+    # space and 20 s, so a return of that loop fails this test instead of
+    # exhausting memory.
+    path = tmp_path / "trace.svg"
+    code = ("from mpsim.report import emit_plot; from mpsim import "
+            "TraceRecord as R; emit_plot([R(999999999.9999998, 1, 2.0, 64.0, "
+            "'slow_start', 'Sample'), R(1e9, 1, 3.0, 64.0, 'slow_start', "
+            "'Sample')], %r)" % str(path))
     env = dict(os.environ, PYTHONPATH=str(Path(mpsim.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-m", "mpsim.cli", "plot",
-                           str(path)], env=env, preexec_fn=_cap_memory,
-                          capture_output=True, text=True, timeout=20)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          preexec_fn=_cap_memory, capture_output=True,
+                          text=True, timeout=20)
     assert done.returncode == 0, done.stderr
-    svg = (tmp_path / "trace.svg").read_text()
-    assert svg.count(">1e+09</text>") == 1  # one time tick, not repeats
+    assert path.read_text().count(">1e+09</text>") == 1  # one tick, once
 
 
 def test_plot_tick_labels_are_distinct(tmp_path):
@@ -1160,9 +1099,7 @@ def test_cli_sweep_and_plot(tmp_path, capsys):
                  "--values", "10,160", "--out", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "sweep_latency_link2.csv").exists()
-    main(["run", "paper-base", "--out", str(tmp_path)])
-    code = main(["plot", str(tmp_path / "trace.csv")])
-    assert code == 0
+    assert main(["run", "paper-base", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "trace.svg").exists()
 
 
@@ -1213,7 +1150,12 @@ def test_cli_errors_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["sweep", "paper-base", "--param", "loss", "--link", "2",
                  "--values", "abc"]) == 2
-    assert main(["plot", str(tmp_path / "missing.csv")]) == 2
+    assert "error:" in capsys.readouterr().err
+    # the CSV is written, and the SVG cannot be: a directory holds its name
+    (tmp_path / "trace.svg").mkdir()
+    assert main(["run", "paper-base", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: cannot write plot %s: " % (tmp_path / "trace.svg"))
 
 
 def test_cli_run_of_a_link_beyond_1e9_s_exits_2(tmp_path, capsys):

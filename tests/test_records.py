@@ -269,7 +269,7 @@ HEAVY = ("dataclasses", "inspect", "json", "importlib.resources")
 
 
 # names of `mpsim.report`, of which `mpsim.harness` holds none
-REPORT_NAMES = ("run_sweep", "emit_csv", "emit_plot", "parse_trace_csv")
+REPORT_NAMES = ("run_sweep", "emit_csv", "emit_plot")
 
 
 def test_import_loads_no_heavy_module():
