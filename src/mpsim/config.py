@@ -51,7 +51,7 @@ RULES = {
                         "must be >= 0 and <= 1e9 s"),
     "loss_rate": (lambda v: 0 <= v <= 1, "must be in [0, 1]"),
     "queue_limit": (lambda v: v >= 1, "must be >= 1"),
-    "transfer_size": (lambda v: v >= 0, "must be >= 0"),
+    "transfer_size": (lambda v: v >= 1, "must be >= 1"),
     # bounded apart from the links: an infinite capacity bounds no MSS
     "mss": (lambda v: 0 < v <= MAX_MSS, "must be > 0 and <= 1e9 bytes"),
     # a shorter interval rounds to 0 ns: samples without end at t=0

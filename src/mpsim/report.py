@@ -4,9 +4,9 @@ on first use of one of its names."""
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from .config import LINK_KEYS, ScenarioConfig, ScenarioError
+from .config import LINK_KEYS, RULES, ScenarioConfig, ScenarioError, _check
 from .harness import run_scenario, trace_csv_lines
 from .record import Record
 from .simkernel import mix_seed
@@ -22,13 +22,14 @@ _SWEEP_KEYS = dict(zip(SWEEP_PARAMETERS,
 class SweepRow(Record):
     param_value: float
     stats: SummaryStats
-    error: Optional[str] = None  # why the point did not run, if it did not
 
 
 def run_sweep(base: ScenarioConfig, parameter: str, link: int,
               values: Sequence[float]) -> List[SweepRow]:
     """One run per value of `parameter` on link `link` (1-based), in the
-    unit of its link file key; point i uses seed mix_seed(base.seed, i)."""
+    unit of its link file key; point i uses seed mix_seed(base.seed, i).
+    Every value is checked, by the rule a scenario file's line gets, before
+    any point runs."""
     if parameter not in SWEEP_PARAMETERS:
         raise ScenarioError("sweep parameter: expected one of %s, got %r"
                             % (list(SWEEP_PARAMETERS), parameter))
@@ -38,29 +39,19 @@ def run_sweep(base: ScenarioConfig, parameter: str, link: int,
     if not 1 <= link <= len(base.links):
         raise ScenarioError("sweep link: index %d out of range (scenario "
                             "has %d links)" % (link, len(base.links)))
-    field, _, convert = LINK_KEYS[_SWEEP_KEYS[parameter]]
-    rows = []
+    key = _SWEEP_KEYS[parameter]
+    field, tp, convert = LINK_KEYS[key]
+    points = []
     for i, value in enumerate(values):
+        v = convert(value) if convert else value
+        _check("sweep value %r: link%d.%s" % (value, link, key), v, tp,
+               RULES[field])
         point = base.copy()
-        setattr(point.links[link - 1], field,
-                convert(value) if convert else value)
+        setattr(point.links[link - 1], field, v)
         point.seed = mix_seed(base.seed, i)
-        try:
-            stats, error = run_scenario(point).stats, None
-        except ScenarioError as exc:
-            stats, error = _empty_stats(len(point.links)), str(exc)
-        rows.append(SweepRow(param_value=value, stats=stats, error=error))
-    return rows
-
-
-def _empty_stats(n_subflows: int) -> SummaryStats:
-    """Stats of a sweep point that did not run: nothing sent or arrived."""
-    zeros = (0,) * n_subflows
-    return SummaryStats(completed=False, completion_time_s=None,
-                        goodput_bps=0.0, delivered_bytes=0, bytes_sf=zeros,
-                        retx_sf=zeros, fast_retx=0, rtos=0,
-                        spurious_detections=0, checksum_ok=False,
-                        duplicate_bytes=0, protocol_violations=0)
+        points.append(point)
+    return [SweepRow(param_value=value, stats=run_scenario(point).stats)
+            for value, point in zip(values, points)]
 
 
 def fmt(value) -> str:
@@ -74,14 +65,13 @@ def fmt(value) -> str:
 
 def sweep_csv_lines(rows: Sequence[SweepRow]) -> List[str]:
     # one bytes_sfN and one retx_sfN column per subflow; every point of a
-    # sweep, error rows included, has the base scenario's links
+    # sweep has the base scenario's links
     n = len(rows[0].stats.bytes_sf) if rows else 0
     sfs = range(1, n + 1)
     lines = [",".join(["param_value", "completion_time_s", "goodput_bps"]
                       + ["bytes_sf%d" % i for i in sfs]
                       + ["retx_sf%d" % i for i in sfs]
-                      + ["fast_retx", "rtos", "spurious_detections",
-                         "error"])]
+                      + ["fast_retx", "rtos", "spurious_detections"])]
     for row in rows:
         s = row.stats
         lines.append(",".join(
@@ -89,18 +79,8 @@ def sweep_csv_lines(rows: Sequence[SweepRow]) -> List[str]:
              fmt(s.goodput_bps)]
             + [str(b) for b in s.bytes_sf]
             + [str(r) for r in s.retx_sf]
-            + [str(s.fast_retx), str(s.rtos), str(s.spurious_detections),
-               _csv_text(row.error)]))
+            + [str(s.fast_retx), str(s.rtos), str(s.spurious_detections)]))
     return lines
-
-
-def _csv_text(text: Optional[str]) -> str:
-    """A free-text CSV cell: quoted when it holds a comma, quote or newline."""
-    if text is None:
-        return ""
-    if any(c in text for c in ',"\n\r'):
-        return '"%s"' % text.replace('"', '""')
-    return text
 
 
 def emit_csv(data, path) -> None:

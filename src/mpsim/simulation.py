@@ -363,9 +363,6 @@ class Simulation:
                                sf.phase, SAMPLE))
 
     def run(self) -> RunResult:
-        if self.cfg.transfer_size == 0:
-            self.completed_ns = 0
-            return self._result()
         kernel = self.kernel
         stop_ns, step = self._stop_ns, self._trace_ns
         kernel.schedule(stop_ns, kernel.stop)
@@ -389,11 +386,9 @@ class Simulation:
     def _result(self) -> RunResult:
         cfg = self.cfg
         completed = self.completed_ns is not None
-        if completed and cfg.transfer_size > 0:
+        if completed:  # at 1 ns or later: a link's serialization is >= 1 ns
             t = self.completed_ns / NS_PER_S
             goodput = cfg.transfer_size * 8.0 / t
-        elif completed:
-            t, goodput = 0.0, 0.0
         else:
             t, goodput = None, self.conn.data_una * 8.0 / cfg.stop_time
         checksum_ok = (

@@ -172,7 +172,7 @@ def field_of(key):
 RANGE_FAULTS = [
     ("link1.capacity_mbps", "0"), ("link1.delay_ms", "-5"),
     ("link1.loss_rate", "1.5"), ("link1.queue_limit", "0"),
-    ("transfer_size", "-1"), ("mss", "0"), ("trace_interval", "1e-10"),
+    ("transfer_size", "0"), ("mss", "0"), ("trace_interval", "1e-10"),
     ("stop_time", "0"), ("rto_floor", "0"), ("rto_ceiling", "0"),
     ("initial_cwnd", "0.5"), ("initial_ssthresh", "0.5"),
     ("initial_rtt", "1e-10"),
@@ -187,7 +187,7 @@ OUTSIDE = {
     "one_way_delay_s": [-5e-324, ABOVE_1E9],
     "loss_rate": [-5e-324, math.nextafter(1.0, 2.0)],
     "queue_limit": [0],
-    "transfer_size": [-1],
+    "transfer_size": [0, -1],
     "mss": [0, 10**9 + 1],
     "trace_interval": [BELOW_1_NS, ABOVE_1E9],
     "stop_time": [0.0, ABOVE_1E9],
@@ -513,7 +513,7 @@ def test_links_of_the_wrong_type_are_rejected(links, message):
     (lambda: LinkConfig(1e6, -0.01).validate(),
      "link.one_way_delay_s: must be >= 0 and <= 1e9 s"),
     (lambda: small_cfg(transfer_size=-1).validate(),
-     "transfer_size: must be >= 0"),
+     "transfer_size: must be >= 1"),
     (lambda: run_sweep(small_cfg(), "loss", 1, []),
      "sweep values: must be non-empty"),
     # each ran, its first rows in slow start with cwnd above the threshold
@@ -658,11 +658,15 @@ def test_symmetric_transfer_completes_with_good_checksum():
     assert result.stats.goodput_bps > 0.85e6
 
 
-def test_zero_byte_transfer_is_trivially_complete():
-    result = run_scenario(small_cfg(transfer_size=0))
-    assert result.stats.completed
-    assert result.stats.checksum_ok
-    assert result.stats.completion_time_s == 0.0
+def test_zero_byte_transfer_is_rejected():
+    # it ran as a run of its own, completed at 0 s with no trace row
+    with pytest.raises(ScenarioError) as info:
+        small_cfg(transfer_size=0).validate()
+    assert str(info.value) == "transfer_size: must be >= 1"
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(LINK_1 + "link1.delay_ms = 10\ntransfer_size = 0\n"
+                       "seed = 3\n", "my.scn")
+    assert str(info.value) == "my.scn:3: transfer_size: must be >= 1"
 
 
 def test_identical_configs_give_identical_results():
@@ -740,11 +744,20 @@ def test_sweep_of_int_values_writes_the_csv_of_float_values():
                                               [160.0]))
 
 
-def test_sweep_invalid_value_yields_error_row_not_abort():
-    rows = run_sweep(small_cfg(), "loss", 2, (0.0, 2.0))
-    assert rows[0].stats.completed and rows[0].error is None
-    assert not rows[1].stats.completed
-    assert "loss_rate" in rows[1].error
+def no_sweep_point(cfg):
+    """A stand-in for `Simulation`: fails the test if a sweep point runs."""
+    raise AssertionError("a sweep point ran")
+
+
+def test_sweep_invalid_value_is_rejected_before_any_point_runs(
+        monkeypatch):
+    # it ran the valid points and wrote an error row for the other, in the
+    # record's field name and unit
+    monkeypatch.setattr(harness, "Simulation", no_sweep_point)
+    with pytest.raises(ScenarioError) as info:
+        run_sweep(small_cfg(), "loss", 2, (0.0, 2.0))
+    assert str(info.value) == (
+        "sweep value 2.0: link2.loss_rate: must be in [0, 1]")
 
 
 # --------------------------------------------------------------- CSV / SVG
@@ -812,22 +825,20 @@ def test_sweep_csv_has_expected_header_and_rows():
     assert len(lines) == 3
 
 
-def test_sweep_csv_keeps_every_subflow_and_error_messages():
+def test_sweep_csv_keeps_every_subflow():
     cfg = small_cfg()
     cfg.links.append(LinkConfig(4e6, 0.010))
-    rows = run_sweep(cfg, "loss", 3, (0.0, 2.0))
+    rows = run_sweep(cfg, "loss", 3, (0.0, 0.01))
     lines = sweep_csv_lines(rows)
     header = lines[0].split(",")
-    assert header[3:9] == ["bytes_sf1", "bytes_sf2", "bytes_sf3",
-                           "retx_sf1", "retx_sf2", "retx_sf3"]
-    assert header[-1] == "error"
-    ok = dict(zip(header, lines[1].split(",")))
-    bytes_sf = [int(ok["bytes_sf%d" % i]) for i in (1, 2, 3)]
-    assert bytes_sf == list(rows[0].stats.bytes_sf) and bytes_sf[2] > 0
-    assert sum(bytes_sf) >= cfg.transfer_size and ok["error"] == ""
-    # the error row keeps its message: quoted, since it holds a comma
-    assert "loss_rate" in rows[1].error and "," in rows[1].error
-    assert lines[2].endswith(',"%s"' % rows[1].error)
+    assert header[3:] == ["bytes_sf1", "bytes_sf2", "bytes_sf3",
+                          "retx_sf1", "retx_sf2", "retx_sf3", "fast_retx",
+                          "rtos", "spurious_detections"]
+    for row, line in zip(rows, lines[1:]):
+        cells = dict(zip(header, line.split(",")))
+        bytes_sf = [int(cells["bytes_sf%d" % i]) for i in (1, 2, 3)]
+        assert bytes_sf == list(row.stats.bytes_sf) and bytes_sf[2] > 0
+        assert sum(bytes_sf) >= cfg.transfer_size
 
 
 def test_plot_is_valid_svg_with_markers(tmp_path):
@@ -901,14 +912,27 @@ def test_cli_run_of_one_sample_row_widens_the_time_span_by_one(tmp_path,
     assert '<circle cx="70" cy="30" r="3" fill="#1f6fb4"/>' in svg
 
 
-def test_cli_run_of_an_empty_transfer_writes_no_plot(tmp_path, capsys):
-    # a transfer of 0 bytes ends before its first sample: the trace has no
-    # row, and emit_plot refuses to draw one
-    out = cli_run(tmp_path, capsys, "transfer_size = 0\n")
-    assert (out / "trace.csv").read_text() == (
-        ",".join(harness.TRACE_CSV_COLUMNS) + "\n")
-    assert not (out / "trace.svg").exists()
-    assert "plot written" not in capsys.readouterr().out
+def test_cli_run_of_an_empty_transfer_is_an_input_fault(tmp_path, capsys):
+    # it ran: a header-only trace.csv and no trace.svg, exit 0
+    path = tmp_path / "s.scn"
+    path.write_text(LINK_1 + "link1.delay_ms = 10\ntransfer_size = 0\n")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: %s:3: transfer_size: must be >= 1\n" % path)
+    assert not out.exists()
+
+
+def test_cli_run_replaces_an_earlier_plot(tmp_path, capsys):
+    # an --out that holds a trace.svg of an earlier run gets the file a
+    # fresh directory gets, byte for byte
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    reused.mkdir()
+    (reused / "trace.svg").write_text("<svg>an earlier run</svg>\n")
+    for out in (fresh, reused):
+        assert main(["run", "paper-base", "--out", str(out)]) == 0
+    assert ((reused / "trace.svg").read_bytes()
+            == (fresh / "trace.svg").read_bytes())
 
 
 @pytest.mark.parametrize("preset, detector", [
@@ -1103,19 +1127,20 @@ def test_cli_sweep_and_plot(tmp_path, capsys):
     assert (tmp_path / "trace.svg").exists()
 
 
-def test_cli_sweep_with_an_infinite_value_writes_an_error_row(tmp_path):
-    code = main(["sweep", "paper-base", "--param", "latency", "--link", "2",
-                 "--values", "10,inf,nan", "--out", str(tmp_path)])
-    assert code == 0
-    lines = (tmp_path / "sweep_latency_link2.csv").read_text().splitlines()
-    assert len(lines) == 4
-    assert lines[1].startswith("10,") and lines[1].endswith(",")
-    assert lines[2].startswith("inf,")
-    assert lines[2].endswith("link2.one_way_delay_s: must be >= 0 and "
-                             "<= 1e9 s")
-    assert lines[3].startswith("nan,")
-    assert lines[3].endswith(',"link2.one_way_delay_s: expected a number, '
-                             'got nan"')
+def test_cli_sweep_with_an_infinite_value_is_an_input_fault(
+        tmp_path, capsys, monkeypatch):
+    # each exited 0 with an error row that named link2.one_way_delay_s; now
+    # no point runs and no CSV is written
+    monkeypatch.setattr(harness, "Simulation", no_sweep_point)
+    for value, message in [
+            ("inf", "link2.delay_ms: must be >= 0 and <= 1e9 s"),
+            ("nan", "link2.delay_ms: expected a number, got nan")]:
+        code = main(["sweep", "paper-base", "--param", "latency", "--link",
+                     "2", "--values", "10," + value, "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: sweep value %s: %s\n" % (value, message))
+        assert not (tmp_path / "sweep_latency_link2.csv").exists()
 
 
 @pytest.mark.parametrize("value", ["1_0", "\u0661\u0660"],

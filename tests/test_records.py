@@ -90,7 +90,6 @@ class RunResult:
 class SweepRow:
     param_value: float
     stats: simulation.SummaryStats
-    error: Optional[str] = None
 
 
 @dataclasses.dataclass

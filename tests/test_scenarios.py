@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mpsim.config import LinkConfig, ScenarioConfig
 from mpsim.coupling import CouplingMode
 from mpsim.harness import TRACE_CSV_COLUMNS, run_scenario, trace_csv_lines
+from mpsim.simulation import SAMPLE
 from mpsim.spurious import DetectorChoice
 
 
@@ -24,13 +25,13 @@ def links():
 
 @st.composite
 def scenarios(draw):
-    """A ScenarioConfig that passes validate(): 1-4 links, up to 150 kB in
+    """A ScenarioConfig that passes validate(): 1-4 links, 1 B to 150 kB in
     segments of 40-1500 bytes, every coupling and detector, ACK loss on or
     off, and times, windows and RTO settings within validate()'s bounds."""
     rto_floor = draw(st.floats(1e-3, 1.0))
     return ScenarioConfig(
         links=draw(st.lists(links(), min_size=1, max_size=4)),
-        transfer_size=draw(st.integers(0, 150_000)),
+        transfer_size=draw(st.integers(1, 150_000)),
         mss=draw(st.integers(40, 1500)),
         coupling=draw(st.sampled_from(CouplingMode)),
         detector=draw(st.sampled_from(DetectorChoice)),
@@ -59,6 +60,11 @@ def test_every_valid_scenario_ends_with_its_checks_kept(cfg):
         assert s.checksum_ok
         assert s.delivered_bytes == cfg.transfer_size
     assert sum(s.bytes_sf) >= s.delivered_bytes
+    # every run samples at 0 s, one row per subflow, before any event: a
+    # run always has a trace to plot
+    n = len(cfg.links)
+    assert [(r.time_s, r.subflow, r.event) for r in result.traces[:n]] == [
+        (0.0, i, SAMPLE) for i in range(1, n + 1)]
     lines = trace_csv_lines(result.traces)
     assert lines[0] == ",".join(TRACE_CSV_COLUMNS)
     assert len(lines) == len(result.traces) + 1
