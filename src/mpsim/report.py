@@ -128,43 +128,27 @@ def _ticks(lo: float, hi: float, n: int = 6) -> List[float]:
     out = []
     v = math.ceil(lo / step) * step
     # [lo, hi] spans at most n steps: n + 1 ticks, and one more for the
-    # rounding of the first. Where step is below half the float spacing at v,
-    # `v += step` stands still: the tick is drawn once and the loop stops.
-    # Near the largest float (a window the simulator can write), the step
-    # past the last tick is inf, and so is `hi + step * 1e-9`. Each tick is
-    # a multiple of 10**exp, and is rounded to one at any magnitude.
+    # rounding of the first. Near the largest float (a window the simulator
+    # can write), the step past the last tick is inf, and so is
+    # `hi + step * 1e-9`. Each tick is a multiple of 10**exp, and is rounded
+    # to one at any magnitude.
     for _ in range(n + 2):
         if v > hi + step * 1e-9 or v == math.inf:
             break
         out.append(round(v, -exp))
-        if v + step == v:
-            break
         v += step
     return out
-
-
-def _labelled_ticks(lo: float, hi: float):
-    """(tick, label) pairs: `%g` labels, or with more significant digits
-    until no two read alike (17 tell every two floats apart)."""
-    ticks = _ticks(lo, hi)
-    for digits in range(6, 18):
-        labels = ["%.*g" % (digits, v) for v in ticks]
-        if len(set(labels)) == len(labels):
-            break
-    return zip(ticks, labels)
 
 
 def emit_plot(records: Sequence[TraceRecord], path) -> None:
     """Self-contained SVG: cwnd vs time, one polyline per subflow, with
     markers at FastRetransmit and SpuriousDetected events. It draws the
-    records a run writes: times in [0, 1e9] s, on a 1 ns clock, and finite
-    windows of at least one MSS."""
+    records a run writes: times in [0, 1e9] s, on a 1 ns clock, from a
+    first sample at 0 s, and finite windows of at least one MSS, so both
+    axes start at 0."""
     records = list(records)
-    if not records:
-        raise ValueError("emit_plot requires at least one trace record")
-    t_lo = min(r.time_s for r in records)
+    t_lo = c_lo = 0.0
     t_hi = _axis_top(t_lo, max(r.time_s for r in records))
-    c_lo = 0.0
     c_hi = _axis_top(c_lo, max(r.cwnd for r in records))
 
     x = _scale(t_lo, t_hi, _ML, _W - _ML - _MR)
@@ -180,18 +164,18 @@ def emit_plot(records: Sequence[TraceRecord], path) -> None:
                  % (_ML, _H - _MB, _W - _MR, _H - _MB))
     parts.append('<line x1="%g" y1="%g" x2="%g" y2="%g" stroke="black"/>'
                  % (_ML, _MT, _ML, _H - _MB))
-    for tv, label in _labelled_ticks(t_lo, t_hi):
+    for tv in _ticks(t_lo, t_hi):
         parts.append('<line x1="%g" y1="%g" x2="%g" y2="%g" stroke="black"/>'
                      % (x(tv), _H - _MB, x(tv), _H - _MB + 5))
         parts.append('<text x="%g" y="%g" font-size="11" '
                      'text-anchor="middle">%s</text>'
-                     % (x(tv), _H - _MB + 18, label))
-    for cv, label in _labelled_ticks(c_lo, c_hi):
+                     % (x(tv), _H - _MB + 18, "%g" % tv))
+    for cv in _ticks(c_lo, c_hi):
         parts.append('<line x1="%g" y1="%g" x2="%g" y2="%g" stroke="black"/>'
                      % (_ML - 5, y(cv), _ML, y(cv)))
         parts.append('<text x="%g" y="%g" font-size="11" '
                      'text-anchor="end">%s</text>'
-                     % (_ML - 8, y(cv) + 4, label))
+                     % (_ML - 8, y(cv) + 4, "%g" % cv))
     parts.append('<text x="%g" y="%g" font-size="12" text-anchor="middle">'
                  'time [s]</text>' % ((_ML + _W - _MR) / 2, _H - 12))
     parts.append('<text x="16" y="%g" font-size="12" text-anchor="middle" '

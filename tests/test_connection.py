@@ -1,6 +1,7 @@
 """Connection-level scheduling and reassembly."""
 
 import bisect
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,13 @@ from mpsim.netmodel import LinkConfig
 from mpsim.spurious import DetectorChoice
 from mpsim.subflow import Subflow
 from recording import Recorder
+
+ROOT = Path(__file__).parents[1]
+# tools/reassembly_arrivals.py names the thirteen arrival cases and counts
+# them in the benchmark's workloads; the tests take its names and recorder
+sys.path.insert(0, str(ROOT / "tools"))
+from reassembly_arrivals import (ARRIVAL_CASES, SHORT_PATHS,  # noqa: E402
+                                 arrivals, case_counts, classify)
 
 
 # --------------------------------------------------------------- scheduler
@@ -339,38 +347,29 @@ def test_reassembly_matches_reference(arrivals):
         assert recv.rcv_data_next == ref.rcv_data_next
 
 
-# Every arrival case, against rcv_data_next 100 and stored ranges
-# [200, 300) and [400, 500): (arrival, expected (data_ack, delivered, dup)).
-ARRIVAL_CASES = {
-    "in order, touching nothing": ((100, 150), (150, (100, 150), None)),
-    "in order, filling the hole exactly": ((100, 200),
-                                           (300, (100, 300), None)),
-    "in order, overlapping": ((100, 250), (300, (100, 300), (200, 250))),
-    "out of order, inside a held range": ((220, 280),
-                                          (100, None, (220, 280))),
-    "out of order, overlapping held bytes": ((350, 450),
-                                             (100, None, (400, 450))),
-    "out of order, joining two ranges": ((300, 400), (100, None, None)),
-    "out of order, extending the range below": ((300, 350),
-                                                (100, None, None)),
-    "out of order, extending the range above downward": ((350, 400),
-                                                         (100, None, None)),
-    "out of order, a new range": ((320, 380), (100, None, None)),
-    "wholly below rcv_data_next": ((50, 100), (100, None, (50, 100))),
-    "straddling, touching nothing": ((50, 150),
-                                     (150, (100, 150), (50, 100))),
-    "straddling, filling the hole exactly": ((50, 200),
-                                             (300, (100, 300), (50, 100))),
-    "straddling, overlapping": ((50, 250), (300, (100, 300), (50, 100))),
-}
+# An arrival of each case of ARRIVAL_CASES, in its order, against
+# rcv_data_next 100 and stored ranges [200, 300) and [400, 500): (arrival,
+# expected (data_ack, delivered, dup)).
+ARRIVAL_EXAMPLES = dict(zip(ARRIVAL_CASES, [
+    ((100, 150), (150, (100, 150), None)),
+    ((100, 200), (300, (100, 300), None)),
+    ((100, 250), (300, (100, 300), (200, 250))),
+    ((220, 280), (100, None, (220, 280))),
+    ((350, 450), (100, None, (400, 450))),
+    ((300, 400), (100, None, None)),
+    ((300, 350), (100, None, None)),
+    ((350, 400), (100, None, None)),
+    ((320, 380), (100, None, None)),
+    ((50, 100), (100, None, (50, 100))),
+    ((50, 150), (150, (100, 150), (50, 100))),
+    ((50, 200), (300, (100, 300), (50, 100))),
+    ((50, 250), (300, (100, 300), (50, 100))),
+], strict=True))
 
 
 @pytest.mark.parametrize("case", ARRIVAL_CASES)
-def test_each_arrival_case_matches_reference(case, monkeypatch):
-    # tools/reassembly_arrivals.py counts these cases in recorded traffic
-    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "tools"))
-    from reassembly_arrivals import classify
-    (start, end), expected = ARRIVAL_CASES[case]
+def test_each_arrival_case_matches_reference(case):
+    (start, end), expected = ARRIVAL_EXAMPLES[case]
     assert classify([200, 400], [300, 500], 100, start, end) == case
     recv, ref = ReassemblyState(), ReferenceReassembly()
     for buf in (recv, ref):
@@ -381,12 +380,30 @@ def test_each_arrival_case_matches_reference(case, monkeypatch):
     assert recv.rcv_data_next == ref.rcv_data_next
 
 
+def first_difference(runs):
+    """(scenario, arrival, on_data's state, the reference's state) at the
+    first arrival after which a ReassemblyState and a ReferenceReassembly
+    differ in the result of on_data, the stored ranges or rcv_data_next;
+    None if they never do. Each scenario starts from fresh buffers."""
+    for i, run in enumerate(runs):
+        buf, ref = ReassemblyState(), ReferenceReassembly()
+        for j, (start, end) in enumerate(run):
+            got = (buf.on_data(start, end), buf.stored_ranges,
+                   buf.rcv_data_next)
+            want = (ref.on_data(start, end), ref.stored_ranges,
+                    ref.rcv_data_next)
+            if got != want:
+                return i, j, got, want
+    return None
+
+
 def test_recorded_arrivals_match_reference(monkeypatch):
     # Real runs build buffers of more ranges than the sequences above; each
-    # short path of on_data must meet them.
-    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "tools"))
-    from reassembly_arrivals import (SHORT_PATHS, arrivals, case_counts,
-                                     first_difference)
+    # short path of on_data must meet them. Four 1 MB runs, and the
+    # benchmark's reorder workload at seed 1: 86,733 arrivals in three 40 MB
+    # transfers over delay-asymmetric paths.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
     cfgs = []
     for detector in DetectorChoice:
         cfg = load_scenario("paper-reorder")
@@ -397,9 +414,8 @@ def test_recorded_arrivals_match_reference(monkeypatch):
     lossy.transfer_size = 1_000_000
     lossy.links[1].loss_rate = 0.05
     cfgs.append(lossy)
-    runs = arrivals(cfgs)
-    assert first_difference(ReassemblyState, ReferenceReassembly,
-                            runs) is None
+    runs = arrivals(cfgs + workloads.build("reorder", 1))
+    assert first_difference(runs) is None
     counts = case_counts(runs)
     assert all(counts[case] for case in SHORT_PATHS), counts
 
