@@ -28,9 +28,11 @@ DEFAULT_QUEUE_LIMIT = 100  # packets; NS-3 point-to-point magnitude
 MAX_SECONDS = 1e9  # longest time in a scenario: its ns count stays finite
 MAX_MSS = 10**9  # largest segment in bytes: `cwnd * mss` stays a float
 
-# Trace samples a run may take (stop_time / trace_interval): each one holds
-# a row per subflow for the whole run, so an interval far below the run
-# length would exhaust memory before the transfer ends.
+# Trace samples a run may take (stop_time / trace_interval). A sample writes
+# rows only for the subflows whose state changed, but the sampling loop still
+# visits each subflow at every sample, and a window that changes at each one
+# writes a row each time, so an interval far below the run length would
+# spend the run in that loop and could exhaust memory before it ends.
 MAX_TRACE_SAMPLES = 1_000_000
 
 

@@ -141,11 +141,11 @@ def _ticks(lo: float, hi: float, n: int = 6) -> List[float]:
 
 
 def emit_plot(records: Sequence[TraceRecord], path) -> None:
-    """Self-contained SVG: cwnd vs time, one polyline per subflow, with
-    markers at FastRetransmit and SpuriousDetected events. It draws the
-    records a run writes: times in [0, 1e9] s, on a 1 ns clock, from a
-    first sample at 0 s, and finite windows of at least one MSS, so both
-    axes start at 0."""
+    """Self-contained SVG: cwnd vs time, one step line per subflow, which
+    holds each row's window until the subflow's next row, with markers at
+    FastRetransmit and SpuriousDetected events. It draws the records a run
+    writes: times in [0, 1e9] s, on a 1 ns clock, from a first sample at
+    0 s, and finite windows of at least one MSS, so both axes start at 0."""
     records = list(records)
     t_lo = c_lo = 0.0
     t_hi = _axis_top(t_lo, max(r.time_s for r in records))
@@ -181,18 +181,19 @@ def emit_plot(records: Sequence[TraceRecord], path) -> None:
     parts.append('<text x="16" y="%g" font-size="12" text-anchor="middle" '
                  'transform="rotate(-90 16 %g)">cwnd [MSS]</text>'
                  % ((_MT + _H - _MB) / 2, (_MT + _H - _MB) / 2))
-    # one polyline per subflow
+    # one step path per subflow: a window holds until the subflow's next row
     for k, sf in enumerate(subflows):
         color = _SF_COLORS[k % len(_SF_COLORS)]
-        pts = ["%g,%g" % (x(r.time_s), y(r.cwnd))
-               for r in records if r.subflow == sf]
-        if len(pts) == 1:
-            cx, cy = pts[0].split(",")
-            parts.append('<circle cx="%s" cy="%s" r="3" fill="%s"/>'
-                         % (cx, cy, color))
+        rows = [r for r in records if r.subflow == sf]
+        first = rows[0]
+        if len(rows) == 1:
+            parts.append('<circle cx="%g" cy="%g" r="3" fill="%s"/>'
+                         % (x(first.time_s), y(first.cwnd), color))
         else:
-            parts.append('<polyline points="%s" fill="none" stroke="%s" '
-                         'stroke-width="1.3"/>' % (" ".join(pts), color))
+            d = "M %g %g" % (x(first.time_s), y(first.cwnd)) + "".join(
+                " H %g V %g" % (x(r.time_s), y(r.cwnd)) for r in rows[1:])
+            parts.append('<path d="%s" fill="none" stroke="%s" '
+                         'stroke-width="1.3"/>' % (d, color))
         parts.append('<text x="%g" y="%g" font-size="12" fill="%s">'
                      'subflow %d</text>'
                      % (_W - _MR - 90, _MT + 16 * (k + 1), color, sf))

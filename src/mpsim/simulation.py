@@ -109,6 +109,7 @@ class Simulation:
         self.protocol_violations = 0
         self.bytes_sf = [0] * len(cfg.links)
         self.traces: List[TraceRecord] = []
+        self._last_rows: List[Optional[TraceRecord]] = [None] * len(cfg.links)
         self.detections: List[sp.SpuriousSnapshot] = []
         self._stop_ns = seconds_to_ns(cfg.stop_time)
         self._trace_ns = seconds_to_ns(cfg.trace_interval)
@@ -116,9 +117,10 @@ class Simulation:
     # ------------------------------------------------------------ helpers
 
     def _trace(self, sf: Subflow, event: str) -> None:
-        self.traces.append(TraceRecord(
+        row = self._last_rows[sf.index] = TraceRecord(
             self.kernel.now / NS_PER_S, sf.index + 1, sf.cwnd, sf.ssthresh,
-            sf.phase, event))
+            sf.phase, event)
+        self.traces.append(row)
 
     def _arm_rto(self, sf: Subflow) -> None:
         """(Re)start the timer lazily. Each re-arm makes the entry a
@@ -355,12 +357,24 @@ class Simulation:
 
     # -------------------------------------------------------------- driver
 
-    def _on_trace_sample(self, now: int) -> None:
-        now_s = now / NS_PER_S  # one float shared by all of the sample's rows
+    def _on_trace_sample(self, now: int, every: bool = False) -> None:
+        """A Sample row for each subflow whose (cwnd, ssthresh, phase)
+        differs by value from its previous row of any kind, and, with
+        `every`, for each subflow whose previous row is no Sample at this
+        time: a reader holds a subflow's last row."""
+        now_s = now / NS_PER_S
         append = self.traces.append
+        last = self._last_rows
         for sf in self.subflows:
-            append(TraceRecord(now_s, sf.index + 1, sf.cwnd, sf.ssthresh,
-                               sf.phase, SAMPLE))
+            i = sf.index
+            row = last[i]
+            if (every and (row is None or row.time_s != now_s
+                           or row.event != SAMPLE)
+                    or row.cwnd != sf.cwnd or row.ssthresh != sf.ssthresh
+                    or row.phase != sf.phase):
+                row = last[i] = TraceRecord(now_s, i + 1, sf.cwnd,
+                                            sf.ssthresh, sf.phase, SAMPLE)
+                append(row)
 
     def run(self) -> RunResult:
         kernel = self.kernel
@@ -371,7 +385,7 @@ class Simulation:
         # events. A slice ends at the next sample time and fires there only
         # the events scheduled before it began, so each sample keeps the
         # place an event queued at the previous sample would have had.
-        self._on_trace_sample(0)  # sending changed no sampled value
+        self._on_trace_sample(0, True)  # sending changed no sampled value
         t = step
         while t < stop_ns:
             kernel.run_until_idle(t)
@@ -381,6 +395,9 @@ class Simulation:
             t += step
         # the stop event, the run's first, fires first at stop_ns
         kernel.run_until_idle(stop_ns)
+        # every subflow's row at the run's end
+        end = stop_ns if self.completed_ns is None else self.completed_ns
+        self._on_trace_sample(end, True)
         return self._result()
 
     def _result(self) -> RunResult:

@@ -13,13 +13,17 @@ class Recorder(Simulation):
     - `arrivals`: `(ns, subflow, bytes, new_bytes)` for every data segment
       that arrives, `new_bytes` being how far it moved `rcv_data_next`;
     - `srtts`: `(time_s, subflow, smoothed rtt)` for every subflow at every
-      trace sample, one per `Sample` row of the trace."""
+      trace sample, the one at the run's end included;
+    - `states`: `(rows, subflow, cwnd, ssthresh, phase)` for every subflow
+      at every trace sample, `rows` being the trace's length right after
+      the sample, whether or not it wrote the subflow's row."""
 
     def __init__(self, cfg):
         super().__init__(cfg)
         self.sends = []
         self.arrivals = []
         self.srtts = []
+        self.states = []
 
     def _send_mapping(self, sf, m):
         self.sends.append((self.kernel.now, sf.index + 1))
@@ -31,8 +35,10 @@ class Recorder(Simulation):
         self.arrivals.append((self.kernel.now, sf_id + 1, size,
                               self.recv.rcv_data_next - before))
 
-    def _on_trace_sample(self, now):
-        super()._on_trace_sample(now)
-        now_s = now / NS_PER_S
-        self.srtts.extend((now_s, sf.index + 1, sf.estimator.rtt)
-                          for sf in self.subflows)
+    def _on_trace_sample(self, now, every=False):
+        super()._on_trace_sample(now, every)
+        now_s, rows = now / NS_PER_S, len(self.traces)
+        for sf in self.subflows:
+            self.srtts.append((now_s, sf.index + 1, sf.estimator.rtt))
+            self.states.append((rows, sf.index + 1, sf.cwnd, sf.ssthresh,
+                                sf.phase))

@@ -175,7 +175,7 @@ def test_criterion_5_eifel_restores_window(reorder_runs):
 
 
 def _cwnd_at(samples, t):
-    """Window from the last trace sample at or before time t."""
+    """Window from the last trace row at or before time t."""
     value = samples[0][1]
     for ts, cwnd in samples:
         if ts > t:
@@ -195,16 +195,21 @@ def _srtt_at(srtts, t):
 
 def test_criterion_6_dsack_regrows_exponentially(reorder_runs):
     result, rec = reorder_runs[DetectorChoice.DSACK]
-    # one smoothed-RTT entry per subflow per trace sample
-    assert len(rec.srtts) == sum(1 for r in result.traces
-                                 if r.event == "Sample") > 0
+    # one smoothed-RTT entry per subflow per trace sample: every 10 ms
+    # before the transfer completes, and at its end
+    n = len(result.cfg.links)
+    times = [t for t, s, _ in rec.srtts if s == 1]
+    assert [t for t, _, _ in rec.srtts] == [t for t in times
+                                            for _ in range(n)]
+    assert len(times) == -(-rec.completed_ns // rec._trace_ns) + 1
     detections = result.detections
     problems = []
     full_episodes = 0
     for k, det in enumerate(detections):
         sf = det.subflow
+        # the window a reader holds: the subflow's last row of any kind
         samples = [(r.time_s, r.cwnd) for r in result.traces
-                   if r.subflow == sf and r.event == "Sample"]
+                   if r.subflow == sf]
         srtts = [(t, v) for t, s, v in rec.srtts if s == sf]
         target = det.ssthresh_before  # the threshold DSACK restores
         end = next((r.time_s for r in result.traces

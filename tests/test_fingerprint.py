@@ -3,7 +3,11 @@
 Each digest is the sha256 of one scenario's trace CSV, its `repr(stats)`
 and its send log, as `recording.Recorder` keeps it. The constants were
 computed from the simulator before its hot path was reworked; a change that
-alters any of them changes behaviour and must say why.
+alters any of them changes behaviour and must say why. All 18 digests were
+re-computed once since, for a change of the trace alone: a subflow's
+`Sample` row is written only when its state differs from its previous row,
+every subflow has a row at 0 s and at the run's end, and `time_s` is
+written with `repr`. No event or segment count moved.
 
 The points cover every coupling mode x detector pair once, each loss rate
 on link 2 four times, and both presets at 2 MB. Four more run 3 and 4 lossy
@@ -31,29 +35,29 @@ MB = 1_000_000
 # (link-2 Mbps, link-2 one-way ms, link-2 loss, coupling, detector) -> digest
 GRID_DIGESTS = {
     (0.5, 10.0, 0.0, C.UNCOUPLED, D.NONE):
-        "717a7ad9543454c5a4f01f72645ed0b335aedd8439457f1e5ab45b8e8c5456eb",
+        "ae67e4289720254a2ede40f21f863c990d98ea34ad8deb2a78ccb1644d007293",
     (4.0, 160.0, 0.01, C.UNCOUPLED, D.EIFEL):
-        "c126f4f52a8542f7ba2338ca881b8c27e92c2bcf68a2009d2b207f6d791ad2ff",
+        "c840710e8ec21a94dbed5d2461265b6022aef13ad5287813219022f39111fbb8",
     (16.0, 320.0, 0.05, C.UNCOUPLED, D.DSACK):
-        "ac6636863cd1fc44550ceb3d0907ef4afcbb16d433e59e409403f2a5b932f108",
+        "8c4dbae12f3cfade474c25732bed61925b4a41394374f81a184985f351018765",
     (4.0, 320.0, 0.0, C.FULLY_COUPLED, D.NONE):
-        "7df272c3d207d6320986190ee9fbc8e8300fb6efb375cab28a944335fb6308b9",
+        "df40e3c745fa1821fad0ae6ddc55122be9e048844c63a74627c4cf791a8259b0",
     (16.0, 10.0, 0.01, C.FULLY_COUPLED, D.EIFEL):
-        "530c6c19f106251117fecdbe9debd5d3e812227bae858848e66597a1e4e13726",
+        "2717cbf78eabe95977ee716c3cfcc16752c95b61ec57f4c4ce12a27a510d6801",
     (0.5, 160.0, 0.05, C.FULLY_COUPLED, D.DSACK):
-        "bc4f94fe84fef327779e643e12dbcd3af64e123f1697065fdacfbab5ac1546e7",
+        "29dc699fdc3d2cdbc1a46fdde9c1f9a43b0629e8761aaf937c0fb16b33356e91",
     (16.0, 160.0, 0.0, C.LINKED_INCREASES, D.NONE):
-        "ccf28503777be54c0d090726434c0b2b4aabf68ac3a65b448a9fcc59c2f69bd4",
+        "580c08b2ef0c614f31b6c7daac62127fa93efb0a5c62c618aeb3a4841ab9d589",
     (0.5, 320.0, 0.01, C.LINKED_INCREASES, D.EIFEL):
-        "45d02248c3988bfd42df5017420f27a3fbc8f0a0241594ed394299d7e5b77193",
+        "61b07699610d876e69197fa4ce3dbd0fdb93c9625d486695f8bd4941f33a1c84",
     (4.0, 10.0, 0.05, C.LINKED_INCREASES, D.DSACK):
-        "f5caf66ae3e4bdc3022ea846878ca7481c8ca6b2f9c6c27c040dba5e990fe201",
+        "7b7ce4ce2d800978f691f8af417e94704030772de1b89530d78e8243f93308cf",
     (0.5, 320.0, 0.05, C.RTT_COMPENSATOR, D.NONE):
-        "b3c2ff775e9fca58b820ca79db85d59471cf97f52d703cc1c0973aa50d46e8ea",
+        "3008854726ff96ed4da23037aaaca9ca81bba828d16bdc44a2009c3b5c27e976",
     (4.0, 160.0, 0.0, C.RTT_COMPENSATOR, D.EIFEL):
-        "76d43e93857dd9d9564fe5464bb30ded0d84eaf9bfad0656ded2f504490bd284",
+        "2d04f27494188da2fa4329aa4f5dc72f170f6d367da8b07eed27bf80b05b1025",
     (16.0, 320.0, 0.01, C.RTT_COMPENSATOR, D.DSACK):
-        "f44a4a63d8c25cff77daf5adeda1d47709bb68c8affed899abaea5ffb8ec09e0",
+        "7c95dcee37188c90629fee04c1ae38e30578d1be3d952a38404b6042c223aeb4",
 }
 
 # same keys -> (events scheduled, data segments sent)
@@ -74,9 +78,9 @@ GRID_COUNTS = {
 
 PRESET_DIGESTS = {
     "paper-base":
-        "f6c11dcedb2839a1d210fd5323bf8c1f294e7ad2c624f4e40df725e2e9b3eca7",
+        "1b1ad9067e1eac1007c42d55577b17fac38c3528510edf5437d23f9a302fe69e",
     "paper-reorder":
-        "6bc564188a1dc6b29a2f939e799e06c960cdc5d9168787cb40f6cf99cf95ee0d",
+        "1243bec7dcd0cbb9357c5244d6fe196cae227b7acc6261e3361c2e1cbfb0eb83",
 }
 
 PRESET_COUNTS = {
@@ -89,19 +93,19 @@ PRESET_COUNTS = {
 MULTI_LINK = {
     (((2.0, 10.0, 0.01), (4.0, 40.0, 0.02), (1.0, 80.0, 0.01)),
      C.LINKED_INCREASES, D.EIFEL):
-        ("7a5a2e0f9459cb76b05ba21f6c750883dc45b39f33675ee7502c9a9bf8d726ff",
+        ("b9bb25dd600e9eb774e10229f8d03068a49b5e1ecd8e88cbee525e3a053b909e",
          1786, 746),
     (((4.0, 20.0, 0.02), (2.0, 60.0, 0.01), (8.0, 120.0, 0.01),
       (1.0, 30.0, 0.03)), C.RTT_COMPENSATOR, D.DSACK):
-        ("af0802cceb2d603f5d07cb995e4bde7b658bae47d7508e1d5f23b5a2589241db",
+        ("eb5f2b4208e87f7f90b9fc269e2562d88b6ae104da768641a8152861404fa95f",
          1895, 818),
     (((2.0, 15.0, 0.02), (4.0, 50.0, 0.01), (2.0, 100.0, 0.02),
       (8.0, 25.0, 0.01)), C.FULLY_COUPLED, D.NONE):
-        ("b9b1d265505b5e1b72b2b98a588dc2f5d27a0307218a80eeba38e6b394780191",
+        ("4e186c1d28d757998a001e11893688ed5cc6b0627e2336bb0cfc8dfcf0ca5853",
          2097, 776),
     (((1.0, 10.0, 0.02), (2.0, 40.0, 0.01), (4.0, 160.0, 0.02)),
      C.FULLY_COUPLED, D.EIFEL):
-        ("fdb2326f815eefe1847552c6ce97a200345d45c38fee7fea3803ed35b48f2129",
+        ("ef44d30aa35489c3cb872af7f7a986d2c8b542546c11965d9cec2c3451229741",
          2078, 773),
 }
 
@@ -151,9 +155,14 @@ def test_grid_point_fingerprint(point):
 
 @pytest.mark.parametrize("name", sorted(PRESET_DIGESTS))
 def test_preset_fingerprint(name):
+    assert fingerprint(preset_cfg(name)) == (PRESET_DIGESTS[name],
+                                             *PRESET_COUNTS[name])
+
+
+def preset_cfg(name):
     cfg = load_scenario(name)
     cfg.transfer_size = 2 * MB
-    assert fingerprint(cfg) == (PRESET_DIGESTS[name], *PRESET_COUNTS[name])
+    return cfg
 
 
 def multi_link_cfg(links, coupling, detector):

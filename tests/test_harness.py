@@ -19,10 +19,11 @@ from mpsim.harness import run_scenario, trace_csv_lines
 from mpsim.netmodel import Link, LinkConfig
 from mpsim.report import (emit_csv, emit_plot, fmt, run_sweep,
                           sweep_csv_lines)
-from mpsim.simkernel import mix_seed
+from mpsim.simkernel import NS_PER_S, mix_seed
 from mpsim.simulation import EVENTS, Simulation, TraceRecord
 from mpsim.spurious import DetectorChoice
 from mpsim.subflow import PHASES
+from recording import Recorder
 from test_scenarios import scenarios
 
 FLAT = """
@@ -381,8 +382,11 @@ def test_trace_interval_below_one_clock_tick_is_rejected():
     with pytest.raises(ScenarioError,
                        match=re.escape("trace_interval: must be >= 1e-9 s")):
         small_cfg(stop_time=1e-5, trace_interval=1e-10).validate()
-    result = run_scenario(small_cfg(stop_time=1e-5, trace_interval=1e-9))
-    assert len(result.traces) == 2 * 10_000  # one tick, and 2 subflows
+    rec = Recorder(small_cfg(stop_time=1e-5, trace_interval=1e-9))
+    rec.run()
+    # a sample at each of the 10,000 ticks before the stop, and one at it,
+    # each logging both subflows
+    assert len(rec.srtts) == 2 * (10_000 + 1)
 
 
 def with_values(cfg, values):
@@ -768,13 +772,14 @@ def test_int_and_file_windows_write_the_same_trace():
     from_python = small_cfg(initial_ssthresh=1_000_000)
     lines = trace_csv_lines(run_scenario(from_python).traces)
     assert lines == trace_csv_lines(run_scenario(from_file).traces)
-    assert lines[1] == "0,1,2,1e+06,slow_start,Sample"
+    assert lines[1] == "0.0,1,2,1e+06,slow_start,Sample"
 
 
 def fmt_row(r):
-    """A trace row rendered field by field with `fmt`: the reference the
-    one-format row renderer must match byte for byte."""
-    return ",".join((fmt(r.time_s), str(r.subflow), fmt(r.cwnd),
+    """A trace row rendered field by field, its time with `repr` and its
+    windows with `fmt`: the reference the one-format row renderer must
+    match byte for byte."""
+    return ",".join((repr(r.time_s), str(r.subflow), fmt(r.cwnd),
                      fmt(r.ssthresh), r.phase, r.event))
 
 
@@ -791,8 +796,7 @@ _floats = st.one_of(
 @st.composite
 def _records(draw):
     # besides fresh floats, a few objects that rows share, as a sample's
-    # rows share a time and a subflow's rows an unchanged window; 0.0 and
-    # -0.0 are equal but distinct objects, and are written differently
+    # rows share a time; 0.0 and -0.0 are equal, but written differently
     pool = draw(st.lists(_floats, max_size=3)) + [0.0, -0.0]
     value = st.one_of(_floats, st.sampled_from(pool))
     return draw(st.lists(st.builds(
@@ -813,6 +817,20 @@ def test_trace_rows_match_the_fmt_renderer(records):
     lines = trace_csv_lines(records)
     assert lines[0] == ",".join(harness.TRACE_CSV_COLUMNS)
     assert lines[1:] == [fmt_row(r) for r in records]
+
+
+def test_trace_times_resolve_one_nanosecond():
+    # `%.6g` wrote both rows at 10,000 s `10000`; `repr` tells apart any
+    # two floats, and a time on the 1 ns clock is its own float below 2**23
+    # s (about 97 days), where the float spacing grows past 1 ns
+    ns = 10_000 * NS_PER_S
+    rows = [TraceRecord((ns + k) / NS_PER_S, 1, 2.0, 64.0, PHASES[0],
+                        EVENTS[0]) for k in (0, 1)]
+    assert [line.split(",")[0] for line in trace_csv_lines(rows)[1:]] == [
+        "10000.0", "10000.000000001"]
+    top = 2**23 * NS_PER_S
+    assert len({(top - k) / NS_PER_S for k in range(1, 1001)}) == 1000
+    assert len({(top + k) / NS_PER_S for k in range(1000)}) < 1000
 
 
 def test_sweep_csv_has_expected_header_and_rows():
@@ -847,7 +865,7 @@ def test_plot_is_valid_svg_with_markers(tmp_path):
     text = path.read_text()
     assert text.startswith("<svg")
     assert text.rstrip().endswith("</svg>")
-    assert "polyline" in text
+    assert '<path d="M ' in text
     assert result.stats.fast_retx > 0 and "#c22" in text
 
 
@@ -878,13 +896,14 @@ def cli_run(tmp_path, capsys, text):
 
 def test_cli_run_of_one_sample_row_widens_the_time_span_by_one(tmp_path,
                                                                capsys):
-    # the transfer ends before the second sample: one row, at 0 s, whose
-    # empty time span ends 1.0 s above its start; the row is a dot at the
-    # top of the cwnd axis, which ends at its window
-    out = cli_run(tmp_path, capsys, "transfer_size = 60000\nstop_time = 5\n"
-                  "trace_interval = 10\n")
+    # a stop_time under 0.5 ns rounds to 0 ns, so the run ends at 0 s, and
+    # its one sample is its end: one row, at 0 s, whose empty time span ends
+    # 1.0 s above its start; the row is a dot at the top of the cwnd axis,
+    # which ends at its window
+    out = cli_run(tmp_path, capsys, "transfer_size = 60000\n"
+                  "stop_time = 1e-10\ntrace_interval = 10\n")
     assert (out / "trace.csv").read_text().splitlines()[1:] == [
-        "0,1,2,64,slow_start,Sample"]
+        "0.0,1,2,64,slow_start,Sample"]
     svg = (out / "trace.svg").read_text()
     assert "nan" not in svg and "inf" not in svg
     times = re.findall(r'text-anchor="middle">([^<]*)</text>', svg)[:-1]

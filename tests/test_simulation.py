@@ -18,6 +18,9 @@ from mpsim.simulation import Simulation
 from mpsim.spurious import DetectorChoice
 from mpsim.subflow import Mapping
 from recording import Recorder
+from test_fingerprint import (GRID_DIGESTS, MULTI_LINK, PRESET_DIGESTS,
+                              grid_cfg, multi_link_cfg, multi_link_id,
+                              point_id, preset_cfg)
 
 
 def two_path_cfg(delay2_ms=10.0, loss2=0.0, transfer=200_000, **kw):
@@ -226,7 +229,8 @@ def test_lazy_rto_timer_fires_as_the_eager_one(n, ops):
 
 def event_sampled_run(sim):
     """Reference driver: each trace sample is a kernel event that schedules
-    the next, as the simulator once sampled."""
+    the next, as the simulator once sampled, and the run's end takes one
+    more sample."""
     kernel = sim.kernel
 
     def sample():
@@ -239,6 +243,8 @@ def event_sampled_run(sim):
     kernel.schedule(sim._stop_ns, kernel.stop)
     sim._pump()
     kernel.run_until_idle(sim._stop_ns)
+    sim._on_trace_sample(
+        sim._stop_ns if sim.completed_ns is None else sim.completed_ns, True)
 
 
 SAMPLE_OP = st.one_of(
@@ -273,7 +279,8 @@ def sample_order(driver, ops, interval, stop):
                 return
 
     sim._pump = partial(step, pump=True)
-    sim._on_trace_sample = lambda now: log.append((now, "sample"))
+    sim._on_trace_sample = lambda now, every=False: log.append(
+        (now, "sample"))
     sim._result = lambda: None
     driver(sim)
     return log, kernel.now
@@ -296,14 +303,63 @@ def test_sliced_sampler_keeps_the_event_sampler_order(ops, interval, stop):
 def test_sample_follows_only_the_events_queued_before_the_last_one():
     # the first ACKs land exactly on the 10 ms sample: those scheduled
     # before the 0 s sample come first, and the window they grow is not
-    # yet in the sample's row
+    # yet in the sample, which so writes no row: the trace still holds the
+    # two rows of 0 s
     cfg = ScenarioConfig(
         links=[LinkConfig(1e6, 0.00084), LinkConfig(1e6, 0.00084)],
         mss=1000, trace_interval=0.01, transfer_size=100_000,
         ack_loss=False)
-    lines = trace_csv_lines(run(cfg).traces)
-    assert lines[3:5] == ["0.01,1,2,64,slow_start,Sample",
-                          "0.01,2,2,64,slow_start,Sample"]
+    rec = Recorder(cfg)
+    rec.run()
+    assert rec.srtts[2][0] == 0.01
+    assert rec.states[2:4] == [(2, 1, 2.0, 64.0, "slow_start"),
+                               (2, 2, 2.0, 64.0, "slow_start")]
+
+
+def test_a_transfer_that_completes_after_the_sample_at_its_time():
+    # the one segment's ACK lands on the 10 ms sample, after it: the
+    # sample finds no change, and the end rows, at 10 ms too, hold the
+    # window that ACK grew
+    cfg = ScenarioConfig(
+        links=[LinkConfig(1e6, 0.00084), LinkConfig(1e6, 0.00084)],
+        mss=1000, trace_interval=0.01, transfer_size=1000, ack_loss=False)
+    rec = Recorder(cfg)
+    result = rec.run()
+    assert result.stats.completion_time_s == 0.01
+    assert [t for t, _, _ in rec.srtts] == [0.0, 0.0, 0.01, 0.01, 0.01, 0.01]
+    assert trace_csv_lines(result.traces)[1:] == [
+        "0.0,1,2,64,slow_start,Sample", "0.0,2,2,64,slow_start,Sample",
+        "0.01,1,3,64,slow_start,Sample", "0.01,2,2,64,slow_start,Sample"]
+
+
+def reorder_cfg(detector):
+    cfg = load_scenario("paper-reorder")
+    cfg.detector = detector
+    return cfg
+
+
+# the fingerprint's 18 points, and paper-reorder with each detector
+TRACED_POINTS = (
+    [("grid-" + point_id(p), grid_cfg(*p)) for p in GRID_DIGESTS]
+    + [(name, preset_cfg(name)) for name in sorted(PRESET_DIGESTS)]
+    + [(multi_link_id(p), multi_link_cfg(*p)) for p in MULTI_LINK]
+    + [("paper-reorder-" + d.value, reorder_cfg(d)) for d in DetectorChoice])
+
+
+@pytest.mark.parametrize("cfg", [cfg for _, cfg in TRACED_POINTS],
+                         ids=[name for name, _ in TRACED_POINTS])
+def test_trace_holds_every_sampled_state(cfg):
+    # a reader who holds each subflow's last row, in trace order, has the
+    # subflow's (cwnd, ssthresh, phase) of every sample, whether or not the
+    # sample wrote a row
+    rec = Recorder(cfg)
+    traces = rec.run().traces
+    held, seen = {}, 0
+    for rows, sf, *state in rec.states:
+        for r in traces[seen:rows]:
+            held[r.subflow] = (r.cwnd, r.ssthresh, r.phase)
+        seen = rows
+        assert held[sf] == tuple(state), (rows, sf)
 
 
 def test_delay_asymmetry_triggers_spurious_fast_retransmit():
@@ -603,9 +659,14 @@ def test_recording_segments_changes_no_output(point):
     for _, sf, size, _ in rec.arrivals:
         arrived[sf - 1] += size
     assert tuple(arrived) == on.stats.bytes_sf
-    samples = sum(1 for r in on.traces if r.event == "Sample")
-    assert len(rec.srtts) == samples == n * len({r.time_s for r in on.traces
-                                                 if r.event == "Sample"})
+    # one entry per subflow at every sample: each second before the
+    # transfer completes, and at its end; the trace's Sample rows are at
+    # those times
+    times = sorted({t for t, _, _ in rec.srtts})
+    assert len(rec.srtts) == len(rec.states) == n * len(times)
+    assert times == [float(k) for k in range(len(times) - 1)] + [
+        on.stats.completion_time_s]
+    assert {r.time_s for r in on.traces if r.event == "Sample"} <= set(times)
 
 
 def test_default_run_memory_does_not_grow_with_transfer():

@@ -2,6 +2,7 @@
 benchmark workload.
 
     python tools/opcount.py WORKLOAD [SEED] [--scenarios K] [--bytes B]
+                            [--check FILE]
 
 It runs K scenarios of a perfbench workload (grid, bulk or reorder; SEED
 defaults to 1): every ceil(n/K)-th of its n scenarios, from the first, so
@@ -9,10 +10,15 @@ K = 36 takes every 9th of the grid's 324 (K defaults to all of them). Each
 transfer is capped at B bytes (default: uncapped). Each scenario's
 `run_scenario` and `trace_csv_lines`, the span perfbench times, run under
 `sys.settrace` with opcode events on. It prints, for each function of
-`src/mpsim` that ran, its opcodes and calls per data segment sent, and
-their total. Unlike a timed profile the counts are exact: two runs on one
-Python give the same table. Bytecode differs across Python versions, and
-the tracer makes a run about 120 times slower (grid, CPython 3.11).
+`src/mpsim` that ran, the `__init__` of each record type included, its
+opcodes and calls per data segment sent, and their total. Unlike a timed
+profile the counts are exact: two runs on one Python give the same table.
+Bytecode differs across Python versions, and the tracer makes a run about
+120 times slower (grid, CPython 3.11).
+
+With `--check FILE` it prints, in place of the table, each function whose
+opcodes per segment differ from those of the table in FILE, as old -> new,
+and exits 1 if any do.
 """
 
 import argparse
@@ -32,8 +38,17 @@ def count(cfgs):
     must be on sys.path."""
     import workloads
     from mpsim import harness
+    from mpsim.record import Record
     package = str(Path(harness.__file__).parent) + os.sep
     opcodes, calls, names = Counter(), Counter(), {}
+    # `Record` compiles each record's `__init__` from a string, so its
+    # code's file is "<string>": name it after its class instead
+    classes = Record.__subclasses__()
+    for cls in classes:
+        classes.extend(cls.__subclasses__())
+        if "__init__" in cls.__dict__ and cls.__module__.startswith("mpsim."):
+            names[cls.__init__.__code__] = "%s.%s.__init__" % (
+                cls.__module__[len("mpsim."):], cls.__qualname__)
 
     def name(code):
         if code not in names:
@@ -48,7 +63,8 @@ def count(cfgs):
         return local
 
     def on_call(frame, event, arg):
-        if not frame.f_code.co_filename.startswith(package):
+        if (frame.f_code not in names
+                and not frame.f_code.co_filename.startswith(package)):
             return None
         calls[name(frame.f_code)] += 1
         frame.f_trace_lines = False
@@ -96,6 +112,22 @@ def table(opcodes, calls, segments):
     return lines
 
 
+def moved(old, new):
+    """What moved from table `old` to table `new` (lists of lines): the
+    first line, if it differs, and each function whose opcodes per segment
+    differ, as `function: old -> new`."""
+    def per_function(lines):
+        return {name: ops for ops, _, name in
+                (line.split(None, 2) for line in lines[2:])}
+    out = [] if old[0] == new[0] else ["%s -> %s" % (old[0], new[0])]
+    before, after = per_function(old), per_function(new)
+    for fn in sorted(before.keys() | after.keys()):
+        if before.get(fn) != after.get(fn):
+            out.append("%s: %s -> %s opcodes/seg" % (
+                fn, before.get(fn, "none"), after.get(fn, "none")))
+    return out
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description="bytecodes per data segment of each mpsim function")
@@ -103,15 +135,25 @@ def main(argv=None):
     parser.add_argument("seed", nargs="?", type=int, default=1)
     parser.add_argument("--scenarios", type=int, metavar="K")
     parser.add_argument("--bytes", type=int, metavar="B")
+    parser.add_argument("--check", metavar="FILE",
+                        help="compare with the table in FILE: name each "
+                        "function whose count moved, and exit 1 if any did")
     args = parser.parse_args(argv)
     if args.scenarios is not None and args.scenarios < 1:
         parser.error("--scenarios: must be >= 1")
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     cfgs = pick(args.workload, args.seed, args.scenarios, args.bytes)
     opcodes, calls, segments = count(cfgs)
-    print("%s seed %d: %d scenarios, %d data segments"
-          % (args.workload, args.seed, len(cfgs), segments))
-    print("\n".join(table(opcodes, calls, segments)))
+    lines = ["%s seed %d: %d scenarios, %d data segments"
+             % (args.workload, args.seed, len(cfgs), segments)]
+    lines += table(opcodes, calls, segments)
+    if args.check is None:
+        print("\n".join(lines))
+        return
+    with open(args.check, encoding="utf-8") as fh:
+        changes = moved(fh.read().splitlines(), lines)
+    print("\n".join(changes) or "no count moved from %s" % args.check)
+    sys.exit(1 if changes else 0)
 
 
 if __name__ == "__main__":
