@@ -42,3 +42,15 @@ class Recorder(Simulation):
             self.srtts.append((now_s, sf.index + 1, sf.estimator.rtt))
             self.states.append((rows, sf.index + 1, sf.cwnd, sf.ssthresh,
                                 sf.phase))
+
+
+def assert_trace_holds_every_state(rec, traces):
+    """A reader who holds each subflow's last row, in trace order, has the
+    subflow's (cwnd, ssthresh, phase) of every sample `rec` logged, whether
+    or not the sample wrote a row."""
+    held, seen = {}, 0
+    for rows, sf, *state in rec.states:
+        for r in traces[seen:rows]:
+            held[r.subflow] = (r.cwnd, r.ssthresh, r.phase)
+        seen = rows
+        assert held[sf] == tuple(state), (rows, sf)

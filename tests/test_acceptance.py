@@ -1,4 +1,5 @@
-"""Acceptance gate: nine end-to-end criteria, one printed verdict line each.
+"""Acceptance gate: nine end-to-end criteria, one printed verdict line each,
+and a check of the trace rule on the reorder runs.
 
 Run with `pytest -sv tests/test_acceptance.py` to see the verdict lines as
 they pass; under default capture they appear only for failures, or for
@@ -17,7 +18,7 @@ from mpsim.harness import run_scenario, trace_csv_lines
 from mpsim.netmodel import Link, LinkConfig
 from mpsim.simkernel import NS_PER_S, RandomStream
 from mpsim.spurious import DetectorChoice
-from recording import Recorder
+from recording import Recorder, assert_trace_holds_every_state
 
 MB = 1_000_000
 GRID_CAPACITIES = (0.5, 4.0, 16.0)     # Mbps on link 2
@@ -273,6 +274,15 @@ def test_criterion_7_eifel_bursts_harder_than_dsack(reorder_runs):
     verdict(7, eifel > dsack,
             "max 100 ms burst after detection: eifel=%d, dsack=%d"
             % (eifel, dsack))
+
+
+@pytest.mark.parametrize("detector", ALL_DETECTORS,
+                         ids=[d.value for d in ALL_DETECTORS])
+def test_reorder_trace_holds_every_sampled_state(reorder_runs, detector):
+    # not a criterion: the 10 ms samples of these runs check the trace rule
+    # that criterion 6 reads windows by
+    result, rec = reorder_runs[detector]
+    assert_trace_holds_every_state(rec, result.traces)
 
 
 def test_criterion_8_link_unit_checks():

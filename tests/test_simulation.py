@@ -17,7 +17,7 @@ from mpsim.simkernel import NS_PER_S, SimKernel, seconds_to_ns
 from mpsim.simulation import Simulation
 from mpsim.spurious import DetectorChoice
 from mpsim.subflow import Mapping
-from recording import Recorder
+from recording import Recorder, assert_trace_holds_every_state
 from test_fingerprint import (GRID_DIGESTS, MULTI_LINK, PRESET_DIGESTS,
                               grid_cfg, multi_link_cfg, multi_link_id,
                               point_id, preset_cfg)
@@ -332,34 +332,19 @@ def test_a_transfer_that_completes_after_the_sample_at_its_time():
         "0.01,1,3,64,slow_start,Sample", "0.01,2,2,64,slow_start,Sample"]
 
 
-def reorder_cfg(detector):
-    cfg = load_scenario("paper-reorder")
-    cfg.detector = detector
-    return cfg
-
-
-# the fingerprint's 18 points, and paper-reorder with each detector
+# the fingerprint's 18 points; paper-reorder with each detector is checked
+# on the acceptance runs
 TRACED_POINTS = (
     [("grid-" + point_id(p), grid_cfg(*p)) for p in GRID_DIGESTS]
     + [(name, preset_cfg(name)) for name in sorted(PRESET_DIGESTS)]
-    + [(multi_link_id(p), multi_link_cfg(*p)) for p in MULTI_LINK]
-    + [("paper-reorder-" + d.value, reorder_cfg(d)) for d in DetectorChoice])
+    + [(multi_link_id(p), multi_link_cfg(*p)) for p in MULTI_LINK])
 
 
 @pytest.mark.parametrize("cfg", [cfg for _, cfg in TRACED_POINTS],
                          ids=[name for name, _ in TRACED_POINTS])
 def test_trace_holds_every_sampled_state(cfg):
-    # a reader who holds each subflow's last row, in trace order, has the
-    # subflow's (cwnd, ssthresh, phase) of every sample, whether or not the
-    # sample wrote a row
     rec = Recorder(cfg)
-    traces = rec.run().traces
-    held, seen = {}, 0
-    for rows, sf, *state in rec.states:
-        for r in traces[seen:rows]:
-            held[r.subflow] = (r.cwnd, r.ssthresh, r.phase)
-        seen = rows
-        assert held[sf] == tuple(state), (rows, sf)
+    assert_trace_holds_every_state(rec, rec.run().traces)
 
 
 def test_delay_asymmetry_triggers_spurious_fast_retransmit():

@@ -17,8 +17,8 @@ Bytecode differs across Python versions, and the tracer makes a run about
 120 times slower (grid, CPython 3.11).
 
 With `--check FILE` it prints, in place of the table, each function whose
-opcodes per segment differ from those of the table in FILE, as old -> new,
-and exits 1 if any do.
+opcodes or calls per segment differ from those of the table in FILE, as
+old -> new, and exits 1 if any do.
 """
 
 import argparse
@@ -113,19 +113,24 @@ def table(opcodes, calls, segments):
 
 
 def moved(old, new):
-    """What moved from table `old` to table `new` (lists of lines): the
-    first line, if it differs, and each function whose opcodes per segment
-    differ, as `function: old -> new`."""
+    """What moved from table `old` to table `new` (lists of lines), or []
+    if they are equal: each of the two heading lines that differs, and each
+    function whose opcodes or calls per segment differ, as
+    `function: old -> new`."""
+    if old == new:
+        return []
+
     def per_function(lines):
-        return {name: ops for ops, _, name in
-                (line.split(None, 2) for line in lines[2:])}
-    out = [] if old[0] == new[0] else ["%s -> %s" % (old[0], new[0])]
+        return {name: "%s opcodes/seg, %s calls/seg" % (ops, calls)
+                for ops, calls, name in (line.split(None, 2)
+                                         for line in lines[2:])}
+    out = ["%s -> %s" % (a, b) for a, b in zip(old[:2], new[:2]) if a != b]
     before, after = per_function(old), per_function(new)
     for fn in sorted(before.keys() | after.keys()):
         if before.get(fn) != after.get(fn):
-            out.append("%s: %s -> %s opcodes/seg" % (
-                fn, before.get(fn, "none"), after.get(fn, "none")))
-    return out
+            out.append("%s: %s -> %s" % (fn, before.get(fn, "none"),
+                                         after.get(fn, "none")))
+    return out or ["the same rows in another order"]
 
 
 def main(argv=None):
@@ -137,7 +142,8 @@ def main(argv=None):
     parser.add_argument("--bytes", type=int, metavar="B")
     parser.add_argument("--check", metavar="FILE",
                         help="compare with the table in FILE: name each "
-                        "function whose count moved, and exit 1 if any did")
+                        "function whose counts moved, and exit 1 if the "
+                        "tables differ")
     args = parser.parse_args(argv)
     if args.scenarios is not None and args.scenarios < 1:
         parser.error("--scenarios: must be >= 1")
