@@ -106,19 +106,18 @@ _W, _H = 860, 520
 _ML, _MR, _MT, _MB = 70, 20, 30, 50
 
 
-def _axis_top(lo: float, hi: float) -> float:
-    """hi, or over an empty span lo + 1.0."""
-    return hi if hi > lo else lo + 1.0
+def _axis_top(hi: float) -> float:
+    """hi, or over an empty span 1.0."""
+    return hi if hi > 0.0 else 1.0
 
 
-def _scale(lo: float, hi: float, start: float, length: float):
-    """The map of [lo, hi] onto [start, start + length]."""
-    span = hi - lo
-    return lambda v: start + (v - lo) / span * length
+def _scale(hi: float, start: float, length: float):
+    """The map of [0, hi] onto [start, start + length]."""
+    return lambda v: start + v / hi * length
 
 
-def _ticks(lo: float, hi: float, n: int = 6) -> List[float]:
-    raw = (hi - lo) / n
+def _ticks(hi: float, n: int = 6) -> List[float]:
+    raw = hi / n
     exp = math.floor(math.log10(raw))
     mag = 10.0 ** exp
     for mult in (1, 2, 5, 10):
@@ -126,12 +125,11 @@ def _ticks(lo: float, hi: float, n: int = 6) -> List[float]:
         if raw <= step:
             break
     out = []
-    v = math.ceil(lo / step) * step
-    # [lo, hi] spans at most n steps: n + 1 ticks, and one more for the
-    # rounding of the first. Near the largest float (a window the simulator
-    # can write), the step past the last tick is inf, and so is
-    # `hi + step * 1e-9`. Each tick is a multiple of 10**exp, and is rounded
-    # to one at any magnitude.
+    v = 0.0
+    # [0, hi] spans at most n steps: n + 1 ticks, and one to spare. Near
+    # the largest float (a window the simulator can write), the step past
+    # the last tick is inf, and so is `hi + step * 1e-9`. Each tick is a
+    # multiple of 10**exp, and is rounded to one at any magnitude.
     for _ in range(n + 2):
         if v > hi + step * 1e-9 or v == math.inf:
             break
@@ -147,12 +145,11 @@ def emit_plot(records: Sequence[TraceRecord], path) -> None:
     writes: times in [0, 1e9] s, on a 1 ns clock, from a first sample at
     0 s, and finite windows of at least one MSS, so both axes start at 0."""
     records = list(records)
-    t_lo = c_lo = 0.0
-    t_hi = _axis_top(t_lo, max(r.time_s for r in records))
-    c_hi = _axis_top(c_lo, max(r.cwnd for r in records))
+    t_hi = _axis_top(max(r.time_s for r in records))
+    c_hi = _axis_top(max(r.cwnd for r in records))
 
-    x = _scale(t_lo, t_hi, _ML, _W - _ML - _MR)
-    y = _scale(c_lo, c_hi, _H - _MB, _MT + _MB - _H)
+    x = _scale(t_hi, _ML, _W - _ML - _MR)
+    y = _scale(c_hi, _H - _MB, _MT + _MB - _H)
     subflows = sorted({r.subflow for r in records})
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
@@ -164,13 +161,13 @@ def emit_plot(records: Sequence[TraceRecord], path) -> None:
                  % (_ML, _H - _MB, _W - _MR, _H - _MB))
     parts.append('<line x1="%g" y1="%g" x2="%g" y2="%g" stroke="black"/>'
                  % (_ML, _MT, _ML, _H - _MB))
-    for tv in _ticks(t_lo, t_hi):
+    for tv in _ticks(t_hi):
         parts.append('<line x1="%g" y1="%g" x2="%g" y2="%g" stroke="black"/>'
                      % (x(tv), _H - _MB, x(tv), _H - _MB + 5))
         parts.append('<text x="%g" y="%g" font-size="11" '
                      'text-anchor="middle">%s</text>'
                      % (x(tv), _H - _MB + 18, "%g" % tv))
-    for cv in _ticks(c_lo, c_hi):
+    for cv in _ticks(c_hi):
         parts.append('<line x1="%g" y1="%g" x2="%g" y2="%g" stroke="black"/>'
                      % (_ML - 5, y(cv), _ML, y(cv)))
         parts.append('<text x="%g" y="%g" font-size="11" '

@@ -73,12 +73,6 @@ class SimKernel:
     the queued one would fire later than it or comes due before it. So
     every timer firing keeps the (time, ordinal) it would have had with
     one queued entry per re-arm.
-
-    `run_until_idle` can run in slices. A slice ending at t leaves the
-    events at t that were scheduled during it, so work done between two
-    slices (the simulation's trace samples) takes the place of an event
-    scheduled as the earlier slice began, without taking an ordinal or a
-    heap entry.
     """
 
     def __init__(self):
@@ -118,23 +112,14 @@ class SimKernel:
         is an empty one: events scheduled after the stop still fire."""
         self._queue.clear()
 
-    def run_until_idle(self, stop_time: int) -> int:
-        """Process every event with fire_time <= stop_time, in order.
-
-        An event at stop_time itself fires only if it was scheduled before
-        this call, so a caller that acts between two calls takes its place
-        among the events at stop_time as an event scheduled at the call's
-        start would have."""
+    def run_until_idle(self, stop_time: int) -> None:
+        """Fire every event due before stop_time, those scheduled on the
+        way included, in (fire_time, ordinal) order. Events at stop_time
+        stay queued."""
         queue = self._queue
         pop = heapq.heappop
-        last = self._ordinal
-        while queue:
-            head = queue[0]
-            if head[0] >= stop_time and (head[0] > stop_time
-                                         or head[1] > last):
-                break
+        while queue and queue[0][0] < stop_time:
             fire_time, _, fn, args = pop(queue)
             if fn is not None:
                 self.now = fire_time
                 fn(*args)
-        return self.now

@@ -377,14 +377,17 @@ class Simulation:
                 append(row)
 
     def run(self) -> RunResult:
+        """Run the transfer until it completes or `stop_time` comes.
+
+        A sample at t, taken every `trace_interval` from 0 s, holds the
+        state after every event due before t, and every event due at t
+        comes after it. A run cut at `stop_time` fires no event due at or
+        after it, and leaves `kernel.now` at the last event's time. The
+        trace ends with a row for every subflow, at the completion time or
+        at `stop_time`."""
         kernel = self.kernel
         stop_ns, step = self._stop_ns, self._trace_ns
-        kernel.schedule(stop_ns, kernel.stop)
         self._pump()
-        # Samples are taken between slices of the kernel loop, not as kernel
-        # events. A slice ends at the next sample time and fires there only
-        # the events scheduled before it began, so each sample keeps the
-        # place an event queued at the previous sample would have had.
         self._on_trace_sample(0, True)  # sending changed no sampled value
         t = step
         while t < stop_ns:
@@ -393,9 +396,7 @@ class Simulation:
                 break
             self._on_trace_sample(t)
             t += step
-        # the stop event, the run's first, fires first at stop_ns
         kernel.run_until_idle(stop_ns)
-        # every subflow's row at the run's end
         end = stop_ns if self.completed_ns is None else self.completed_ns
         self._on_trace_sample(end, True)
         return self._result()

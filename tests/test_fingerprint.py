@@ -9,6 +9,15 @@ re-computed once since, for a change of the trace alone: a subflow's
 every subflow has a row at 0 s and at the run's end, and `time_s` is
 written with `repr`. No event or segment count moved.
 
+They were re-committed once more when a sample at t came to hold the
+state after every event due before t, with every event due at t after
+it. Before, an event due at exactly t came before the sample if it was
+queued before the previous sample, and the run queued a stop event at
+`stop_time` to apply that rule at the run's end. Event order and state
+did not change. Each events count fell by 1, the stop event, and only
+paper-reorder's digest moved: 9 of its Sample rows of subflow 2 fall on the
+time of an ACK that now comes after them.
+
 The points cover every coupling mode x detector pair once, each loss rate
 on link 2 four times, and both presets at 2 MB. Four more run 3 and 4 lossy
 links at 1 MB, so the coupled rules are pinned over more than two subflows:
@@ -17,7 +26,8 @@ linked increases, the RTT compensator and the fully coupled loss decrease.
 Each point also pins the events the kernel scheduled and the data segments
 sent. A change can keep the trace and stats byte-identical while it adds or
 removes `schedule()` calls; the counts catch that. Trace samples are taken
-between kernel slices, not as events, so the events count no sample.
+between kernel slices, not as events, and the run queues no stop event, so
+the events count neither.
 """
 
 import hashlib
@@ -62,30 +72,30 @@ GRID_DIGESTS = {
 
 # same keys -> (events scheduled, data segments sent)
 GRID_COUNTS = {
-    (0.5, 10.0, 0.0, C.UNCOUPLED, D.NONE): (4288, 1429),
-    (4.0, 160.0, 0.01, C.UNCOUPLED, D.EIFEL): (3760, 1468),
-    (16.0, 320.0, 0.05, C.UNCOUPLED, D.DSACK): (4117, 1691),
-    (4.0, 320.0, 0.0, C.FULLY_COUPLED, D.NONE): (4179, 1432),
-    (16.0, 10.0, 0.01, C.FULLY_COUPLED, D.EIFEL): (3988, 1459),
-    (0.5, 160.0, 0.05, C.FULLY_COUPLED, D.DSACK): (4376, 1599),
-    (16.0, 160.0, 0.0, C.LINKED_INCREASES, D.NONE): (4289, 1432),
-    (0.5, 320.0, 0.01, C.LINKED_INCREASES, D.EIFEL): (3948, 1471),
-    (4.0, 10.0, 0.05, C.LINKED_INCREASES, D.DSACK): (4283, 1501),
-    (0.5, 320.0, 0.05, C.RTT_COMPENSATOR, D.NONE): (4125, 1553),
-    (4.0, 160.0, 0.0, C.RTT_COMPENSATOR, D.EIFEL): (3448, 1432),
-    (16.0, 320.0, 0.01, C.RTT_COMPENSATOR, D.DSACK): (3950, 1518),
+    (0.5, 10.0, 0.0, C.UNCOUPLED, D.NONE): (4287, 1429),
+    (4.0, 160.0, 0.01, C.UNCOUPLED, D.EIFEL): (3759, 1468),
+    (16.0, 320.0, 0.05, C.UNCOUPLED, D.DSACK): (4116, 1691),
+    (4.0, 320.0, 0.0, C.FULLY_COUPLED, D.NONE): (4178, 1432),
+    (16.0, 10.0, 0.01, C.FULLY_COUPLED, D.EIFEL): (3987, 1459),
+    (0.5, 160.0, 0.05, C.FULLY_COUPLED, D.DSACK): (4375, 1599),
+    (16.0, 160.0, 0.0, C.LINKED_INCREASES, D.NONE): (4288, 1432),
+    (0.5, 320.0, 0.01, C.LINKED_INCREASES, D.EIFEL): (3947, 1471),
+    (4.0, 10.0, 0.05, C.LINKED_INCREASES, D.DSACK): (4282, 1501),
+    (0.5, 320.0, 0.05, C.RTT_COMPENSATOR, D.NONE): (4124, 1553),
+    (4.0, 160.0, 0.0, C.RTT_COMPENSATOR, D.EIFEL): (3447, 1432),
+    (16.0, 320.0, 0.01, C.RTT_COMPENSATOR, D.DSACK): (3949, 1518),
 }
 
 PRESET_DIGESTS = {
     "paper-base":
         "1b1ad9067e1eac1007c42d55577b17fac38c3528510edf5437d23f9a302fe69e",
     "paper-reorder":
-        "1243bec7dcd0cbb9357c5244d6fe196cae227b7acc6261e3361c2e1cbfb0eb83",
+        "c197550d4959a1ba44a822fd156041b360ce5d2a5a06b4dff2302042144e9b63",
 }
 
 PRESET_COUNTS = {
-    "paper-base": (4288, 1429),
-    "paper-reorder": (4025, 1431),
+    "paper-base": (4287, 1429),
+    "paper-reorder": (4024, 1431),
 }
 
 # ((Mbps, one-way ms, loss) per link, coupling, detector)
@@ -94,19 +104,19 @@ MULTI_LINK = {
     (((2.0, 10.0, 0.01), (4.0, 40.0, 0.02), (1.0, 80.0, 0.01)),
      C.LINKED_INCREASES, D.EIFEL):
         ("b9bb25dd600e9eb774e10229f8d03068a49b5e1ecd8e88cbee525e3a053b909e",
-         1786, 746),
+         1785, 746),
     (((4.0, 20.0, 0.02), (2.0, 60.0, 0.01), (8.0, 120.0, 0.01),
       (1.0, 30.0, 0.03)), C.RTT_COMPENSATOR, D.DSACK):
         ("eb5f2b4208e87f7f90b9fc269e2562d88b6ae104da768641a8152861404fa95f",
-         1895, 818),
+         1894, 818),
     (((2.0, 15.0, 0.02), (4.0, 50.0, 0.01), (2.0, 100.0, 0.02),
       (8.0, 25.0, 0.01)), C.FULLY_COUPLED, D.NONE):
         ("4e186c1d28d757998a001e11893688ed5cc6b0627e2336bb0cfc8dfcf0ca5853",
-         2097, 776),
+         2096, 776),
     (((1.0, 10.0, 0.02), (2.0, 40.0, 0.01), (4.0, 160.0, 0.02)),
      C.FULLY_COUPLED, D.EIFEL):
         ("ef44d30aa35489c3cb872af7f7a986d2c8b542546c11965d9cec2c3451229741",
-         2078, 773),
+         2077, 773),
 }
 
 

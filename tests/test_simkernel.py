@@ -18,9 +18,9 @@ def test_events_fire_in_time_order():
     kernel.schedule(300, lambda: fired.append("c"))
     kernel.schedule(100, lambda: fired.append("a"))
     kernel.schedule(200, lambda: fired.append("b"))
-    end = kernel.run_until_idle(10 * NS_PER_S)
+    kernel.run_until_idle(10 * NS_PER_S)
     assert fired == ["a", "b", "c"]
-    assert end == 300
+    assert kernel.now == 300
 
 
 def test_simultaneous_events_fire_in_insertion_order():
@@ -58,8 +58,8 @@ def test_pushed_entry_fires_at_its_scheduled_ordinal():
     entry = kernel.schedule(42, lambda: fired.append("pushed"), queue=False)
     kernel.schedule(42, lambda: fired.append("after"))
     kernel.schedule(41, lambda: fired.append("earlier"))
-    kernel.run_until_idle(41)
-    assert fired == ["earlier"]  # an unqueued entry does not fire
+    kernel.run_until_idle(42)
+    assert fired == ["earlier"]  # the events at 42 stay queued
     assert kernel.push(entry) is entry
     kernel.run_until_idle(100)
     assert fired == ["earlier", "before", "pushed", "after"]
@@ -84,7 +84,7 @@ def test_events_beyond_stop_time_are_left_queued():
     assert fired == [10]
 
 
-def test_stop_time_fires_only_what_was_queued_before_the_call():
+def test_stop_time_leaves_every_event_at_it_queued():
     kernel = SimKernel()
     fired = []
 
@@ -95,9 +95,10 @@ def test_stop_time_fires_only_what_was_queued_before_the_call():
     kernel.schedule(50, first)
     kernel.schedule(40, lambda: kernel.schedule(
         50, lambda: fired.append("during")))
-    assert kernel.run_until_idle(50) == 50
-    assert fired == ["first"]  # both at 50, scheduled during the call
     kernel.run_until_idle(50)
+    # at 50: one scheduled before the call, one during it
+    assert fired == [] and kernel.now == 40
+    kernel.run_until_idle(51)
     assert fired == ["first", "during", "later"]
 
 
@@ -124,7 +125,8 @@ def test_stop_drops_only_the_events_queued_before_it():
     kernel.run_until_idle(100)
     assert fired == ["after stop"]
     kernel.schedule(5, lambda: fired.append("next run"))
-    assert kernel.run_until_idle(100) == 5
+    kernel.run_until_idle(100)
+    assert kernel.now == 5
     assert fired == ["after stop", "next run"]
 
 
@@ -203,7 +205,8 @@ def test_slice_leaves_args_events_scheduled_during_it():
 
     kernel.schedule(50, first, args=("first",))
     kernel.schedule(40, during, args=("during",))
-    assert kernel.run_until_idle(50) == 50
-    assert fired == ["first"]  # both at 50, scheduled during the slice
     kernel.run_until_idle(50)
+    # at 50: one scheduled before the slice, one during it
+    assert fired == [] and kernel.now == 40
+    kernel.run_until_idle(51)
     assert fired == ["first", "during", "later"]

@@ -228,21 +228,22 @@ def test_lazy_rto_timer_fires_as_the_eager_one(n, ops):
 # ----------------------------------------------------------- trace samples
 
 def event_sampled_run(sim):
-    """Reference driver: each trace sample is a kernel event that schedules
-    the next, as the simulator once sampled, and the run's end takes one
-    more sample."""
+    """Reference driver: each trace sample is a kernel event of ordinal 0,
+    which fires first at its time, and queues the next one before the
+    stop. The stop, also of ordinal 0, drops every event due at or after
+    it, and the run's end takes one more sample."""
     kernel = sim.kernel
 
     def sample():
         sim._on_trace_sample(kernel.now)
         nxt = kernel.now + sim._trace_ns
-        if nxt <= sim._stop_ns:
-            kernel.schedule(nxt, sample)
+        if nxt < sim._stop_ns:
+            kernel.push([nxt, 0, sample, ()])
 
-    kernel.schedule(0, sample)
-    kernel.schedule(sim._stop_ns, kernel.stop)
+    kernel.push([0, 0, sample, ()])
+    kernel.push([sim._stop_ns, 0, kernel.stop, ()])
     sim._pump()
-    kernel.run_until_idle(sim._stop_ns)
+    kernel.run_until_idle(sim._stop_ns + 1)
     sim._on_trace_sample(
         sim._stop_ns if sim.completed_ns is None else sim.completed_ns, True)
 
@@ -258,7 +259,8 @@ def sample_order(driver, ops, interval, stop):
     until `stop`: "event" schedules an event `ticks` later, "advance"
     continues with the next op `ticks` later, and "complete" ends the run
     as a completed transfer does. Returns the (time, what) of each sample
-    and event in the order they happened, and the kernel's end time."""
+    and event in the order they happened, which ends with the end sample:
+    at the completion time, or at the stop."""
     sim = Simulation(ScenarioConfig(links=[LinkConfig(1e6, 0.01)]))
     kernel = sim.kernel
     sim._trace_ns, sim._stop_ns = interval * TICK_NS, stop * TICK_NS
@@ -283,7 +285,7 @@ def sample_order(driver, ops, interval, stop):
         (now, "sample"))
     sim._result = lambda: None
     driver(sim)
-    return log, kernel.now
+    return log
 
 
 # samples at 0, 3 and 6 and the stop at 8: events at 3 and 6 scheduled
@@ -300,11 +302,10 @@ def test_sliced_sampler_keeps_the_event_sampler_order(ops, interval, stop):
     assert sliced == sample_order(event_sampled_run, ops, interval, stop)
 
 
-def test_sample_follows_only_the_events_queued_before_the_last_one():
-    # the first ACKs land exactly on the 10 ms sample: those scheduled
-    # before the 0 s sample come first, and the window they grow is not
-    # yet in the sample, which so writes no row: the trace still holds the
-    # two rows of 0 s
+def test_sample_comes_before_the_events_at_its_time():
+    # the first ACKs land exactly on the 10 ms sample, and come after it:
+    # the window they grow is not yet in the sample, which so writes no
+    # row: the trace still holds the two rows of 0 s
     cfg = ScenarioConfig(
         links=[LinkConfig(1e6, 0.00084), LinkConfig(1e6, 0.00084)],
         mss=1000, trace_interval=0.01, transfer_size=100_000,
@@ -512,12 +513,11 @@ def test_integrity_check_fails_on_injected_fault(fault, monkeypatch):
         left = []
 
         def loop_then_leave_a_mapping(stop_time):
-            end = loop(stop_time)
+            loop(stop_time)
             # the run's final call: every slice ends before stop_time
             if stop_time == sim._stop_ns:
                 sim.subflows[0].mappings.append(Mapping(0, 1400))
                 left.append(stop_time)
-            return end
 
         monkeypatch.setattr(sim.kernel, "run_until_idle",
                             loop_then_leave_a_mapping)
